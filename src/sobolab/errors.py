@@ -21,6 +21,10 @@ class MismatchedLengths(SobolabError):
     """Companion arrays (points/labels/radii) disagree in length."""
 
 
+class MalformedInput(SobolabError):
+    """A file cell or header is malformed, or an array holds a non-finite value."""
+
+
 class UnsupportedDimension(SobolabError):
     """Dimension outside the supported range (d in {1, 2, 3})."""
 

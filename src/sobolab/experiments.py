@@ -188,12 +188,15 @@ def _structural_violations(dataset, radii, f=None, norm_p=None, bound=None):
         "norm_bound": 0,
     }
     if f is not None:
-        resid = np.abs(interpolant.evaluate(f, dataset.points) - dataset.labels)
-        out["interpolation"] = int(np.count_nonzero(
-            resid > interpolant.INTERPOLATION_TOL))
+        out["interpolation"] = _interpolation_violations(dataset, f)
     if norm_p is not None and bound is not None and norm_p > bound:
         out["norm_bound"] = 1
     return out
+
+
+def _interpolation_violations(dataset, f):
+    resid = np.abs(interpolant.evaluate(f, dataset.points) - dataset.labels)
+    return int(np.count_nonzero(resid > interpolant.INTERPOLATION_TOL))
 
 
 def _merge_violations(total, part):
@@ -488,10 +491,11 @@ def sweep_risk_vs_gamma(config, moduli=None, threads=1):
         ds = model.sample(spec, n, seed)
         radii = geometry.nn_radii(ds)
         rows = []
-        checks = {}
+        # packing depends on the dataset and radii alone, not on the shrink
+        checks = _structural_violations(ds, radii)
         for si, s in enumerate(config.shrink_grid):
             f = interpolant.build(ds, radii, s, params)
-            _merge_violations(checks, _structural_violations(ds, radii, f))
+            checks["interpolation"] += _interpolation_violations(ds, f)
             report = interpolant.gamma_report(f, ds, radii, moduli)
             mc_seed = derive_seed(config.master_seed, n, trial, si, 2)
             est = _risk_of_bump(f, spec, config.mc_samples, mc_seed)

@@ -1,9 +1,15 @@
 """Datasets and their nearest-neighbor geometry.
 
-Provides exact nearest-neighbor radii (spatial index above a brute-force
-cutoff, but always reduced with the same arithmetic so the two paths agree
-to the bit), the directed nearest-neighbor graph with ties kept, the
-half-radius packing check, and the one-point perturbation stability count.
+Provides exact nearest-neighbor radii, the directed nearest-neighbor graph
+with ties kept, the half-radius packing check, and the one-point
+perturbation stability count.
+
+Every check runs in O(n log n): a k-d tree only shortlists candidate pairs,
+and every distance that decides a result is recomputed with the same
+fixed-order arithmetic (:func:`_sq_dists`) that the O(n^2) oracles use, so
+the fast paths and the oracles agree to the bit.  The oracles are
+:func:`nn_radii_brute_force`, :func:`nn_graph_brute_force` and
+:func:`check_packing_brute_force`; only tests call them.
 
 All functions are pure; `Dataset` arrays are frozen after construction.
 """
@@ -11,14 +17,17 @@ All functions are pure; `Dataset` arrays are frozen after construction.
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass
+import itertools
+from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.spatial import cKDTree
 
 from .errors import (
     DuplicatePoints,
+    MalformedInput,
     MismatchedLengths,
+    NonpositiveRadius,
     TooFewPoints,
     UnsupportedDimension,
 )
@@ -26,6 +35,14 @@ from .errors import (
 # Brute force below this size; k-d tree above (DESIGN: correctness first,
 # both paths must agree exactly).
 BRUTE_FORCE_MAX_N = 64
+
+# Relative slack on a tree query radius: the tree's own distance arithmetic
+# may round differently from _sq_dists, so a shortlist must never sit right
+# on the decision boundary.
+_REACH_SLACK = 1e-9
+
+# Rows per block of the O(n^2) oracles, bounding their memory.
+_ORACLE_BLOCK = 512
 
 # Kissing numbers tau(d): max in-degree of the NN graph on generic points.
 KISSING_NUMBER = {1: 2, 2: 6, 3: 12}
@@ -55,10 +72,16 @@ def _sq_dists(a, b):
 
 @dataclass(frozen=True)
 class Dataset:
-    """n >= 2 pairwise-distinct points in R^d with real labels."""
+    """n >= 2 pairwise-distinct points in R^d with real labels.
+
+    ``nn_sq_dists`` holds the squared distance from each point to its
+    nearest other point.  It is computed once, at construction, and every
+    nearest-neighbor quantity of the dataset derives from it.
+    """
 
     points: np.ndarray
     labels: np.ndarray
+    nn_sq_dists: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         points = np.array(self.points, dtype=float, order="C")
@@ -73,12 +96,14 @@ class Dataset:
             raise TooFewPoints(f"need n >= 2 points, got {points.shape[0]}")
         if not (np.isfinite(points).all() and np.isfinite(labels).all()):
             raise MismatchedLengths("points and labels must be finite")
-        points.flags.writeable = False
-        labels.flags.writeable = False
+        nn_sq = _nn_sq_dists(points)
+        if np.min(nn_sq) == 0.0:
+            raise DuplicatePoints("two points of the dataset coincide")
+        for arr in (points, labels, nn_sq):
+            arr.flags.writeable = False
         object.__setattr__(self, "points", points)
         object.__setattr__(self, "labels", labels)
-        if np.min(self._nn_sq_dists()) == 0.0:
-            raise DuplicatePoints("two points of the dataset coincide")
+        object.__setattr__(self, "nn_sq_dists", nn_sq)
 
     @property
     def n(self):
@@ -87,10 +112,6 @@ class Dataset:
     @property
     def dim(self):
         return self.points.shape[1]
-
-    def _nn_sq_dists(self):
-        """Squared distance from each point to its nearest other point."""
-        return _nn_sq_dists(self.points)
 
 
 @dataclass(frozen=True)
@@ -124,12 +145,26 @@ def _nn_sq_dists(points):
     return _nn_sq_dists_tree(points)
 
 
+def _ball_pairs(tree, points, reach):
+    """Shortlist (i, j), i != j, with x_j within about reach_i of x_i.
+
+    ``reach`` must be finite.  The query radius is widened by a relative
+    ``_REACH_SLACK`` so that every pair whose recomputed distance is at most
+    reach_i is returned; a few pairs just beyond it may be returned too, and
+    callers decide each pair from :func:`_sq_dists` alone.
+    """
+    balls = tree.query_ball_point(points, reach * (1.0 + _REACH_SLACK))
+    sizes = np.fromiter(map(len, balls), dtype=np.intp, count=len(balls))
+    src = np.repeat(np.arange(len(balls)), sizes)
+    dst = np.fromiter(itertools.chain.from_iterable(balls), dtype=np.intp,
+                      count=int(sizes.sum()))
+    keep = src != dst
+    return src[keep], dst[keep]
+
+
 def nn_radii(dataset):
     """delta_i = min_{l != i} ||x_i - x_l||, exactly, for every i."""
-    r2 = dataset._nn_sq_dists()
-    if np.min(r2) == 0.0:
-        raise DuplicatePoints("two points of the dataset coincide")
-    return np.sqrt(r2)
+    return np.sqrt(dataset.nn_sq_dists)
 
 
 def nn_radii_brute_force(dataset):
@@ -137,13 +172,29 @@ def nn_radii_brute_force(dataset):
     return np.sqrt(_nn_sq_dists_brute(dataset.points))
 
 
-def nn_graph(dataset, block=512):
-    """Edges (i, j) with ||x_j - x_i|| <= ||x_l - x_i|| for all l != i."""
+def nn_graph(dataset):
+    """Edges (i, j) with ||x_j - x_i|| <= ||x_l - x_i|| for all l != i.
+
+    O(n log n): the tree shortlists every x_j within delta_i of x_i, and an
+    edge is kept when its recomputed squared distance equals the dataset's
+    nearest-neighbor squared distance exactly, so exact ties stay in the
+    graph.  :func:`nn_graph_brute_force` is the O(n^2) oracle.
+    """
+    points = dataset.points
+    nn_sq = dataset.nn_sq_dists
+    src, dst = _ball_pairs(cKDTree(points), points, np.sqrt(nn_sq))
+    tie = _sq_dists(points[src], points[dst]) == nn_sq[src]
+    return NnGraph(edges=frozenset(zip(src[tie].tolist(), dst[tie].tolist())),
+                   n=dataset.n)
+
+
+def nn_graph_brute_force(dataset):
+    """O(n^2) oracle for nn_graph: every row of the distance matrix."""
     points = dataset.points
     n = dataset.n
     edges = []
-    for start in range(0, n, block):
-        stop = min(start + block, n)
+    for start in range(0, n, _ORACLE_BLOCK):
+        stop = min(start + _ORACLE_BLOCK, n)
         d2 = _sq_dists(points[start:stop, None, :], points[None, :, :])
         for r in range(stop - start):
             d2[r, start + r] = np.inf
@@ -163,23 +214,50 @@ def in_degrees(graph, n=None):
     return deg
 
 
-def check_packing(dataset, radii, block=512):
-    """All pairs violating ||x_i - x_j|| < (delta_i + delta_j) / 2.
-
-    The half-radius balls B(x_i, delta_i/2) are disjoint whenever the radii
-    come from the same dataset, so the returned list is empty by contract;
-    a non-empty return means corrupted inputs.
-    """
+def _checked_radii(dataset, radii):
     radii = np.asarray(radii, dtype=float)
     if radii.shape != (dataset.n,):
         raise MismatchedLengths(
             f"radii shape {radii.shape} does not match n={dataset.n}"
         )
+    if not (np.isfinite(radii).all() and np.all(radii > 0.0)):
+        raise NonpositiveRadius("packing radii must be finite and positive")
+    return radii
+
+
+def check_packing(dataset, radii):
+    """All pairs violating ||x_i - x_j|| < (delta_i + delta_j) / 2.
+
+    The half-radius balls B(x_i, delta_i/2) are disjoint whenever the radii
+    come from the same dataset, so the returned list is empty by contract;
+    a non-empty return means corrupted inputs.  Pairs come as (i, j) with
+    i < j, sorted by i, then j.  Radii must be finite and positive.
+
+    O(n log n) for radii of nearest-neighbor size.  A pair can violate only
+    when its distance is below (r_i + r_j)/2 <= max(r_i, r_j), so the ball
+    of radius r around one of its two points holds the other: the tree
+    shortlists those, and each shortlisted pair is decided by recomputed
+    distances alone.  :func:`check_packing_brute_force` is the O(n^2)
+    oracle.
+    """
+    radii = _checked_radii(dataset, radii)
+    points = dataset.points
+    src, dst = _ball_pairs(cKDTree(points), points, radii)
+    key = np.unique(np.minimum(src, dst) * dataset.n + np.maximum(src, dst))
+    i, j = np.divmod(key, dataset.n)
+    dist = np.sqrt(_sq_dists(points[i], points[j]))
+    bad = dist < (radii[i] + radii[j]) / 2.0
+    return list(zip(i[bad].tolist(), j[bad].tolist()))
+
+
+def check_packing_brute_force(dataset, radii):
+    """O(n^2) oracle for check_packing: every pair of the distance matrix."""
+    radii = _checked_radii(dataset, radii)
     points = dataset.points
     n = dataset.n
     violations = []
-    for start in range(0, n, block):
-        stop = min(start + block, n)
+    for start in range(0, n, _ORACLE_BLOCK):
+        stop = min(start + _ORACLE_BLOCK, n)
         dist = np.sqrt(_sq_dists(points[start:stop, None, :], points[None, :, :]))
         limit = (radii[start:stop, None] + radii[None, :]) / 2.0
         bad = dist < limit
@@ -206,9 +284,8 @@ def perturbation_changed_radii(dataset, index, replacement):
     others = np.delete(moved, index, axis=0)
     if np.min(_sq_dists(others, replacement[None, :])) == 0.0:
         raise DuplicatePoints("replacement coincides with another point")
-    before = _nn_sq_dists(dataset.points)
     after = _nn_sq_dists(moved)
-    return int(np.count_nonzero(before != after))
+    return int(np.count_nonzero(dataset.nn_sq_dists != after))
 
 
 # -- CSV interchange -------------------------------------------------------
@@ -236,6 +313,12 @@ def load_dataset(path):
         for row in reader:
             if len(row) != d + 1:
                 raise MismatchedLengths(f"{path}: row width {len(row)} != {d + 1}")
-            pts.append([float(v) for v in row[:d]])
-            ys.append(float(row[d]))
+            try:
+                values = [float(v) for v in row]
+            except ValueError:
+                raise MalformedInput(
+                    f"{path}: line {reader.line_num}: non-numeric cell in {row}"
+                ) from None
+            pts.append(values[:d])
+            ys.append(values[d])
     return Dataset(points=np.asarray(pts), labels=np.asarray(ys))

@@ -16,7 +16,7 @@ their norm-minimization factor reported by :func:`gamma_report`.
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass
+from dataclasses import InitVar, dataclass
 
 import numpy as np
 from scipy.spatial import cKDTree
@@ -26,6 +26,7 @@ from .bump import SobolevParams, bump_eval, profile_values
 from .errors import (
     DuplicatePoints,
     InvalidShrink,
+    MalformedInput,
     MismatchedLengths,
     NotInterpolating,
     ParamsMismatch,
@@ -36,25 +37,34 @@ INTERPOLATION_TOL = 1e-9
 
 @dataclass(frozen=True)
 class BumpInterpolant:
-    """f = sum_i y_i psi_i with supports B(x_i, s delta_i / 2)."""
+    """f = sum_i y_i psi_i with supports B(x_i, s delta_i / 2).
+
+    Construction checks the supports against the centers' nearest-neighbor
+    distances.  ``_nn_sq`` passes those squared distances in when they are
+    already known (as :func:`build` does from its dataset); otherwise they
+    are computed here.
+    """
 
     centers: np.ndarray
     support_radii: np.ndarray
     weights: np.ndarray
     shrink: float
     params: SobolevParams
+    _nn_sq: InitVar[np.ndarray | None] = None
 
-    def __post_init__(self):
+    def __post_init__(self, _nn_sq):
         centers = np.array(self.centers, dtype=float, order="C")
         radii = np.array(self.support_radii, dtype=float, order="C")
         weights = np.array(self.weights, dtype=float, order="C")
         if (centers.ndim != 2 or len(centers) == 0
                 or len(radii) != len(centers) or len(weights) != len(centers)):
             raise MismatchedLengths("centers, support_radii, weights must align")
-        if np.any(radii <= 0.0):
-            raise InvalidShrink("support radii must be positive")
+        if not (np.isfinite(centers).all() and np.isfinite(weights).all()):
+            raise MalformedInput("centers and weights must be finite")
+        if not (np.isfinite(radii).all() and np.all(radii > 0.0)):
+            raise InvalidShrink("support radii must be finite and positive")
         if len(centers) >= 2:
-            nn_sq = geometry._nn_sq_dists(centers)
+            nn_sq = geometry._nn_sq_dists(centers) if _nn_sq is None else _nn_sq
             if np.min(nn_sq) == 0.0:
                 raise DuplicatePoints("two bump centers coincide")
             # r_i <= delta_i / 2 makes the active bump the strict nearest
@@ -104,6 +114,7 @@ def build(dataset, radii, shrink, params):
         weights=dataset.labels,
         shrink=float(shrink),
         params=params,
+        _nn_sq=dataset.nn_sq_dists,
     )
 
 
@@ -255,17 +266,42 @@ def load_interpolant(path):
         if not first.startswith("#"):
             raise MismatchedLengths(f"{path}: missing parameter header record")
         fields = dict(tok.split("=", 1) for tok in first[1:].split() if "=" in tok)
-        params = SobolevParams(k=int(fields["k"]), p=float(fields["p"]),
-                               d=int(fields["d"]))
-        shrink = float(fields["shrink"])
+        try:
+            params = SobolevParams(k=int(fields["k"]), p=float(fields["p"]),
+                                   d=int(fields["d"]))
+            shrink = float(fields["shrink"])
+        except KeyError as exc:
+            raise MalformedInput(
+                f"{path}: line 1: header record lacks {exc.args[0]}="
+            ) from None
+        except ValueError:
+            raise MalformedInput(
+                f"{path}: line 1: non-numeric value in header {first!r}"
+            ) from None
         reader = csv.reader(fh)
-        header = next(reader)
+        header = next(reader, [])
         d = len(header) - 2
+        if d < 1:
+            raise MismatchedLengths(
+                f"{path}: expected header c_1,...,c_d,radius,weight, got {header}"
+            )
         centers, radii, weights = [], [], []
         for row in reader:
-            centers.append([float(v) for v in row[:d]])
-            radii.append(float(row[d]))
-            weights.append(float(row[d + 1]))
+            # the header record sits on line 1, ahead of the csv reader
+            line = reader.line_num + 1
+            if len(row) != d + 2:
+                raise MismatchedLengths(
+                    f"{path}: line {line}: row width {len(row)} != {d + 2}"
+                )
+            try:
+                values = [float(v) for v in row]
+            except ValueError:
+                raise MalformedInput(
+                    f"{path}: line {line}: non-numeric cell in {row}"
+                ) from None
+            centers.append(values[:d])
+            radii.append(values[d])
+            weights.append(values[d + 1])
     return BumpInterpolant(
         centers=np.asarray(centers), support_radii=np.asarray(radii),
         weights=np.asarray(weights), shrink=shrink, params=params,

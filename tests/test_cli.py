@@ -73,6 +73,13 @@ class TestInterpNorm:
         assert main(["norm", "--config", str(cfg), "--interp",
                      str(interp_csv)]) == 0
 
+    def test_header_missing_key_usage_error(self, cfg, tmp_path):
+        bad = tmp_path / "interp.csv"
+        bad.write_text("# k=1 d=1 shrink=1.0\nc_1,radius,weight\n"
+                       "0.0,0.25,1.0\n")
+        assert main(["norm", "--config", str(cfg), "--interp",
+                     str(bad)]) == 2
+
 
 class TestModuliCache:
     def test_build_and_reuse(self, cfg, tmp_path, dataset_csv):
@@ -105,6 +112,12 @@ class TestCheck:
         bad = tmp_path / "dup.csv"
         bad.write_text("x_1,y\n0.5,1.0\n0.5,2.0\n0.9,0.0\n")
         assert main(["check", "--config", str(cfg), "--data", str(bad)]) == 2
+
+    def test_non_numeric_cell_usage_error(self, cfg, tmp_path, capsys):
+        bad = tmp_path / "abc.csv"
+        bad.write_text("x_1,y\n0.5,1.0\nabc,2.0\n0.9,0.0\n")
+        assert main(["check", "--config", str(cfg), "--data", str(bad)]) == 2
+        assert "abc.csv: line 3" in capsys.readouterr().err
 
     def test_dimension_4_rejected(self, tmp_path):
         cfg4 = tmp_path / "d4.ini"

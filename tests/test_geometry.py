@@ -1,10 +1,16 @@
+import itertools
+
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from sobolab import geometry
 from sobolab.errors import (
     DuplicatePoints,
+    MalformedInput,
     MismatchedLengths,
+    NonpositiveRadius,
     TooFewPoints,
     UnsupportedDimension,
 )
@@ -52,6 +58,18 @@ class TestDataset:
         assert np.array_equal(back.labels, ds.labels)
         header = path.read_text().splitlines()[0]
         assert header == "x_1,x_2,y"
+
+    def test_csv_non_numeric_cell_names_file_and_line(self, tmp_path):
+        path = tmp_path / "ds.csv"
+        path.write_text("x_1,y\n0.0,1.0\nabc,2.0\n")
+        with pytest.raises(MalformedInput, match=r"ds\.csv: line 3"):
+            geometry.load_dataset(path)
+
+    def test_nn_sq_dists_frozen(self):
+        ds = line_dataset(0.0, 1.0, 3.0)
+        assert ds.nn_sq_dists.tolist() == [1.0, 1.0, 4.0]
+        with pytest.raises(ValueError):
+            ds.nn_sq_dists[0] = 5.0
 
 
 class TestNnRadii:
@@ -148,6 +166,80 @@ class TestPacking:
         ds = line_dataset(0, 1, 3)
         with pytest.raises(MismatchedLengths):
             geometry.check_packing(ds, np.ones(2))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, 0.0, -1.0])
+    def test_nonfinite_or_nonpositive_radius_rejected(self, bad):
+        ds = line_dataset(0, 1, 3)
+        radii = geometry.nn_radii(ds)
+        radii[1] = bad
+        for check in (geometry.check_packing,
+                      geometry.check_packing_brute_force):
+            with pytest.raises(NonpositiveRadius):
+                check(ds, radii)
+        with pytest.raises(NonpositiveRadius):
+            geometry.check_packing(ds, np.full(3, np.nan))
+
+
+# -- tree paths against their O(n^2) oracles ---------------------------------
+
+
+@st.composite
+def datasets(draw):
+    """Uniform clouds, lattice subsets with exact ties, and a cluster plus
+    one far outlier, in d in {1, 2, 3} with 2 <= n <= 300."""
+    d = draw(st.integers(1, 3))
+    kind = draw(st.sampled_from(["uniform", "lattice", "outlier"]))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    if kind == "lattice":
+        side = {1: 300, 2: 18, 3: 7}[d]
+        grid = np.array(list(itertools.product(range(side), repeat=d)), float)
+        n = draw(st.integers(2, min(300, len(grid))))
+        pick = rng.choice(len(grid), size=n, replace=False)
+        points = grid[pick] * draw(st.sampled_from([0.1, 0.5, 1.0]))
+    else:
+        n = draw(st.integers(2, 300))
+        points = rng.uniform(-1.0, 1.0, size=(n, d))
+        if kind == "outlier":
+            points[-1] = 1e6
+    return geometry.Dataset(points=points, labels=np.zeros(n))
+
+
+class TestOracles:
+    @given(ds=datasets(),
+           factor=st.sampled_from([1.0, 1.01, 3.0, "jitter"]),
+           seed=st.integers(0, 2 ** 32 - 1))
+    def test_check_packing_equals_brute_force(self, ds, factor, seed):
+        radii = geometry.nn_radii(ds)
+        if factor == "jitter":
+            rng = np.random.default_rng(seed)
+            radii = radii * rng.uniform(0.5, 3.0, size=ds.n)
+        else:
+            radii = radii * factor
+        fast = geometry.check_packing(ds, radii)
+        assert fast == geometry.check_packing_brute_force(ds, radii)
+        if factor == 1.0:
+            assert fast == []
+
+    @given(ds=datasets())
+    def test_nn_graph_equals_brute_force(self, ds):
+        assert geometry.nn_graph(ds) == geometry.nn_graph_brute_force(ds)
+
+    @given(ds=datasets())
+    def test_nn_radii_bit_equal_to_brute_force(self, ds):
+        fast = geometry.nn_radii(ds)
+        assert fast.tobytes() == geometry.nn_radii_brute_force(ds).tobytes()
+
+    @pytest.mark.parametrize("scale", [0.1, 1.0])
+    def test_full_cubic_lattice(self, scale):
+        pts = np.array(list(itertools.product(range(12), repeat=3))) * scale
+        ds = Dataset(points=pts, labels=np.zeros(len(pts)))
+        graph = geometry.nn_graph(ds)
+        assert graph == geometry.nn_graph_brute_force(ds)
+        assert geometry.in_degrees(graph).max() <= geometry.kissing_number(3)
+        for factor in (1.0, 1.01, 3.0):
+            radii = geometry.nn_radii(ds) * factor
+            assert (geometry.check_packing(ds, radii)
+                    == geometry.check_packing_brute_force(ds, radii))
 
 
 class TestPerturbation:

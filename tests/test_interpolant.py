@@ -4,6 +4,8 @@ import pytest
 from sobolab import bump, geometry, interpolant, model, quadrature
 from sobolab.errors import (
     InvalidShrink,
+    MalformedInput,
+    MismatchedLengths,
     NotInterpolating,
     ParamsMismatch,
 )
@@ -54,6 +56,42 @@ class TestBuild:
                 support_radii=np.array([0.8, 0.8]),
                 weights=np.array([1.0, 1.0]),
                 shrink=1.0, params=params_d1)
+
+    @pytest.mark.parametrize("n", [3, 200])
+    def test_build_rejects_radii_above_half_nn(self, n, params_d1):
+        ds = random_dataset(np.random.default_rng(n), n, 1)
+        radii = geometry.nn_radii(ds)
+        with pytest.raises(InvalidShrink):
+            interpolant.build(ds, radii * 1.01, 1.0, params_d1)
+        radii[n // 2] = np.nan
+        with pytest.raises(InvalidShrink):
+            interpolant.build(ds, radii, 1.0, params_d1)
+
+    def test_build_equals_direct_construction(self, params_d2):
+        ds = random_dataset(np.random.default_rng(4), 300, 2)
+        f = built(ds, 0.5, params_d2)
+        direct = interpolant.BumpInterpolant(
+            centers=ds.points, support_radii=f.support_radii,
+            weights=ds.labels, shrink=0.5, params=params_d2)
+        assert np.array_equal(direct.support_radii, f.support_radii)
+        assert np.array_equal(interpolant.evaluate(direct, ds.points),
+                              interpolant.evaluate(f, ds.points))
+
+    @pytest.mark.parametrize("field, value, error", [
+        ("support_radii", np.nan, InvalidShrink),
+        ("support_radii", np.inf, InvalidShrink),
+        ("weights", np.nan, MalformedInput),
+        ("weights", -np.inf, MalformedInput),
+        ("centers", np.nan, MalformedInput),
+    ])
+    def test_nonfinite_rejected(self, field, value, error, params_d1):
+        args = dict(centers=np.array([[0.0], [1.0], [3.0]]),
+                    support_radii=np.array([0.25, 0.25, 0.5]),
+                    weights=np.array([1.0, 2.0, 3.0]))
+        args[field] = args[field].copy()
+        args[field][1] = value
+        with pytest.raises(error):
+            interpolant.BumpInterpolant(shrink=0.5, params=params_d1, **args)
 
 
 class TestEvaluate:
@@ -245,3 +283,20 @@ class TestCsv:
         assert np.array_equal(back.centers, f.centers)
         assert np.array_equal(back.support_radii, f.support_radii)
         assert np.array_equal(back.weights, f.weights)
+
+    @pytest.mark.parametrize("text, error, where", [
+        ("# k=1 d=1 shrink=1.0\nc_1,radius,weight\n0.0,0.25,1.0\n",
+         MalformedInput, "line 1"),
+        ("# k=1 p=x d=1 shrink=1.0\nc_1,radius,weight\n0.0,0.25,1.0\n",
+         MalformedInput, "line 1"),
+        ("# k=1 p=1.25 d=1 shrink=1.0\nc_1,radius,weight\n"
+         "0.0,0.25,1.0\nabc,0.25,1.0\n", MalformedInput, "line 4"),
+        ("# k=1 p=1.25 d=1 shrink=1.0\nc_1,radius,weight\n0.0,0.25\n",
+         MismatchedLengths, "line 3"),
+    ])
+    def test_malformed_file_names_file_and_line(self, tmp_path, text, error,
+                                                where):
+        path = tmp_path / "bad_interp.csv"
+        path.write_text(text)
+        with pytest.raises(error, match=f"bad_interp\\.csv: {where}"):
+            interpolant.load_interpolant(path)
