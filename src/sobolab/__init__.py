@@ -13,7 +13,6 @@ from . import (  # noqa: F401
     experiments,
     geometry,
     interpolant,
-    jets,
     model,
     quadrature,
     risk,

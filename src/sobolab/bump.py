@@ -9,11 +9,15 @@ so ``phi = 1`` on [0, 1/4], ``phi = 0`` on [1, inf), and the scaled bump
 ``psi_delta(x) = phi(||x - c||^2 / delta^2)`` equals 1 on the half-radius
 ball and vanishes outside radius ``delta``.
 
-Derivatives of any mixed order up to 3 come from nested forward-mode jets
-(:mod:`sobolab.jets`); reference moduli ``M_alpha = integral |D^alpha
-psi_1|^p`` are computed once by adaptive Gauss-Legendre quadrature, after
-which every seminorm of every scaled bump follows from the change of
-variables
+Mixed partials of order up to 3 are closed forms.  On its transition band
+1/4 < t < 1 the profile is a logistic in z = 1/(1 - s) - 1/s, so phi',
+phi'' and phi''' are short expressions in e^(-|z|), 1/s and 1/(1 - s); off
+the band they vanish exactly.  psi is phi of a sum of one square per
+coordinate, so D^alpha psi is a sum of phi^(|m|) times products of partial
+Bell polynomials B_{a_j, m_j}(2 w_j, 2) (see :func:`bump_partial`).
+Reference moduli ``M_alpha = integral |D^alpha psi_1|^p`` are computed once
+by adaptive Gauss-Legendre quadrature, after which every seminorm of every
+scaled bump follows from the change of variables
 
     integral |D^alpha psi_delta|^p = delta^(d - |alpha| p) * M_alpha.
 """
@@ -30,13 +34,13 @@ import numpy as np
 from . import quadrature
 from .errors import (
     InvalidRange,
+    MalformedInput,
     MismatchedLengths,
     NonpositiveRadius,
     UnknownMultiIndex,
     UnsupportedDimension,
     UnsupportedOrder,
 )
-from .jets import Jet, nilpotent_series, jet_exp, jet_recip
 
 PLATEAU_END = 0.25
 SUPPORT_END = 1.0
@@ -99,19 +103,50 @@ def profile_values(t):
     return _smoothstep_values((1.0 - t) * _STEP_SCALE)
 
 
-def _smoothstep_taylor(s_jet):
-    """S applied to a univariate jet, branch-masked on the constant term."""
-    s0 = s_jet.value
-    mid = (s0 > 0.0) & (s0 < 1.0)
-    safe_coef = s_jet.coef.copy()
-    safe_coef[0] = np.where(mid, s0, 0.5)
-    s = Jet(s_jet.orders, safe_coef)
-    h1 = jet_exp(-jet_recip(s))
-    h2 = jet_exp(-jet_recip(1.0 - s))
-    out = (h1 * jet_recip(h1 + h2)).coef
-    out *= mid  # flat branches: all derivatives vanish
-    out[0] += np.where(s0 >= 1.0, 1.0, 0.0)
-    return out
+def _band_derivatives(t, order):
+    """phi^(j)(t) for j = 1..order, computed on the transition band only.
+
+    Returns ``(band, derivs)``: ``band`` holds the flat indices of the
+    entries of ``t`` in the transition band 1/4 < t < 1, and
+    ``derivs[j - 1]`` holds phi^(j) there.  Off the band every derivative
+    is exactly 0; phi^(0) itself is :func:`profile_values`.
+
+    With s = (1 - t) * 4/3, phi(t) = S(s) = sigma(z), the logistic of
+    z = 1/(1 - s) - 1/s, so
+
+        S'   = sigma' z',
+        S''  = sigma'' z'^2 + sigma' z'',
+        S''' = sigma''' z'^3 + 3 sigma'' z' z'' + sigma' z''',
+
+    with sigma' = g = sigma (1 - sigma), sigma'' = g (1 - 2 sigma) and
+    sigma''' = g (1 - 6 g), and phi^(j) = (-4/3)^j S^(j).  1/s and
+    1/(1 - s) are formed from t - 1/4 and 1 - t, which keeps their relative
+    error at rounding level next to either edge.  sigma and g are written
+    through e^(-|z|) <= 1, so nothing overflows at the edges: there g
+    underflows to 0 while the powers of 1/s and 1/(1 - s) stay finite.
+    """
+    t = np.asarray(t, dtype=float).reshape(-1)
+    band = np.flatnonzero((t > PLATEAU_END) & (t < SUPPORT_END))
+    t = t[band]
+    width = SUPPORT_END - PLATEAU_END
+    a = width / (SUPPORT_END - t)  # 1/s
+    b = width / (t - PLATEAU_END)  # 1/(1 - s)
+    a2, b2 = a * a, b * b
+    e = np.exp(-np.abs(b - a))
+    q = 1.0 / (1.0 + e)
+    g = e * q * q
+    dz1 = a2 + b2
+    derivs = [-_STEP_SCALE * (g * dz1)]
+    if order >= 2:
+        g2 = g * np.copysign((1.0 - e) * q, a - b)  # g (1 - 2 sigma)
+        dz2 = 2.0 * (b2 * b - a2 * a)
+        derivs.append(_STEP_SCALE ** 2 * (g2 * dz1 * dz1 + g * dz2))
+    if order >= 3:
+        g3 = g * (1.0 - 6.0 * g)
+        dz3 = 6.0 * (b2 * b2 + a2 * a2)
+        derivs.append(-_STEP_SCALE ** 3 * (
+            g3 * dz1 * dz1 * dz1 + 3.0 * g2 * dz1 * dz2 + g * dz3))
+    return band, derivs[:order]
 
 
 def profile_taylor(t, order):
@@ -119,8 +154,12 @@ def profile_taylor(t, order):
     if not (0 <= order <= MAX_ORDER):
         raise UnsupportedOrder(f"profile derivatives implemented up to {MAX_ORDER}")
     t = np.asarray(t, dtype=float)
-    jt = Jet.variable(t, order)
-    return _smoothstep_taylor((1.0 - jt) * _STEP_SCALE)
+    out = np.zeros((order + 1,) + t.shape)
+    out[0] = profile_values(t)
+    band, derivs = _band_derivatives(t, order)
+    for j, dj in enumerate(derivs, start=1):
+        out[j].reshape(-1)[band] = dj / math.factorial(j)
+    return out
 
 
 def profile_eval(t, derivative_order=0):
@@ -128,8 +167,13 @@ def profile_eval(t, derivative_order=0):
     j = int(derivative_order)
     if not (0 <= j <= MAX_ORDER):
         raise UnsupportedOrder(f"profile derivatives implemented up to {MAX_ORDER}")
-    coefs = profile_taylor(np.asarray(t, dtype=float), j)
-    out = coefs[j] * math.factorial(j)
+    t = np.asarray(t, dtype=float)
+    if j == 0:
+        out = profile_values(t)
+    else:
+        out = np.zeros(t.shape)
+        band, derivs = _band_derivatives(t, j)
+        out.reshape(-1)[band] = derivs[-1]
     return float(out) if out.ndim == 0 else out
 
 
@@ -153,8 +197,42 @@ def bump_eval(center, delta, x):
     return profile_values(_radial_sq(x, center, delta))
 
 
+@lru_cache(maxsize=None)
+def _bell_terms(orders):
+    """The terms of D^orders phi(sum_j w_j^2), in the units of w.
+
+    One ``(r, c, powers)`` per choice of m_j in [ceil(a_j/2), a_j]: the term
+    phi^(r)(u) * c * prod_j (2 w_j)^powers[j], with r = |m| and
+    c (2w)^(2m-a) = B_{a,m}(2w, 2) = a! / ((2m-a)! (a-m)!) (2w)^(2m-a),
+    the partial Bell polynomial of the derivatives (2w, 2, 0, ...) of w^2.
+    """
+    terms = []
+    for ms in product(*(range((a + 1) // 2, a + 1) for a in orders)):
+        c = math.prod(
+            math.factorial(a) // (math.factorial(2 * m - a) * math.factorial(a - m))
+            for a, m in zip(orders, ms)
+        )
+        powers = tuple(2 * m - a for a, m in zip(orders, ms))
+        terms.append((sum(ms), float(c), powers))
+    return tuple(terms)
+
+
 def bump_partial(alpha, center, delta, x):
-    """Exact mixed partial D^alpha psi_delta at ``x`` via nested jets."""
+    """Exact mixed partial D^alpha psi_delta at ``x`` (batched), |alpha| <= 3.
+
+    With w = (x - c)/delta and u = sum_j w_j^2, psi_delta = phi(u).  u is a
+    sum of one quadratic per coordinate, so the multivariate Faa di Bruno
+    formula collapses to
+
+        D^alpha psi_delta = delta^-|alpha| sum_m phi^(|m|)(u)
+                            prod_j B_{a_j, m_j}(2 w_j, 2),
+
+    summed over m_j in [ceil(a_j/2), a_j], where B is the partial Bell
+    polynomial (M. Hardy, "Combinatorics of partial derivatives", Electron.
+    J. Combin. 13 (2006) R1).  Every phi^(j), j >= 1, vanishes off the
+    transition band 1/4 < u < 1, so the sum is formed on the band's points
+    only and every other point gets exactly 0.
+    """
     if not delta > 0.0:
         raise NonpositiveRadius(f"bump radius must be positive, got {delta}")
     center = np.asarray(center, dtype=float)
@@ -174,30 +252,24 @@ def bump_partial(alpha, center, delta, x):
     x = np.asarray(x, dtype=float)
     w = (x - center) / delta
     batch = w.shape[:-1]
+    w = w.reshape(-1, w.shape[-1])
+    u = w[:, 0] * w[:, 0]
+    for jax in range(1, w.shape[1]):
+        u = u + w[:, jax] * w[:, jax]
+    band, derivs = _band_derivatives(u, total)
+
     active = [j for j, a in enumerate(alpha) if a > 0]
-    orders = tuple(alpha[j] for j in active)
-
-    # u(x) = ||x - c||^2 / delta^2 as an exact polynomial jet in the
-    # active coordinates.
-    coef = np.zeros(tuple(o + 1 for o in orders) + batch)
-    u0 = w[..., 0] * w[..., 0]
-    for jax in range(1, w.shape[-1]):
-        u0 = u0 + w[..., jax] * w[..., jax]
-    coef[(0,) * len(orders)] = u0
-    for pos, jax in enumerate(active):
-        one = [0] * len(orders)
-        one[pos] = 1
-        coef[tuple(one)] = 2.0 * w[..., jax] / delta
-        if orders[pos] >= 2:
-            two = [0] * len(orders)
-            two[pos] = 2
-            coef[tuple(two)] = 1.0 / (delta * delta)
-    u = Jet(orders, coef)
-
-    outer = profile_taylor(u0, total)  # phi coefficients at u0
-    res = nilpotent_series(list(outer), u.nilpotent())
-    scale = math.prod(math.factorial(a) for a in alpha)
-    out = res.coef[orders] * scale
+    two_w = [2.0 * w[band, j] for j in active]
+    acc = 0.0
+    for r, c, powers in _bell_terms(tuple(alpha[j] for j in active)):
+        term = derivs[r - 1] * c
+        for v, k in zip(two_w, powers):
+            for _ in range(k):
+                term = term * v
+        acc = acc + term
+    out = np.zeros(len(u))
+    out[band] = acc * delta ** -total
+    out = out.reshape(batch)
     return float(out) if out.ndim == 0 else out
 
 
@@ -219,8 +291,10 @@ class BumpSum:
         weights = np.atleast_1d(np.array(self.weights, dtype=float))
         if not (len(centers) == len(radii) == len(weights)):
             raise MismatchedLengths("centers, radii, weights must align")
-        if np.any(radii <= 0.0):
-            raise NonpositiveRadius("all support radii must be positive")
+        if not (np.isfinite(centers).all() and np.isfinite(weights).all()):
+            raise MalformedInput("centers and weights must be finite")
+        if not (np.isfinite(radii).all() and np.all(radii > 0.0)):
+            raise NonpositiveRadius("all support radii must be finite and positive")
         for arr in (centers, radii, weights):
             arr.flags.writeable = False
         object.__setattr__(self, "centers", centers)
@@ -429,34 +503,75 @@ def save_moduli(moduli, path):
         fh.write("\n".join(lines) + "\n")
 
 
+_HEADER_FIELDS = {"k": int, "p": float, "d": int, "rel_tol": float}
+
+
+def _multi_index(cells):
+    if not cells:
+        raise ValueError("no multi-index")
+    return tuple(int(v) for v in cells)
+
+
+def _keyed(token, key):
+    name, eq, value = token.partition("=")
+    if name != key or not eq:
+        raise ValueError(f"expected {key}=..., got {token!r}")
+    return value
+
+
 def load_moduli(path):
+    """Read a :func:`save_moduli` file back bit-exactly.
+
+    A malformed header value, ``# meta`` record or table row raises
+    :class:`MalformedInput` naming the file and line, as does a table that
+    misses a multi-index |alpha| <= k or holds one that does not fit the
+    header's (k, d), or a modulus that is negative or not finite.
+    """
     header = {}
-    meta_panels, meta_err, table = {}, {}, {}
+    meta_panels, meta_err, table, row_line = {}, {}, {}, {}
     with open(path, encoding="utf-8") as fh:
-        for line in fh:
+        for lineno, line in enumerate(fh, start=1):
             line = line.strip()
             if not line:
                 continue
-            if line.startswith("# meta "):
-                parts = line[len("# meta "):].split()
-                alpha = tuple(int(v) for v in parts[:-2])
-                meta_panels[alpha] = int(parts[-2].split("=", 1)[1])
-                meta_err[alpha] = float.fromhex(parts[-1].split("=", 1)[1])
-                continue
-            if line.startswith("#"):
-                for tok in line[1:].split():
-                    if "=" in tok:
-                        key, val = tok.split("=", 1)
-                        header[key] = val
-                continue
-            parts = line.split()
-            alpha = tuple(int(v) for v in parts[:-1])
-            table[alpha] = float.fromhex(parts[-1])
+            try:
+                if line.startswith("# meta "):
+                    *cells, panels, err = line[len("# meta "):].split()
+                    alpha = _multi_index(cells)
+                    meta_panels[alpha] = int(_keyed(panels, "panels"))
+                    meta_err[alpha] = float.fromhex(_keyed(err, "err"))
+                elif line.startswith("#"):
+                    for tok in line[1:].split():
+                        key, eq, val = tok.partition("=")
+                        if eq and key in _HEADER_FIELDS:
+                            header[key] = _HEADER_FIELDS[key](val)
+                else:
+                    *cells, cell = line.split()
+                    alpha = _multi_index(cells)
+                    value = float.fromhex(cell)
+                    if not (math.isfinite(value) and value >= 0.0):
+                        raise ValueError(f"modulus {value} is not finite and >= 0")
+                    table[alpha] = value
+                    row_line[alpha] = lineno
+            except ValueError as exc:
+                raise MalformedInput(
+                    f"{path}: line {lineno}: malformed record {line!r} ({exc})"
+                ) from None
     try:
-        params = SobolevParams(k=int(header["k"]), p=float(header["p"]),
-                               d=int(header["d"]))
-        rel_tol = float(header.get("rel_tol", 1e-8))
+        params = SobolevParams(k=header["k"], p=header["p"], d=header["d"])
     except KeyError as exc:
-        raise MismatchedLengths(f"{path}: missing header field {exc}") from None
+        raise MalformedInput(f"{path}: header lacks {exc.args[0]}=") from None
+    want = set(multi_indices(params.d, params.k))
+    for alpha, lineno in row_line.items():
+        if alpha not in want:
+            raise MalformedInput(
+                f"{path}: line {lineno}: multi-index {alpha} does not fit "
+                f"k={params.k}, d={params.d}"
+            )
+    if want - set(table):
+        raise MalformedInput(
+            f"{path}: no modulus for multi-index {min(want - set(table))}"
+        )
     return ReferenceModuli(params=params, table=table, panels=meta_panels,
-                           est_error=meta_err, rel_tol=rel_tol)
+                           est_error=meta_err,
+                           rel_tol=header.get("rel_tol", 1e-8))

@@ -26,6 +26,7 @@ from .errors import (
     ConfigInvalid,
     InvalidBeta,
     InvalidRange,
+    QuadratureNotConverged,
     UnsupportedExactVariant,
     UnsupportedSpec,
 )
@@ -577,7 +578,9 @@ def morrey_exact_trial(u, x0, x1, delta, p, rel_tol=1e-10):
     |u(x1) - u(x0)|^p <= (2 delta)^(p-1) * integral_{B(x0, 2 delta)} |u'|^p
     is the Hoelder route through the fundamental theorem of calculus; the
     integral is evaluated by panel quadrature with breakpoints at support
-    and plateau boundaries.
+    and plateau boundaries, halving every panel until two estimates agree
+    to ``rel_tol``.  Raises :class:`QuadratureNotConverged` if six halvings
+    do not get there.
     """
     lhs = abs(u(np.array([x1])) - u(np.array([x0]))) ** p
     a, b = x0 - 2.0 * delta, x0 + 2.0 * delta
@@ -598,7 +601,10 @@ def morrey_exact_trial(u, x0, x1, delta, p, rel_tol=1e-10):
             break
         prev = cur
     else:
-        cur = prev
+        raise QuadratureNotConverged(
+            f"Morrey integral over [{a!r}, {b!r}] not converged to rel "
+            f"{rel_tol:g} after {len(refined) - 1} panels"
+        )
     rhs = (2.0 * delta) ** (p - 1.0) * cur
     return lhs, rhs
 

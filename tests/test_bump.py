@@ -1,11 +1,14 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from sobolab import bump, quadrature
 from sobolab.errors import (
     InvalidRange,
+    MalformedInput,
     MismatchedLengths,
     NonpositiveRadius,
     QuadratureNotConverged,
@@ -14,7 +17,7 @@ from sobolab.errors import (
     UnsupportedOrder,
 )
 
-from test_jets import fd_partial
+from fdiff import fd_partial
 
 
 class TestParams:
@@ -74,6 +77,68 @@ class TestProfile:
     def test_unsupported_order(self):
         with pytest.raises(UnsupportedOrder):
             bump.profile_eval(0.5, 4)
+
+    @pytest.mark.parametrize("j", [0, 1, 2, 3])
+    def test_derivatives_vs_mpmath_across_band(self, j):
+        for t in np.linspace(0.2505, 0.9995, 60):
+            want = _mp_profile(t, j)
+            assert bump.profile_eval(t, j) == pytest.approx(
+                want, rel=1e-12, abs=1e-12)
+
+    @pytest.mark.parametrize("j", [0, 1, 2, 3])
+    def test_derivatives_vs_mpmath_near_edges(self, j):
+        # phi^(j) falls to 1e-98 here, and to 0 in double within 1e-12 of
+        # an edge; the closed form keeps full relative precision
+        ks = np.arange(1.0, 2.5, 0.1)
+        ts = [0.25 + 10.0 ** -ks, 1.0 - 10.0 ** -ks,
+              [0.25 + 1e-12, 0.25 + 1e-13, 1.0 - 1e-12, 1.0 - 1e-13]]
+        for t in np.concatenate(ts):
+            want = _mp_profile(t, j)
+            assert bump.profile_eval(t, j) == pytest.approx(
+                want, rel=1e-12, abs=0.0)
+
+    def test_taylor_stacks_scaled_derivatives(self):
+        t = np.array([[0.1, 0.3], [0.7, 1.2]])
+        coefs = bump.profile_taylor(t, 3)
+        assert coefs.shape == (4, 2, 2)
+        for j in range(4):
+            assert np.array_equal(coefs[j] * math.factorial(j),
+                                  bump.profile_eval(t, j))
+
+
+def _mp_profile(t, j):
+    """phi^(j)(t) by mpmath differentiation at 50 digits, as a float.
+
+    Below t = 5/8, phi = 1 - h(1-s) / (h(s) + h(1-s)) is differentiated
+    through its small second term, so phi^(j) keeps its relative precision
+    where phi itself rounds to 1.
+    """
+    with mpmath.workdps(50):
+        t = mpmath.mpf(float(t))
+        upper = j == 0 or t >= mpmath.mpf(5) / 8
+
+        def f(t):
+            s = (1 - t) * 4 / mpmath.mpf(3)
+            h1, h2 = mpmath.exp(-1 / s), mpmath.exp(-1 / (1 - s))
+            return h1 / (h1 + h2) if upper else -h2 / (h1 + h2)
+
+        return float(mpmath.diff(f, t, j))
+
+
+@st.composite
+def _partial_cases(draw):
+    """A multi-index 1 <= |alpha| <= 3 in d = 1..3, a center, a radius, and
+    a unit direction."""
+    d = draw(st.integers(1, 3))
+    alpha = draw(st.tuples(*[st.integers(0, 3)] * d)
+                 .filter(lambda a: 1 <= sum(a) <= 3))
+    center = np.array(draw(st.lists(st.floats(-2.0, 2.0), min_size=d,
+                                    max_size=d)))
+    delta = draw(st.floats(0.05, 20.0))
+    direction = np.array(draw(st.lists(st.floats(-1.0, 1.0), min_size=d,
+                                       max_size=d)
+                              .filter(lambda v: np.linalg.norm(v) > 0.1)))
+    return alpha, center, delta, direction / np.linalg.norm(direction)
 
 
 class TestBumpEval:
@@ -153,6 +218,40 @@ class TestBumpPartial:
             got = bump.bump_partial(alpha, c, delta, x)
             assert got == pytest.approx(want, rel=1e-6, abs=1e-8)
 
+    @given(case=_partial_cases(), r=st.floats(0.55, 0.95))
+    def test_property_vs_finite_differences(self, case, r):
+        alpha, c, delta, direction = case
+        x = c + r * delta * direction
+        axes = tuple(j for j, a in enumerate(alpha) for _ in range(a))
+        order = len(axes)
+        # third-order stencils trade roundoff (about 1e-7 = eps / h^3 in
+        # the units of delta) against the h^8 truncation near the band
+        # edges; h = 2e-3 balances them
+        h, floor = (1e-3, 1e-8) if order <= 2 else (2e-3, 2e-7)
+        want = fd_partial(lambda v: bump.bump_eval(c, delta, v), x, axes,
+                          h=h * delta)
+        got = bump.bump_partial(alpha, c, delta, x)
+        assert got == pytest.approx(want, rel=1e-6, abs=floor * delta ** -order)
+
+    @given(case=_partial_cases(),
+           r=st.one_of(st.floats(0.0, 0.5), st.floats(1.0, 3.0)))
+    def test_property_exactly_zero_off_band(self, case, r):
+        alpha, c, delta, direction = case
+        x = c + r * delta * direction
+        u = float(np.sum(((x - c) / delta) ** 2))
+        if 0.25 < u < 1.0:  # rounding put x back on the band
+            return
+        assert bump.bump_partial(alpha, c, delta, x) == 0.0
+
+    def test_batch_shapes(self):
+        c = np.zeros(2)
+        x = np.random.default_rng(3).uniform(-1, 1, size=(4, 5, 2))
+        got = bump.bump_partial((1, 1), c, 1.0, x)
+        assert got.shape == (4, 5)
+        for i, j in np.ndindex(4, 5):
+            assert got[i, j] == bump.bump_partial((1, 1), c, 1.0, x[i, j])
+        assert bump.bump_partial((1, 1), c, 1.0, np.zeros((0, 2))).shape == (0,)
+
     def test_order_cap_and_shape_checks(self):
         with pytest.raises(UnsupportedOrder):
             bump.bump_partial((2, 2), np.zeros(2), 1.0, np.zeros(2))
@@ -165,6 +264,24 @@ class TestBumpSum:
         with pytest.raises(MismatchedLengths):
             bump.BumpSum(centers=[[0.0], [0.5]], radii=[0.4, 0.4],
                          weights=[1.0, 1.0])
+
+    @pytest.mark.parametrize("field, value, error", [
+        ("radii", np.nan, NonpositiveRadius),
+        ("radii", np.inf, NonpositiveRadius),
+        ("radii", 0.0, NonpositiveRadius),
+        ("weights", np.nan, MalformedInput),
+        ("weights", np.inf, MalformedInput),
+        ("centers", np.nan, MalformedInput),
+        ("centers", -np.inf, MalformedInput),
+    ])
+    def test_nonfinite_rejected(self, field, value, error):
+        args = dict(centers=np.array([[0.0], [1.0], [3.0]]),
+                    radii=np.array([0.25, 0.25, 0.5]),
+                    weights=np.array([1.0, 2.0, 3.0]))
+        args[field] = args[field].copy()
+        args[field][1] = value
+        with pytest.raises(error):
+            bump.BumpSum(**args)
 
     def test_sup_abs_and_eval(self):
         f = bump.BumpSum(centers=[[0.0], [2.0]], radii=[0.5, 0.5],
@@ -214,6 +331,39 @@ class TestModuli:
         assert back.params == moduli_d1.params
         assert back.table == moduli_d1.table  # hex floats: bit-exact
         assert back.panels == moduli_d1.panels
+
+    @pytest.mark.parametrize("edit, where", [
+        pytest.param(lambda ls: ls[:-1] + ["0 xyz"], "line 6", id="non-hex"),
+        pytest.param(lambda ls: ls[:-1] + ["0x1.8p+0"], "line 6",
+                     id="short-row"),
+        pytest.param(lambda ls: ls[:-1] + ["1 inf"], "line 6",
+                     id="non-finite"),
+        pytest.param(lambda ls: ls[:-1] + ["1 -0x1.8p+0"], "line 6",
+                     id="negative"),
+        pytest.param(lambda ls: ls[:-1] + ["1 0 0x1p+0"], "line 6",
+                     id="wrong-dimension"),
+        pytest.param(lambda ls: ls[:2] + ["# meta 0 panels"] + ls[3:],
+                     "line 3", id="meta-short"),
+        pytest.param(lambda ls: ls[:2] + ["# meta 0 panels=x err=0x0p+0"]
+                     + ls[3:], "line 3", id="meta-non-numeric"),
+        pytest.param(lambda ls: ls[:2] + ["# meta 0 panels=4 cost=0x0p+0"]
+                     + ls[3:], "line 3", id="meta-bad-key"),
+        pytest.param(lambda ls: [ls[0], ls[1].replace("k=1", "k=one")]
+                     + ls[2:], "line 2", id="header-non-numeric"),
+        pytest.param(lambda ls: [ls[0], ls[1].replace("k=1 ", "")] + ls[2:],
+                     "header lacks k=", id="header-missing"),
+        pytest.param(lambda ls: ls[:-1],
+                     "no modulus for multi-index \\(1,\\)", id="missing-row"),
+    ])
+    def test_malformed_cache_names_file_and_line(self, moduli_d1, tmp_path,
+                                                 edit, where):
+        path = tmp_path / "moduli.txt"
+        bump.save_moduli(moduli_d1, path)
+        lines = path.read_text().splitlines()
+        assert len(lines) == 6  # header, params, two meta, two rows
+        path.write_text("\n".join(edit(lines)) + "\n")
+        with pytest.raises(MalformedInput, match=f"moduli\\.txt: {where}"):
+            bump.load_moduli(path)
 
 
 class TestScaledSeminorm:

@@ -103,6 +103,24 @@ class TestModuliCache:
                      "--moduli", str(cache)]) == 2
 
 
+    @pytest.mark.parametrize("bad_row, line", [("0 xyz", 5), ("0", 5)])
+    def test_malformed_cache_usage_error(self, cfg, tmp_path, capsys,
+                                         bad_row, line):
+        assert main(["moduli", "--config", str(cfg),
+                     "--out", str(tmp_path)]) == 0
+        cache = tmp_path / "moduli_k1_p1.25_d1.txt"
+        lines = cache.read_text().splitlines()
+        assert lines[line - 1].startswith("0 ")
+        lines[line - 1] = bad_row
+        cache.write_text("\n".join(lines) + "\n")
+        interp = tmp_path / "interp.csv"
+        interp.write_text("# k=1 p=1.25 d=1 shrink=1.0\nc_1,radius,weight\n"
+                          "0.0,0.25,1.0\n")
+        assert main(["norm", "--config", str(cfg), "--interp", str(interp),
+                     "--moduli", str(cache)]) == 2
+        assert f"moduli_k1_p1.25_d1.txt: line {line}" in capsys.readouterr().err
+
+
 class TestCheck:
     def test_valid_dataset_passes(self, cfg, dataset_csv):
         assert main(["check", "--config", str(cfg),

@@ -8,6 +8,7 @@ from sobolab.errors import (
     ConfigInvalid,
     InvalidBeta,
     InvalidRange,
+    QuadratureNotConverged,
     UnsupportedExactVariant,
 )
 from sobolab.experiments import (
@@ -174,6 +175,13 @@ class TestMorrey:
         lhs, rhs = morrey_exact_trial(u, 0.0, 0.8, 0.9, 2.0)
         assert lhs <= rhs + 1e-9
         assert lhs > 0.0
+
+    def test_unconverged_integral_raises(self):
+        # the smooth integrand settles to the last bit within six halvings,
+        # so only a negative tolerance is out of reach
+        u = bump.BumpSum(centers=[[0.0]], radii=[1.0], weights=[1.0])
+        with pytest.raises(QuadratureNotConverged, match="not converged"):
+            morrey_exact_trial(u, 0.0, 0.8, 0.9, 2.0, rel_tol=-1.0)
 
     def test_exact_variant_randomized(self, params_d1):
         rep = morrey_check(params_d1, trials=500, seed=11)
