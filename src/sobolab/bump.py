@@ -41,6 +41,7 @@ from .errors import (
     UnsupportedDimension,
     UnsupportedOrder,
 )
+from .geometry import _sq_norm
 
 PLATEAU_END = 0.25
 SUPPORT_END = 1.0
@@ -180,21 +181,23 @@ def profile_eval(t, derivative_order=0):
 # -- scaled bumps ------------------------------------------------------------
 
 
-def _radial_sq(x, center, delta):
+def _scaled_offsets(center, delta, x):
+    """(x - center) / delta, after checking delta and the dimensions."""
+    if not delta > 0.0:
+        raise NonpositiveRadius(f"bump radius must be positive, got {delta}")
+    center = np.asarray(center, dtype=float)
     x = np.asarray(x, dtype=float)
-    diff = (x - center) / delta
-    out = diff[..., 0] * diff[..., 0]
-    for jax in range(1, diff.shape[-1]):
-        out = out + diff[..., jax] * diff[..., jax]
-    return out
+    if x.shape[-1:] != center.shape[-1:]:
+        raise MismatchedLengths(
+            f"points of dimension {x.shape[-1:]} for a center of dimension "
+            f"{center.shape[-1:]}"
+        )
+    return (x - center) / delta
 
 
 def bump_eval(center, delta, x):
     """psi_delta centered at ``center``, evaluated at ``x`` (batched)."""
-    if not delta > 0.0:
-        raise NonpositiveRadius(f"bump radius must be positive, got {delta}")
-    center = np.asarray(center, dtype=float)
-    return profile_values(_radial_sq(x, center, delta))
+    return profile_values(_sq_norm(_scaled_offsets(center, delta, x)))
 
 
 @lru_cache(maxsize=None)
@@ -233,8 +236,6 @@ def bump_partial(alpha, center, delta, x):
     transition band 1/4 < u < 1, so the sum is formed on the band's points
     only and every other point gets exactly 0.
     """
-    if not delta > 0.0:
-        raise NonpositiveRadius(f"bump radius must be positive, got {delta}")
     center = np.asarray(center, dtype=float)
     alpha = tuple(int(a) for a in alpha)
     if len(alpha) != center.shape[-1]:
@@ -249,13 +250,10 @@ def bump_partial(alpha, center, delta, x):
     if total == 0:
         return bump_eval(center, delta, x)
 
-    x = np.asarray(x, dtype=float)
-    w = (x - center) / delta
+    w = _scaled_offsets(center, delta, x)
     batch = w.shape[:-1]
     w = w.reshape(-1, w.shape[-1])
-    u = w[:, 0] * w[:, 0]
-    for jax in range(1, w.shape[1]):
-        u = u + w[:, jax] * w[:, jax]
+    u = _sq_norm(w)
     band, derivs = _band_derivatives(u, total)
 
     active = [j for j, a in enumerate(alpha) if a > 0]
@@ -322,11 +320,7 @@ class BumpSum:
         return float(np.max(np.abs(self.weights), initial=0.0))
 
     def __call__(self, x):
-        x = np.asarray(x, dtype=float)
-        out = np.zeros(x.shape[:-1])
-        for c, r, w in zip(self.centers, self.radii, self.weights):
-            out = out + w * bump_eval(c, float(r), x)
-        return float(out) if out.ndim == 0 else out
+        return self.partial((0,) * self.dim, x)
 
     def partial(self, alpha, x):
         x = np.asarray(x, dtype=float)
@@ -363,6 +357,21 @@ class ReferenceModuli:
         return sorted(self.table, key=lambda a: (sum(a), a))
 
 
+def _partial_power_box(alpha, p, delta):
+    """|D^alpha psi_delta|^p and the box [0, delta]^d it is integrated over.
+
+    The integrand is even in every coordinate, so the integral over R^d is
+    2^d times the integral over the box.
+    """
+    alpha = tuple(int(a) for a in alpha)
+    center = np.zeros(len(alpha))
+
+    def integrand(pts):
+        return np.abs(bump_partial(alpha, center, delta, pts)) ** p
+
+    return integrand, [(0.0, delta)] * len(alpha)
+
+
 def integrate_partial_power(alpha, p, delta, rel_tol=1e-8, max_doublings=6,
                             order=quadrature.GL_ORDER):
     """Adaptive quadrature of integral |D^alpha psi_delta|^p over R^d.
@@ -372,18 +381,12 @@ def integrate_partial_power(alpha, p, delta, rel_tol=1e-8, max_doublings=6,
     coordinate), and only then compared against delta^(d-|alpha|p) M_alpha
     by callers that test the identity.
     """
-    alpha = tuple(int(a) for a in alpha)
-    d = len(alpha)
-    center = np.zeros(d)
-
-    def integrand(pts):
-        return np.abs(bump_partial(alpha, center, delta, pts)) ** p
-
+    integrand, box = _partial_power_box(alpha, p, delta)
     value, panels, err = quadrature.adaptive_box(
-        integrand, [(0.0, delta)] * d, rel_tol=rel_tol,
+        integrand, box, rel_tol=rel_tol,
         start_panels=1, max_doublings=max_doublings, order=order,
     )
-    scale = 2.0 ** d
+    scale = 2.0 ** len(box)
     return scale * value, panels, scale * err
 
 
@@ -395,17 +398,9 @@ def integrate_partial_power_fixed(alpha, p, delta, panels,
     the moduli metadata) and re-running the refinement ladder would only
     repeat work.
     """
-    alpha = tuple(int(a) for a in alpha)
-    d = len(alpha)
-    center = np.zeros(d)
-
-    def integrand(pts):
-        return np.abs(bump_partial(alpha, center, delta, pts)) ** p
-
-    value = quadrature.integrate_box(
-        integrand, [(0.0, delta)] * d, panels, order=order
-    )
-    return 2.0 ** d * value
+    integrand, box = _partial_power_box(alpha, p, delta)
+    return 2.0 ** len(box) * quadrature.integrate_box(integrand, box, panels,
+                                                      order=order)
 
 
 def reference_moduli(params, rel_tol=1e-8, max_doublings=6,

@@ -238,10 +238,7 @@ def main(argv=None):
         return EXIT_USAGE if exc.code not in (0,) else 0
     try:
         return args.handler(args)
-    except SobolabError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except OSError as exc:
+    except (SobolabError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

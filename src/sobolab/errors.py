@@ -81,10 +81,6 @@ class InvalidRange(SobolabError):
     """Sobolev parameters outside the strict range k in (d/p, 1.5 d/p)."""
 
 
-class InvalidBeta(SobolabError):
-    """Weighted-sum exponent beta must lie in (0, d/2)."""
-
-
 class UnsupportedExactVariant(SobolabError):
     """Exact oscillation check only exists for d = 1, k = 1."""
 

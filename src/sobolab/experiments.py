@@ -4,19 +4,32 @@ Each sweep is a pure function of (config, master seed): per-trial seeds are
 derived by a fixed hash of (master seed, n, trial index), aggregation order
 is fixed, and thread-level parallelism cannot change a single output byte.
 
+One driver, :func:`run_sweep`, runs every sweep kind but ``morrey``.  The
+table ``_KINDS`` gives each kind its trial function (one sampled dataset
+and its nearest-neighbor radii in; metrics and violation counts out), its
+contracts function (fits and statistical contracts from the finished
+rows), whether it needs the reference moduli, and whether it runs at the
+largest n only (``risk_vs_gamma``, which sweeps the shrink instead).  The
+driver runs the (n, trial) jobs, merges rows and violations in job order,
+and appends the kind's contracts, then one zero-violation contract per
+structural check.
+
 Structural contracts (packing, interpolation exactness, the explicit norm
 bound, subset membership conditions) are checked inline on every trial with
 zero tolerance; statistical contracts (fitted slopes, plateau ratios,
 subset-size frequencies) are evaluated on per-n medians, never on single
-trials.
+trials.  ``morrey`` draws random bump sums instead of datasets and has its
+own runner, :func:`_run_morrey`.
 """
 
 from __future__ import annotations
 
 import json
 import math
+from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -24,22 +37,13 @@ from . import geometry, interpolant, model, rkhs, risk
 from .bump import BumpSum, multi_indices, reference_moduli
 from .errors import (
     ConfigInvalid,
-    InvalidBeta,
     InvalidRange,
     QuadratureNotConverged,
     UnsupportedExactVariant,
+    UnsupportedNu,
     UnsupportedSpec,
 )
 from .quadrature import integrate_1d, integrate_box
-
-SWEEP_KINDS = (
-    "norm_vs_n",
-    "delta_subset",
-    "weighted_delta_sum",
-    "risk_vs_n",
-    "risk_vs_gamma",
-    "morrey",
-)
 
 CSV_COLUMNS = ("sweep", "n", "trial", "seed", "metric", "value", "stderr")
 
@@ -103,7 +107,33 @@ class SweepConfig:
             raise ConfigInvalid(f"sweep.shrink: must lie in (0, 1], got {self.shrink}")
         if self.predictor not in ("bump", "kernel", "bayes"):
             raise ConfigInvalid(f"sweep.predictor: unknown family {self.predictor!r}")
+        if self.kind == "norm_vs_n" and not self.params.strict_range:
+            raise InvalidRange(
+                f"norm sweep requires k in (d/p, 1.5 d/p); got {self.params}"
+            )
+        if self.kind in ("risk_vs_n", "risk_vs_gamma") and self.mc_samples < 100:
+            raise ConfigInvalid(
+                f"sweep.mc_samples: need at least 100, got {self.mc_samples}"
+            )
+        if self.kind == "risk_vs_n" and self.predictor == "kernel":
+            if max(self.n_grid) > rkhs.DENSE_SOLVE_MAX_N:
+                raise ConfigInvalid(
+                    f"sweep.n_grid: the kernel predictor's dense solve is "
+                    f"capped at n={rkhs.DENSE_SOLVE_MAX_N}, got {max(self.n_grid)}"
+                )
+            try:
+                self.kernel_spec
+            except UnsupportedNu as exc:
+                raise ConfigInvalid(f"sweep.nu, sweep.lengthscale: {exc}") from None
         return self
+
+    @property
+    def kernel_spec(self):
+        """The Matern kernel of the kernel predictor; nu defaults to k - d/2."""
+        nu = self.kernel_nu
+        if nu is None:
+            nu = self.params.k - self.params.d / 2.0
+        return rkhs.KernelSpec(nu=nu, lengthscale=self.kernel_lengthscale)
 
 
 @dataclass(frozen=True)
@@ -181,28 +211,19 @@ def _run_trials(jobs, worker, threads=1):
     return [worker(job) for job in jobs]
 
 
-def _structural_violations(dataset, radii, f=None, norm_p=None, bound=None):
+def _structural_violations(dataset, radii, f=None):
     """Zero-tolerance per-trial checks; returns violation counts."""
-    out = {
+    return {
         "packing": len(geometry.check_packing(dataset, radii)),
-        "interpolation": 0,
+        "interpolation": (0 if f is None
+                          else _interpolation_violations(dataset, f)),
         "norm_bound": 0,
     }
-    if f is not None:
-        out["interpolation"] = _interpolation_violations(dataset, f)
-    if norm_p is not None and bound is not None and norm_p > bound:
-        out["norm_bound"] = 1
-    return out
 
 
 def _interpolation_violations(dataset, f):
     resid = np.abs(interpolant.evaluate(f, dataset.points) - dataset.labels)
     return int(np.count_nonzero(resid > interpolant.INTERPOLATION_TOL))
-
-
-def _merge_violations(total, part):
-    for key, val in part.items():
-        total[key] = total.get(key, 0) + val
 
 
 def _violation_contracts(total, sweep):
@@ -213,168 +234,89 @@ def _violation_contracts(total, sweep):
     ]
 
 
-# -- norm growth ---------------------------------------------------------------
+# -- per-kind trials and contracts ----------------------------------------------
 
 
-def sweep_norm_vs_n(config, moduli=None, threads=1):
-    """||f_bump||^p growth: fitted slope must sit within kp/d +- 0.3, and the
-    explicit norm bound must hold on every single trial."""
-    config.validate()
+def _slope_contract(name, fit, target, tol):
+    return Contract(
+        name=name,
+        target=f"within {target:.6g} +- {tol}",
+        observed=fit.slope,
+        passed=abs(fit.slope - target) <= tol,
+    )
+
+
+def _norm_trial(config, moduli, ds, radii, n, trial):
+    """||f_bump||^p and its explicit bound, which must hold on every trial."""
     params = config.params
-    if not params.strict_range:
-        raise InvalidRange(
-            f"norm sweep requires k in (d/p, 1.5 d/p); got {params}"
-        )
-    if moduli is None:
-        moduli = reference_moduli(params)
-    result = SweepResult(config_id=config.config_id, sweep="norm_vs_n")
-    violations = {}
-
-    def worker(job):
-        n, trial = job
-        seed = derive_seed(config.master_seed, n, trial)
-        ds = model.sample(config.spec, n, seed)
-        radii = geometry.nn_radii(ds)
-        f = interpolant.build(ds, radii, 1.0, params)
-        norm = interpolant.sobolev_norm(f, moduli)
-        bound = interpolant.min_norm_upper_bound(ds, radii, moduli)
-        checks = _structural_violations(ds, radii, f,
-                                        norm_p=norm ** params.p, bound=bound)
-        rows = [
-            _row("norm_vs_n", n, trial, seed, "norm_p", norm ** params.p),
-            _row("norm_vs_n", n, trial, seed, "norm_bound", bound),
-        ]
-        return rows, checks
-
-    jobs = [(n, t) for n in config.n_grid for t in range(config.trials)]
-    for rows, checks in _run_trials(jobs, worker, threads):
-        result.rows.extend(rows)
-        _merge_violations(violations, checks)
-
-    ns, med = _medians(result.rows, "norm_p")
-    fit = fit_loglog(ns, med)
-    result.fits["norm_p"] = fit
-    target = params.k * params.p / params.d
-    result.contracts.append(Contract(
-        name="norm_vs_n.slope",
-        target=f"within {target:.6g} +- {SLOPE_TOL}",
-        observed=fit.slope,
-        passed=abs(fit.slope - target) <= SLOPE_TOL,
-    ))
-    result.contracts.extend(_violation_contracts(violations, "norm_vs_n"))
-    return result
+    f = interpolant.build(ds, radii, 1.0, params)
+    norm_p = interpolant.sobolev_norm(f, moduli) ** params.p
+    bound = interpolant.min_norm_upper_bound(ds, radii, moduli)
+    checks = _structural_violations(ds, radii, f)
+    checks["norm_bound"] = int(norm_p > bound)
+    return [("norm_p", norm_p), ("norm_bound", bound)], checks
 
 
-# -- separation and subset size ---------------------------------------------------
+def _norm_contracts(config, result):
+    """The fitted slope of ||f_bump||^p must sit within kp/d +- 0.3."""
+    params = config.params
+    fit = result.fits["norm_p"] = fit_loglog(*_medians(result.rows, "norm_p"))
+    return [_slope_contract("norm_vs_n.slope", fit,
+                            params.k * params.p / params.d, SLOPE_TOL)]
 
 
-def sweep_delta_and_subset(config, threads=1):
-    """min delta over the noisy-separated subset scales like n^(-1/d); the
-    subset holds at least rho n / 8 points in >= 95% of trials at the top n."""
-    config.validate()
-    result = SweepResult(config_id=config.config_id, sweep="delta_subset")
-    violations = {}
-    constants = model.noise_constants(config.spec, verify=False)
+def _delta_trial(config, moduli, ds, radii, n, trial):
+    """min delta over the noisy-separated subset, and the subset's size."""
+    sel = model.noisy_separated_subset(ds, radii, config.spec)
+    bad = 0
+    if sel.size:
+        g = config.spec.g_values(ds.points[sel.indices])
+        member_r = radii[sel.indices]
+        member_y = ds.labels[sel.indices]
+        bad += int(np.count_nonzero(member_r < sel.radius_threshold))
+        bad += int(np.count_nonzero(np.abs(member_y) > sel.label_cap))
+        bad += int(np.count_nonzero((member_y - g) ** 2 < sel.noise_margin))
+    checks = _structural_violations(ds, radii)
+    checks["subset_membership"] = bad
+    min_delta = float(np.min(radii[sel.indices])) if sel.size else math.nan
+    return [("min_delta_B", min_delta), ("subset_size", sel.size)], checks
 
-    def worker(job):
-        n, trial = job
-        seed = derive_seed(config.master_seed, n, trial)
-        ds = model.sample(config.spec, n, seed)
-        radii = geometry.nn_radii(ds)
-        sel = model.noisy_separated_subset(ds, radii, config.spec)
-        bad = 0
-        if sel.size:
-            g = config.spec.g_values(ds.points[sel.indices])
-            member_r = radii[sel.indices]
-            member_y = ds.labels[sel.indices]
-            bad += int(np.count_nonzero(member_r < sel.radius_threshold))
-            bad += int(np.count_nonzero(np.abs(member_y) > sel.label_cap))
-            bad += int(np.count_nonzero(
-                (member_y - g) ** 2 < sel.noise_margin))
-        checks = _structural_violations(ds, radii)
-        checks["subset_membership"] = bad
-        min_delta = float(np.min(radii[sel.indices])) if sel.size else math.nan
-        rows = [
-            _row("delta_subset", n, trial, seed, "min_delta_B", min_delta),
-            _row("delta_subset", n, trial, seed, "subset_size", sel.size),
-        ]
-        return rows, checks
 
-    jobs = [(n, t) for n in config.n_grid for t in range(config.trials)]
-    for rows, checks in _run_trials(jobs, worker, threads):
-        result.rows.extend(rows)
-        _merge_violations(violations, checks)
-
-    ns, med = _medians(result.rows, "min_delta_B")
-    fit = fit_loglog(ns, med)
-    result.fits["min_delta_B"] = fit
-    target = -1.0 / config.params.d
-    result.contracts.append(Contract(
-        name="delta_subset.min_delta_slope",
-        target=f"within {target:.6g} +- {DELTA_SLOPE_TOL}",
-        observed=fit.slope,
-        passed=abs(fit.slope - target) <= DELTA_SLOPE_TOL,
-    ))
+def _delta_contracts(config, result):
+    """min delta scales like n^(-1/d); the subset holds at least rho n / 8
+    points in >= 95% of trials at the top n."""
+    fit = result.fits["min_delta_B"] = fit_loglog(
+        *_medians(result.rows, "min_delta_B"))
     top_n = max(config.n_grid)
     sizes = [row["value"] for row in result.rows
              if row["metric"] == "subset_size" and row["n"] == top_n]
-    need = constants.rho * top_n / 8.0
+    need = model.noise_constants(config.spec, verify=False).rho * top_n / 8.0
     freq = float(np.mean([s >= need for s in sizes]))
-    result.contracts.append(Contract(
-        name="delta_subset.size_frequency",
-        target=f"P(|B| >= rho n / 8) >= {SUBSET_FREQUENCY} at n={top_n}",
-        observed=freq,
-        passed=freq >= SUBSET_FREQUENCY,
-    ))
-    result.contracts.extend(_violation_contracts(violations, "delta_subset"))
-    return result
+    return [
+        _slope_contract("delta_subset.min_delta_slope", fit,
+                        -1.0 / config.params.d, DELTA_SLOPE_TOL),
+        Contract(
+            name="delta_subset.size_frequency",
+            target=f"P(|B| >= rho n / 8) >= {SUBSET_FREQUENCY} at n={top_n}",
+            observed=freq,
+            passed=freq >= SUBSET_FREQUENCY,
+        ),
+    ]
 
 
-# -- weighted delta sums ------------------------------------------------------------
+def _weighted_trial(config, moduli, ds, radii, n, trial):
+    """sum |y_i|^p delta_i^(-beta)."""
+    total = float(np.sum(np.abs(ds.labels) ** config.params.p
+                         * radii ** (-config.beta)))
+    return [("weighted_delta_sum", total)], _structural_violations(ds, radii)
 
 
-def sweep_weighted_delta_sum(config, threads=1):
-    """sum |y_i|^p delta_i^(-beta) grows like n^(1 + beta/d)."""
-    config.validate()
-    beta = config.beta
-    if beta is None or not 0.0 < beta < config.params.d / 2.0:
-        raise InvalidBeta(
-            f"beta must lie in (0, d/2) = (0, {config.params.d / 2}), got {beta}"
-        )
-    result = SweepResult(config_id=config.config_id, sweep="weighted_delta_sum")
-    violations = {}
-    p = config.params.p
-
-    def worker(job):
-        n, trial = job
-        seed = derive_seed(config.master_seed, n, trial)
-        ds = model.sample(config.spec, n, seed)
-        radii = geometry.nn_radii(ds)
-        checks = _structural_violations(ds, radii)
-        total = float(np.sum(np.abs(ds.labels) ** p * radii ** (-beta)))
-        return [_row("weighted_delta_sum", n, trial, seed,
-                     "weighted_delta_sum", total)], checks
-
-    jobs = [(n, t) for n in config.n_grid for t in range(config.trials)]
-    for rows, checks in _run_trials(jobs, worker, threads):
-        result.rows.extend(rows)
-        _merge_violations(violations, checks)
-
-    ns, med = _medians(result.rows, "weighted_delta_sum")
-    fit = fit_loglog(ns, med)
-    result.fits["weighted_delta_sum"] = fit
-    target = 1.0 + beta / config.params.d
-    result.contracts.append(Contract(
-        name="weighted_delta_sum.slope",
-        target=f"within {target:.6g} +- {SLOPE_TOL}",
-        observed=fit.slope,
-        passed=abs(fit.slope - target) <= SLOPE_TOL,
-    ))
-    result.contracts.extend(_violation_contracts(violations, "weighted_delta_sum"))
-    return result
-
-
-# -- risk plateaus -------------------------------------------------------------------
+def _weighted_contracts(config, result):
+    """The weighted sum grows like n^(1 + beta/d)."""
+    fit = result.fits["weighted_delta_sum"] = fit_loglog(
+        *_medians(result.rows, "weighted_delta_sum"))
+    return [_slope_contract("weighted_delta_sum.slope", fit,
+                            1.0 + config.beta / config.params.d, SLOPE_TOL)]
 
 
 def _risk_of_bump(f, spec, mc_samples, seed):
@@ -384,152 +326,123 @@ def _risk_of_bump(f, spec, mc_samples, seed):
         return risk.excess_risk_mc(f, spec, mc_samples, seed)
 
 
-def sweep_risk_vs_n(config, moduli=None, threads=1):
-    """Excess risk across the n grid must not vanish (the plateau contract).
+def _risk_trial(config, moduli, ds, radii, n, trial):
+    """Excess risk of the configured predictor.
 
     Bump predictors on the uniform pure-noise model use the semi-analytic
     oracle and additionally cross-check Monte Carlo against it on the first
     trial of every n; kernel predictors are pure Monte Carlo.
     """
-    config.validate()
-    result = SweepResult(config_id=config.config_id, sweep="risk_vs_n")
-    violations = {}
-    spec = config.spec
-    params = config.params
+    spec, samples = config.spec, config.mc_samples
+    mc_seed = derive_seed(config.master_seed, n, trial, 1)
+    f = None
+    if config.predictor == "bump":
+        f = interpolant.build(ds, radii, config.shrink, config.params)
+        est = _risk_of_bump(f, spec, samples, mc_seed)
+    elif config.predictor == "kernel":
+        ki = rkhs.min_norm_interpolant(ds, config.kernel_spec)
+        est = risk.excess_risk_mc(ki, spec, samples, mc_seed)
+    else:  # Bayes control: predicts g, zero regret by construction
+        est = risk.excess_risk_mc(spec.g_values, spec, samples, mc_seed)
+    checks = _structural_violations(ds, radii, f)
+    metrics = [("excess_risk", est.mean, est.stderr)]
+    if est.method == "semi-analytic" and trial == 0:
+        mc = risk.excess_risk_mc(f, spec, samples, mc_seed)
+        metrics.append(("excess_risk_mc", mc.mean, mc.stderr))
+        checks["mc_oracle_agreement"] = 0 if mc.within(est.mean) else 1
+    return metrics, checks
 
-    def worker(job):
-        n, trial = job
-        seed = derive_seed(config.master_seed, n, trial)
-        ds = model.sample(spec, n, seed)
-        radii = geometry.nn_radii(ds)
-        rows = []
-        mc_seed = derive_seed(config.master_seed, n, trial, 1)
-        if config.predictor == "bump":
-            f = interpolant.build(ds, radii, config.shrink, params)
-            checks = _structural_violations(ds, radii, f)
-            est = _risk_of_bump(f, spec, config.mc_samples, mc_seed)
-            rows.append(_row("risk_vs_n", n, trial, seed, "excess_risk",
-                             est.mean, est.stderr))
-            if est.method == "semi-analytic" and trial == 0:
-                mc = risk.excess_risk_mc(f, spec, config.mc_samples, mc_seed)
-                rows.append(_row("risk_vs_n", n, trial, seed, "excess_risk_mc",
-                                 mc.mean, mc.stderr))
-                checks["mc_oracle_agreement"] = 0 if mc.within(est.mean) else 1
-        elif config.predictor == "kernel":
-            checks = _structural_violations(ds, radii)
-            nu = config.kernel_nu
-            if nu is None:
-                nu = params.k - params.d / 2.0
-            ki = rkhs.min_norm_interpolant(
-                ds, rkhs.KernelSpec(nu=nu, lengthscale=config.kernel_lengthscale))
-            est = risk.excess_risk_mc(ki, spec, config.mc_samples, mc_seed)
-            rows.append(_row("risk_vs_n", n, trial, seed, "excess_risk",
-                             est.mean, est.stderr))
-        else:  # Bayes control: predicts g, zero regret by construction
-            checks = _structural_violations(ds, radii)
-            est = risk.excess_risk_mc(spec.g_values, spec, config.mc_samples,
-                                      mc_seed)
-            rows.append(_row("risk_vs_n", n, trial, seed, "excess_risk",
-                             est.mean, est.stderr))
-        return rows, checks
 
-    jobs = [(n, t) for n in config.n_grid for t in range(config.trials)]
-    for rows, checks in _run_trials(jobs, worker, threads):
-        result.rows.extend(rows)
-        _merge_violations(violations, checks)
-
+def _risk_contracts(config, result):
+    """Excess risk across the n grid must not vanish (the plateau contract);
+    the Bayes control must read exactly 0."""
     ns, med = _medians(result.rows, "excess_risk")
     estimates = [row["value"] for row in result.rows
                  if row["metric"] == "excess_risk"]
     if config.predictor == "bayes":
         worst = max(abs(v) for v in estimates)
-        result.contracts.append(Contract(
+        return [Contract(
             name="risk_vs_n.bayes_control",
             target="all estimates exactly 0 (plateau inapplicable, benign)",
             observed=worst,
             passed=worst == 0.0,
-        ))
-    else:
-        ratio = med[-1] / med[0] if med[0] > 0 else math.inf
-        result.contracts.append(Contract(
+        )]
+    ratio = med[-1] / med[0] if med[0] > 0 else math.inf
+    floor_value = min(estimates) if config.predictor == "bump" else min(med)
+    return [
+        Contract(
             name="risk_vs_n.plateau_ratio",
             target=f"median risk at n={ns[-1]} >= {config.plateau_ratio} x "
                    f"median at n={ns[0]}",
             observed=ratio,
             passed=ratio >= config.plateau_ratio,
-        ))
-        floor_value = (min(estimates) if config.predictor == "bump"
-                       else min(med))
-        result.contracts.append(Contract(
+        ),
+        Contract(
             name="risk_vs_n.floor",
             target=f">= {config.risk_floor}",
             observed=floor_value,
             passed=floor_value >= config.risk_floor,
-        ))
-    result.contracts.extend(_violation_contracts(violations, "risk_vs_n"))
-    return result
+        ),
+    ]
 
 
-def sweep_risk_vs_gamma(config, moduli=None, threads=1):
-    """Risk against the certified norm-minimization factor gamma.
+def _gamma_trial(config, moduli, ds, radii, n, trial):
+    """Certified gamma lower bound and excess risk at every shrink."""
+    # packing depends on the dataset and radii alone, not on the shrink
+    checks = _structural_violations(ds, radii)
+    metrics = []
+    for si, s in enumerate(config.shrink_grid):
+        f = interpolant.build(ds, radii, s, config.params)
+        checks["interpolation"] += _interpolation_violations(ds, f)
+        report = interpolant.gamma_report(f, ds, radii, moduli)
+        mc_seed = derive_seed(config.master_seed, n, trial, si, 2)
+        est = _risk_of_bump(f, config.spec, config.mc_samples, mc_seed)
+        metrics.append((f"gamma_lower_bound[s={s!r}]",
+                        report.gamma_lower_bound))
+        metrics.append((f"excess_risk[s={s!r}]", est.mean, est.stderr))
+    return metrics, checks
 
-    Fits the log-log decay exponent across the shrink grid at the largest n;
+
+def _gamma_contracts(config, result):
+    """Fits the log-log decay of risk against gamma across the shrink grid;
     the soft contract keeps the fitted exponent above the theoretical
     envelope -pd/(kp-d) minus slack (gamma is only a certified lower bound,
-    so the decay can only look steeper, never shallower, than the truth).
-    """
-    config.validate()
+    so the decay can only look steeper, never shallower, than the truth)."""
     params = config.params
-    if moduli is None:
-        moduli = reference_moduli(params)
-    result = SweepResult(config_id=config.config_id, sweep="risk_vs_gamma")
-    violations = {}
-    n = max(config.n_grid)
-    spec = config.spec
 
-    def worker(trial):
-        seed = derive_seed(config.master_seed, n, trial)
-        ds = model.sample(spec, n, seed)
-        radii = geometry.nn_radii(ds)
-        rows = []
-        # packing depends on the dataset and radii alone, not on the shrink
-        checks = _structural_violations(ds, radii)
-        for si, s in enumerate(config.shrink_grid):
-            f = interpolant.build(ds, radii, s, params)
-            checks["interpolation"] += _interpolation_violations(ds, f)
-            report = interpolant.gamma_report(f, ds, radii, moduli)
-            mc_seed = derive_seed(config.master_seed, n, trial, si, 2)
-            est = _risk_of_bump(f, spec, config.mc_samples, mc_seed)
-            rows.append(_row("risk_vs_gamma", n, trial, seed,
-                             f"gamma_lower_bound[s={s!r}]",
-                             report.gamma_lower_bound))
-            rows.append(_row("risk_vs_gamma", n, trial, seed,
-                             f"excess_risk[s={s!r}]", est.mean, est.stderr))
-        return rows, checks
+    def medians(metric):
+        return [float(np.median([row["value"] for row in result.rows
+                                 if row["metric"] == f"{metric}[s={s!r}]"]))
+                for s in config.shrink_grid]
 
-    for rows, checks in _run_trials(list(range(config.trials)), worker, threads):
-        result.rows.extend(rows)
-        _merge_violations(violations, checks)
-
-    gammas, risks = [], []
-    for s in config.shrink_grid:
-        g_vals = [row["value"] for row in result.rows
-                  if row["metric"] == f"gamma_lower_bound[s={s!r}]"]
-        r_vals = [row["value"] for row in result.rows
-                  if row["metric"] == f"excess_risk[s={s!r}]"]
-        gammas.append(float(np.median(g_vals)))
-        risks.append(float(np.median(r_vals)))
-    fit = fit_loglog(gammas, risks)
-    result.fits["risk_vs_gamma"] = fit
+    fit = result.fits["risk_vs_gamma"] = fit_loglog(
+        medians("gamma_lower_bound"), medians("excess_risk"))
     reference = -params.p * params.d / (params.k * params.p - params.d)
-    result.contracts.append(Contract(
+    return [Contract(
         name="risk_vs_gamma.exponent",
         target=f">= {reference:.6g} - {GAMMA_SLOPE_SLACK} (soft envelope)",
         observed=fit.slope,
         passed=fit.slope >= reference - GAMMA_SLOPE_SLACK,
-    ))
-    result.contracts.extend(_violation_contracts(violations, "risk_vs_gamma"))
-    return result
+    )]
+
+
+class _Kind(NamedTuple):
+    trial: Callable
+    contracts: Callable
+    needs_moduli: bool = False
+    top_n_only: bool = False
+
+
+_KINDS = {
+    "norm_vs_n": _Kind(_norm_trial, _norm_contracts, needs_moduli=True),
+    "delta_subset": _Kind(_delta_trial, _delta_contracts),
+    "weighted_delta_sum": _Kind(_weighted_trial, _weighted_contracts),
+    "risk_vs_n": _Kind(_risk_trial, _risk_contracts),
+    "risk_vs_gamma": _Kind(_gamma_trial, _gamma_contracts, needs_moduli=True,
+                           top_n_only=True),
+}
+
+SWEEP_KINDS = (*_KINDS, "morrey")
 
 
 # -- local oscillation (Morrey-type) ----------------------------------------------
@@ -687,16 +600,11 @@ def morrey_check(params, trials, seed, delta_range=(0.01, 0.75),
 # -- persistence and the run driver ---------------------------------------------
 
 
-def _format_value(v):
-    if isinstance(v, float):
-        return repr(v)
-    return str(v)
-
-
 def write_rows_csv(rows, path):
     lines = [",".join(CSV_COLUMNS)]
     for row in rows:
-        lines.append(",".join(_format_value(row[c]) for c in CSV_COLUMNS))
+        # str of a float is its shortest round-trip repr
+        lines.append(",".join(str(row[c]) for c in CSV_COLUMNS))
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write("\n".join(lines) + "\n")
 
@@ -762,24 +670,39 @@ def _run_morrey(config):
     return result
 
 
-_SWEEP_FUNCTIONS = {
-    "norm_vs_n": sweep_norm_vs_n,
-    "delta_subset": sweep_delta_and_subset,
-    "weighted_delta_sum": sweep_weighted_delta_sum,
-    "risk_vs_n": sweep_risk_vs_n,
-    "risk_vs_gamma": sweep_risk_vs_gamma,
-}
-
-
 def run_sweep(config, threads=1, moduli=None):
-    """Dispatch a validated config to its sweep implementation."""
+    """Validate ``config`` and run its sweep; returns a :class:`SweepResult`.
+
+    Every trial samples its own dataset from the seed derived from
+    (master seed, n, trial); rows and violation counts are merged in job
+    order, so the result does not depend on ``threads``.  ``moduli`` is
+    built here when the kind needs it and none is given.
+    """
     config.validate()
     if config.kind == "morrey":
         return _run_morrey(config)
-    fn = _SWEEP_FUNCTIONS[config.kind]
-    if config.kind in ("norm_vs_n", "risk_vs_n", "risk_vs_gamma"):
-        return fn(config, moduli=moduli, threads=threads)
-    return fn(config, threads=threads)
+    kind = _KINDS[config.kind]
+    if kind.needs_moduli and moduli is None:
+        moduli = reference_moduli(config.params)
+    result = SweepResult(config_id=config.config_id, sweep=config.kind)
+    violations = Counter()
+
+    def worker(job):
+        n, trial = job
+        seed = derive_seed(config.master_seed, n, trial)
+        ds = model.sample(config.spec, n, seed)
+        radii = geometry.nn_radii(ds)
+        metrics, checks = kind.trial(config, moduli, ds, radii, n, trial)
+        return [_row(config.kind, n, trial, seed, *m) for m in metrics], checks
+
+    ns = (max(config.n_grid),) if kind.top_n_only else config.n_grid
+    jobs = [(n, t) for n in ns for t in range(config.trials)]
+    for rows, checks in _run_trials(jobs, worker, threads):
+        result.rows.extend(rows)
+        violations.update(checks)
+    result.contracts.extend(kind.contracts(config, result))
+    result.contracts.extend(_violation_contracts(violations, config.kind))
+    return result
 
 
 def run(config, out_dir, fmt="csv", threads=1, moduli=None):

@@ -7,7 +7,9 @@ perturbation stability count.
 Every check runs in O(n log n): a k-d tree only shortlists candidate pairs,
 and every distance that decides a result is recomputed with the same
 fixed-order arithmetic (:func:`_sq_dists`) that the O(n^2) oracles use, so
-the fast paths and the oracles agree to the bit.  The oracles are
+the fast paths and the oracles agree to the bit.  :func:`_sq_norm` is the
+package's only sum of squares over coordinates; the bump profile and the
+interpolant evaluate through it too.  The oracles are
 :func:`nn_radii_brute_force`, :func:`nn_graph_brute_force` and
 :func:`check_packing_brute_force`; only tests call them.
 
@@ -18,6 +20,7 @@ from __future__ import annotations
 
 import csv
 import itertools
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -57,17 +60,24 @@ def kissing_number(d):
         ) from None
 
 
+def _sq_norm(v):
+    """Squared Euclidean norms over the trailing axis, summed left to right.
+
+    The fixed order makes every caller that sums the same squares produce
+    the same bits, whatever the batch shape.
+    """
+    out = v[..., 0] * v[..., 0]
+    for j in range(1, v.shape[-1]):
+        out = out + v[..., j] * v[..., j]
+    return out
+
+
 def _sq_dists(a, b):
-    """Squared distances with a fixed left-to-right component sum.
+    """Squared distances; ``a``, ``b`` broadcast with trailing axis d.
 
     Shared by the brute-force and tree paths so both produce identical bits.
-    ``a``, ``b`` broadcast against each other with trailing axis d.
     """
-    diff = a - b
-    out = diff[..., 0] * diff[..., 0]
-    for j in range(1, diff.shape[-1]):
-        out = out + diff[..., j] * diff[..., j]
-    return out
+    return _sq_norm(a - b)
 
 
 @dataclass(frozen=True)
@@ -95,7 +105,7 @@ class Dataset:
         if points.shape[0] < 2:
             raise TooFewPoints(f"need n >= 2 points, got {points.shape[0]}")
         if not (np.isfinite(points).all() and np.isfinite(labels).all()):
-            raise MismatchedLengths("points and labels must be finite")
+            raise MalformedInput("points and labels must be finite")
         nn_sq = _nn_sq_dists(points)
         if np.min(nn_sq) == 0.0:
             raise DuplicatePoints("two points of the dataset coincide")
@@ -312,12 +322,18 @@ def load_dataset(path):
         pts, ys = [], []
         for row in reader:
             if len(row) != d + 1:
-                raise MismatchedLengths(f"{path}: row width {len(row)} != {d + 1}")
+                raise MismatchedLengths(
+                    f"{path}: line {reader.line_num}: row width {len(row)} "
+                    f"!= {d + 1}"
+                )
             try:
                 values = [float(v) for v in row]
+                if not all(map(math.isfinite, values)):
+                    raise ValueError
             except ValueError:
                 raise MalformedInput(
-                    f"{path}: line {reader.line_num}: non-numeric cell in {row}"
+                    f"{path}: line {reader.line_num}: non-numeric or "
+                    f"non-finite cell in {row}"
                 ) from None
             pts.append(values[:d])
             ys.append(values[d])

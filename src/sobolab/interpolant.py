@@ -133,10 +133,7 @@ def evaluate(f, x):
     _, idx = tree.query(pts)
     active_c = f.centers[idx]
     active_r = f.support_radii[idx]
-    diff = (pts - active_c) / active_r[:, None]
-    t = diff[:, 0] * diff[:, 0]
-    for jax in range(1, diff.shape[1]):
-        t = t + diff[:, jax] * diff[:, jax]
+    t = geometry._sq_norm((pts - active_c) / active_r[:, None])
     # + 0.0 normalizes -0.0 from negative weights times an exact zero, so
     # the result matches the brute-force sum bit for bit.
     out = f.weights[idx] * profile_values(t) + 0.0

@@ -44,6 +44,8 @@ def _mc_moments(value_fn, spec, m, seed, threads=1, chunk=_CHUNK):
     Every chunk draws from its own substream keyed by (seed, chunk index),
     so the result is independent of the thread count.
     """
+    if m < 100:
+        raise UnsupportedSpec(f"need at least 100 Monte Carlo samples, got {m}")
     m = int(m)
     starts = list(range(0, m, chunk))
 
@@ -78,9 +80,6 @@ def _mc_moments(value_fn, spec, m, seed, threads=1, chunk=_CHUNK):
 
 def excess_risk_mc(predictor, spec, m, seed, threads=1):
     """(1/m) sum_j (predictor(X_j) - g(X_j))^2 over X_j ~ mu_x."""
-    if m < 100:
-        raise UnsupportedSpec(f"need at least 100 Monte Carlo samples, got {m}")
-
     def values(xs, _rng):
         return (np.asarray(predictor(xs)) - spec.g_values(xs)) ** 2
 
@@ -95,9 +94,6 @@ def excess_risk_loss_gap_mc(predictor, spec, m, seed, threads=1):
     Same target as :func:`excess_risk_mc` by total expectation, but with the
     label noise left in; used to cross-check the variance-reduced estimator.
     """
-    if m < 100:
-        raise UnsupportedSpec(f"need at least 100 Monte Carlo samples, got {m}")
-
     def values(xs, rng):
         g = spec.g_values(xs)
         y = g + rng.standard_normal(len(xs)) * np.sqrt(spec.sigma_sq_values(xs))
@@ -111,9 +107,6 @@ def excess_risk_loss_gap_mc(predictor, spec, m, seed, threads=1):
 
 def bayes_risk_mc(spec, m, seed, threads=1):
     """Monte Carlo estimate of the Bayes risk E[sigma(X)^2]."""
-    if m < 100:
-        raise UnsupportedSpec(f"need at least 100 Monte Carlo samples, got {m}")
-
     def values(xs, _rng):
         return np.asarray(spec.sigma_sq_values(xs), dtype=float)
 

@@ -59,7 +59,7 @@ def norm_sweep_d1(params_d1, pure_noise_d1, moduli_d1):
                       params=params_d1, spec=pure_noise_d1,
                       n_grid=(64, 128, 256, 512, 1024, 2048, 4096, 8192),
                       trials=20, master_seed=SEED)
-    return experiments.sweep_norm_vs_n(cfg, moduli=moduli_d1, threads=4)
+    return experiments.run_sweep(cfg, moduli=moduli_d1, threads=4)
 
 
 @pytest.fixture(scope="module")
@@ -68,7 +68,7 @@ def norm_sweep_d3(params_d3, pure_noise_d3, moduli_d3):
                       params=params_d3, spec=pure_noise_d3,
                       n_grid=(64, 128, 256, 512, 1024, 2048, 4096, 8192),
                       trials=20, master_seed=SEED)
-    return experiments.sweep_norm_vs_n(cfg, moduli=moduli_d3, threads=4)
+    return experiments.run_sweep(cfg, moduli=moduli_d3, threads=4)
 
 
 @pytest.fixture(scope="module")
@@ -77,7 +77,7 @@ def delta_sweep_d1(params_d1, pure_noise_d1):
                       params=params_d1, spec=pure_noise_d1,
                       n_grid=(64, 128, 256, 512, 1024, 2048, 4096),
                       trials=50, master_seed=SEED)
-    return experiments.sweep_delta_and_subset(cfg, threads=4)
+    return experiments.run_sweep(cfg, threads=4)
 
 
 @pytest.fixture(scope="module")
@@ -86,7 +86,7 @@ def delta_sweep_d3(params_d3, pure_noise_d3):
                       params=params_d3, spec=pure_noise_d3,
                       n_grid=(64, 128, 256, 512, 1024, 2048, 4096),
                       trials=50, master_seed=SEED)
-    return experiments.sweep_delta_and_subset(cfg, threads=4)
+    return experiments.run_sweep(cfg, threads=4)
 
 
 @pytest.fixture(scope="module")
@@ -95,7 +95,7 @@ def risk_sweep_bump(params_d1, pure_noise_d1, moduli_d1):
                       params=params_d1, spec=pure_noise_d1,
                       n_grid=(128, 256, 512, 1024, 2048, 4096, 8192),
                       trials=5, master_seed=SEED, mc_samples=200_000)
-    return experiments.sweep_risk_vs_n(cfg, moduli=moduli_d1, threads=4)
+    return experiments.run_sweep(cfg, moduli=moduli_d1, threads=4)
 
 
 @pytest.fixture(scope="module")
@@ -105,7 +105,7 @@ def gamma_sweep(params_d1, pure_noise_d1, moduli_d1):
                       n_grid=(128, 256, 512, 1024), trials=10,
                       master_seed=SEED,
                       shrink_grid=(1.0, 0.7, 0.5, 0.35, 0.25))
-    return experiments.sweep_risk_vs_gamma(cfg, moduli=moduli_d1, threads=4)
+    return experiments.run_sweep(cfg, moduli=moduli_d1, threads=4)
 
 
 def _contract(result, name):
@@ -253,7 +253,7 @@ def test_criterion_08_weighted_delta_sum(params_d2):
                       n_grid=(64, 128, 256, 512, 1024, 2048, 4096),
                       trials=20, master_seed=SEED)
     with _Timer() as t:
-        res = experiments.sweep_weighted_delta_sum(cfg, threads=4)
+        res = experiments.run_sweep(cfg, threads=4)
         slope = _contract(res, "weighted_delta_sum.slope")
     _report(8, "weighted delta-sum slope", res.all_passed,
             f"slope {slope.observed:.3f} (target 1.4 +- 0.3) "
@@ -310,7 +310,7 @@ def test_criterion_11_kernel_risk_plateau(params_d3, pure_noise_d3):
                       trials=10, master_seed=SEED, mc_samples=50_000,
                       plateau_ratio=0.1)
     with _Timer() as t:
-        res = experiments.sweep_risk_vs_n(cfg, threads=4)
+        res = experiments.run_sweep(cfg, threads=4)
         ratio = _contract(res, "risk_vs_n.plateau_ratio")
         floor = _contract(res, "risk_vs_n.floor")
         ns, med = experiments._medians(res.rows, "excess_risk")

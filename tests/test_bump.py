@@ -211,8 +211,9 @@ class TestBumpPartial:
             hits += 1
             axes = [j for j, a in enumerate(alpha) for _ in range(a)]
             # third-order stencils need a larger step or roundoff
-            # (eps / h^3) dominates the comparison budget
-            h = (1e-3 if sum(alpha) <= 2 else 6e-3) * delta
+            # (eps / h^3) dominates the comparison budget; at 6e-3 the
+            # truncation error near r = 0.55 reaches 1e-5 relative
+            h = (1e-3 if sum(alpha) <= 2 else 2e-3) * delta
             want = fd_partial(
                 lambda v: bump.bump_eval(c, delta, v), x, tuple(axes), h=h)
             got = bump.bump_partial(alpha, c, delta, x)
@@ -257,6 +258,16 @@ class TestBumpPartial:
             bump.bump_partial((2, 2), np.zeros(2), 1.0, np.zeros(2))
         with pytest.raises(MismatchedLengths):
             bump.bump_partial((1,), np.zeros(2), 1.0, np.zeros(2))
+
+    @pytest.mark.parametrize("width", [1, 2])
+    @pytest.mark.parametrize("alpha", [(0, 0, 0), (1, 0, 0)])
+    def test_point_dimension_must_match_center(self, width, alpha):
+        # broadcasting would read a width-1 point as (x, x, x)
+        x = np.full((2, width), 0.4)
+        with pytest.raises(MismatchedLengths, match="dimension"):
+            bump.bump_partial(alpha, np.zeros(3), 1.0, x)
+        with pytest.raises(MismatchedLengths, match="dimension"):
+            bump.bump_eval(np.zeros(3), 1.0, x)
 
 
 class TestBumpSum:

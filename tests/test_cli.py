@@ -137,6 +137,12 @@ class TestCheck:
         assert main(["check", "--config", str(cfg), "--data", str(bad)]) == 2
         assert "abc.csv: line 3" in capsys.readouterr().err
 
+    def test_nan_cell_usage_error(self, cfg, tmp_path, capsys):
+        bad = tmp_path / "nan.csv"
+        bad.write_text("x_1,y\n0.5,1.0\nnan,2.0\n0.9,0.0\n")
+        assert main(["check", "--config", str(cfg), "--data", str(bad)]) == 2
+        assert "nan.csv: line 3" in capsys.readouterr().err
+
     def test_dimension_4_rejected(self, tmp_path):
         cfg4 = tmp_path / "d4.ini"
         cfg4.write_text(BASE_INI.replace("d = 1", "d = 4"))

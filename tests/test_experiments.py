@@ -3,10 +3,9 @@ import math
 import numpy as np
 import pytest
 
-from sobolab import bump, config, experiments, model
+from sobolab import bump, config, experiments, model, rkhs
 from sobolab.errors import (
     ConfigInvalid,
-    InvalidBeta,
     InvalidRange,
     QuadratureNotConverged,
     UnsupportedExactVariant,
@@ -79,8 +78,8 @@ class TestValidation:
         cfg = small_config(params_d2, spec, kind="weighted_delta_sum",
                            beta=0.8)
         object.__setattr__(cfg, "beta", 1.0)
-        with pytest.raises((InvalidBeta, ConfigInvalid)):
-            experiments.sweep_weighted_delta_sum(cfg)
+        with pytest.raises(ConfigInvalid, match="beta"):
+            experiments.run_sweep(cfg)
 
     def test_short_grid_rejected(self, params_d1, pure_noise_d1):
         cfg = small_config(params_d1, pure_noise_d1, n_grid=(8, 16, 32))
@@ -97,7 +96,45 @@ class TestValidation:
         spec = model.DistributionSpec(params=loose)
         cfg = small_config(loose, spec)
         with pytest.raises(InvalidRange):
-            experiments.sweep_norm_vs_n(cfg)
+            experiments.run_sweep(cfg)
+
+    @pytest.mark.parametrize("kind", ["risk_vs_n", "risk_vs_gamma"])
+    def test_mc_samples_rejected(self, params_d1, pure_noise_d1, kind):
+        cfg = small_config(params_d1, pure_noise_d1, kind=kind, mc_samples=99)
+        with pytest.raises(ConfigInvalid, match="mc_samples"):
+            cfg.validate()
+
+    def test_kernel_n_above_dense_cap_rejected(self, params_d1, pure_noise_d1):
+        top = rkhs.DENSE_SOLVE_MAX_N + 1
+        cfg = small_config(params_d1, pure_noise_d1, kind="risk_vs_n",
+                           predictor="kernel", kernel_nu=0.5,
+                           n_grid=(64, 128, 256, top))
+        with pytest.raises(ConfigInvalid, match="n_grid"):
+            cfg.validate()
+
+    def test_kernel_unsupported_nu_rejected(self, params_d1, params_d3,
+                                            pure_noise_d1, pure_noise_d3):
+        # the default nu = k - d/2 is 0.5 for (k, d) = (2, 3), -0.5 for (1, 3)
+        cfg = small_config(params_d3, pure_noise_d3, kind="risk_vs_n",
+                           predictor="kernel")
+        assert cfg.validate().kernel_spec.nu == 0.5
+        loose = bump.SobolevParams(k=1, p=4.0, d=3)
+        cfg = small_config(loose, model.DistributionSpec(params=loose),
+                           kind="risk_vs_n", predictor="kernel")
+        with pytest.raises(ConfigInvalid, match="supported nu"):
+            cfg.validate()
+        cfg = small_config(params_d1, pure_noise_d1, kind="risk_vs_n",
+                           predictor="kernel", kernel_nu=2.5)
+        with pytest.raises(ConfigInvalid, match="supported nu"):
+            cfg.validate()
+
+    def test_kernel_nonpositive_lengthscale_rejected(self, params_d1,
+                                                     pure_noise_d1):
+        cfg = small_config(params_d1, pure_noise_d1, kind="risk_vs_n",
+                           predictor="kernel", kernel_nu=0.5,
+                           kernel_lengthscale=0.0)
+        with pytest.raises(ConfigInvalid, match="lengthscale must be positive"):
+            cfg.validate()
 
     def test_shrink_grid_rejected(self, params_d1, pure_noise_d1):
         cfg = small_config(params_d1, pure_noise_d1, kind="risk_vs_gamma",
@@ -109,14 +146,15 @@ class TestValidation:
 class TestSweeps:
     def test_norm_sweep_contracts(self, params_d1, pure_noise_d1, moduli_d1):
         cfg = small_config(params_d1, pure_noise_d1)
-        res = experiments.sweep_norm_vs_n(cfg, moduli=moduli_d1)
+        res = experiments.run_sweep(cfg, moduli=moduli_d1)
         assert res.all_passed
         assert res.fits["norm_p"].slope == pytest.approx(1.25, abs=0.3)
 
     def test_zero_labels_flat(self, params_d1, moduli_d1, monkeypatch):
         # doubling n with all labels zero keeps norm^p at zero
         cfg = small_config(params_d1,
-                           model.DistributionSpec(params=params_d1))
+                           model.DistributionSpec(params=params_d1),
+                           kind="delta_subset")
         real_sample = model.sample
 
         def zero_label_sample(spec, n, seed):
@@ -125,14 +163,14 @@ class TestSweeps:
             return Dataset(points=ds.points, labels=np.zeros(n))
 
         monkeypatch.setattr(model, "sample", zero_label_sample)
-        res = experiments.sweep_delta_and_subset(cfg)  # labels all zero
+        res = experiments.run_sweep(cfg)  # labels all zero
         sizes = [r["value"] for r in res.rows if r["metric"] == "subset_size"]
         assert all(s == 0 for s in sizes)  # W never fires without noise
 
     def test_delta_sweep_contracts(self, params_d1, pure_noise_d1):
-        cfg = small_config(params_d1, pure_noise_d1,
+        cfg = small_config(params_d1, pure_noise_d1, kind="delta_subset",
                            n_grid=(64, 128, 256, 512, 1024), trials=10)
-        res = experiments.sweep_delta_and_subset(cfg)
+        res = experiments.run_sweep(cfg)
         by_name = {c.name: c for c in res.contracts}
         assert by_name["delta_subset.min_delta_slope"].passed
         assert by_name["delta_subset.size_frequency"].passed
@@ -141,7 +179,7 @@ class TestSweeps:
         spec = model.DistributionSpec(params=params_d2)
         cfg = small_config(params_d2, spec, kind="weighted_delta_sum",
                            beta=0.8, n_grid=(64, 128, 256, 512), trials=8)
-        res = experiments.sweep_weighted_delta_sum(cfg)
+        res = experiments.run_sweep(cfg)
         assert res.all_passed
         assert res.fits["weighted_delta_sum"].slope == pytest.approx(
             1.4, abs=0.3)
@@ -149,7 +187,7 @@ class TestSweeps:
     def test_bayes_control(self, params_d1, pure_noise_d1):
         cfg = small_config(params_d1, pure_noise_d1, kind="risk_vs_n",
                            predictor="bayes", mc_samples=1000)
-        res = experiments.sweep_risk_vs_n(cfg)
+        res = experiments.run_sweep(cfg)
         by_name = {c.name: c for c in res.contracts}
         assert by_name["risk_vs_n.bayes_control"].passed
 
@@ -157,7 +195,7 @@ class TestSweeps:
                                        moduli_d1):
         cfg = small_config(params_d1, pure_noise_d1, kind="risk_vs_n",
                            mc_samples=2000, risk_floor=1e9)
-        res = experiments.sweep_risk_vs_n(cfg, moduli=moduli_d1)
+        res = experiments.run_sweep(cfg, moduli=moduli_d1)
         assert not res.all_passed
 
 

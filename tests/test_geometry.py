@@ -65,6 +65,26 @@ class TestDataset:
         with pytest.raises(MalformedInput, match=r"ds\.csv: line 3"):
             geometry.load_dataset(path)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_rejected(self, bad):
+        pts = np.array([[0.0], [1.0], [2.0]])
+        with pytest.raises(MalformedInput, match="finite"):
+            Dataset(points=np.where(pts == 1.0, bad, pts), labels=np.zeros(3))
+        with pytest.raises(MalformedInput, match="finite"):
+            Dataset(points=pts, labels=np.array([0.0, bad, 0.0]))
+
+    def test_csv_non_finite_cell_names_file_and_line(self, tmp_path):
+        path = tmp_path / "ds.csv"
+        path.write_text("x_1,y\n0.0,1.0\n0.5,nan\n")
+        with pytest.raises(MalformedInput, match=r"ds\.csv: line 3"):
+            geometry.load_dataset(path)
+
+    def test_csv_short_row_names_file_and_line(self, tmp_path):
+        path = tmp_path / "ds.csv"
+        path.write_text("x_1,x_2,y\n0.0,0.0,1.0\n0.5,2.0\n")
+        with pytest.raises(MismatchedLengths, match=r"ds\.csv: line 3"):
+            geometry.load_dataset(path)
+
     def test_nn_sq_dists_frozen(self):
         ds = line_dataset(0.0, 1.0, 3.0)
         assert ds.nn_sq_dists.tolist() == [1.0, 1.0, 4.0]
