@@ -41,6 +41,13 @@ def _seed_type(raw):
     return value
 
 
+def _threads_type(raw):
+    value = int(raw)
+    if value < 1:
+        raise argparse.ArgumentTypeError("threads must be at least 1")
+    return value
+
+
 def _add_common(sub, seed=False, out=False, fmt=False):
     sub.add_argument("--config", required=True, metavar="PATH",
                      help="config file (sections [params], [distribution], [sweep])")
@@ -50,8 +57,9 @@ def _add_common(sub, seed=False, out=False, fmt=False):
     if out:
         sub.add_argument("--out", required=True, metavar="DIR",
                          help="output directory (created if absent)")
-    sub.add_argument("--threads", type=int, default=os.cpu_count() or 1,
-                     metavar="N", help="worker threads (results independent of N)")
+    sub.add_argument("--threads", type=_threads_type,
+                     default=os.cpu_count() or 1, metavar="N",
+                     help="worker threads (results independent of N)")
     if fmt:
         sub.add_argument("--format", choices=("csv", "json-lines"),
                          default="csv", help="row output format")

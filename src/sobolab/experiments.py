@@ -103,6 +103,11 @@ class SweepConfig:
         if self.kind == "risk_vs_gamma":
             if not all(0.0 < s <= 1.0 for s in self.shrink_grid):
                 raise ConfigInvalid("sweep.shrink_grid: entries must lie in (0, 1]")
+            if self.predictor != "bump":
+                raise ConfigInvalid(
+                    f"sweep.predictor: risk_vs_gamma sweeps the bump "
+                    f"interpolant only, got {self.predictor!r}"
+                )
         if not 0.0 < self.shrink <= 1.0:
             raise ConfigInvalid(f"sweep.shrink: must lie in (0, 1], got {self.shrink}")
         if self.predictor not in ("bump", "kernel", "bayes"):
@@ -205,9 +210,16 @@ def _medians(rows, metric):
 
 
 def _run_trials(jobs, worker, threads=1):
+    """``worker`` applied to each (n, trial) job; results in job order.
+
+    A pool takes the jobs largest n first (a stable sort, so equal n keep
+    their order), so that the slowest trials do not run alone at the end.
+    """
     if threads > 1:
+        order = sorted(range(len(jobs)), key=lambda i: -jobs[i][0])
         with ThreadPoolExecutor(max_workers=threads) as pool:
-            return list(pool.map(worker, jobs))
+            done = dict(zip(order, pool.map(worker, [jobs[i] for i in order])))
+        return [done[i] for i in range(len(jobs))]
     return [worker(job) for job in jobs]
 
 

@@ -5,6 +5,13 @@ spaces norm-equivalent to W^{k,2}(R^d); ridgeless interpolation with them is
 the classical kernel-regression route to the same phenomena studied by the
 bump construction.  RKHS norms are reported on their own scale and are never
 mixed with the bump module's W^{k,p} norms inside a single inequality.
+
+Prediction fills one reused (PREDICT_BLOCK_ROWS, n) buffer per call: the
+distances of each block of query points are overwritten in place with their
+kernel values, so a call allocates no block-sized temporaries (at n = 1024
+each would be a 32 MB array, mapped and unmapped by the allocator on every
+block).  The blocks stay 4096 rows because OpenBLAS gemv's result depends
+on the row count: shorter blocks would change the last bits of predictions.
 """
 
 from __future__ import annotations
@@ -21,6 +28,7 @@ from .errors import SolveFailed, UnsupportedNu, UnsupportedSpec
 RESIDUAL_TOL = 1e-6
 JITTER_LADDER = (0.0, 1e-12, 1e-10, 1e-8)
 DENSE_SOLVE_MAX_N = 4096
+PREDICT_BLOCK_ROWS = 4096
 
 
 @dataclass(frozen=True)
@@ -35,21 +43,33 @@ class KernelSpec:
             raise UnsupportedNu(f"lengthscale must be positive, got {self.lengthscale}")
 
 
-def kernel_eval(spec, r):
-    """Matern kernel value at distance r >= 0; k(0) = 1."""
-    r = np.asarray(r, dtype=float)
-    s = r / spec.lengthscale
+def _kernel_inplace(spec, r):
+    """Overwrite the distance array ``r`` with its Matern values; returns r."""
     if spec.nu == 0.5:
-        out = np.exp(-s)
-    else:
-        t = math.sqrt(3.0) * s
-        out = (1.0 + t) * np.exp(-t)
+        # IEEE division is sign-symmetric: r / -l is -(r / l) bit for bit
+        np.divide(r, -spec.lengthscale, out=r)
+        return np.exp(r, out=r)
+    np.divide(r, spec.lengthscale, out=r)
+    np.multiply(r, math.sqrt(3.0), out=r)
+    e = np.negative(r, out=np.empty_like(r))
+    np.exp(e, out=e)
+    np.add(r, 1.0, out=r)
+    return np.multiply(r, e, out=r)
+
+
+def kernel_eval(spec, r):
+    """Matern kernel value at distance r >= 0; k(0) = 1.  ``r`` is not
+    modified."""
+    out = _kernel_inplace(spec, np.array(r, dtype=float))
     return float(out) if out.ndim == 0 else out
 
 
-def kernel_matrix(spec, x, z=None):
+def kernel_matrix(spec, x, z=None, out=None):
+    """k(x_i, z_j); ``out``, if given, is a C-contiguous (len(x), len(z))
+    float array that receives the matrix."""
     z = x if z is None else z
-    return kernel_eval(spec, cdist(np.atleast_2d(x), np.atleast_2d(z)))
+    return _kernel_inplace(
+        spec, cdist(np.atleast_2d(x), np.atleast_2d(z), out=out))
 
 
 @dataclass(frozen=True)
@@ -66,15 +86,17 @@ class KernelInterpolant:
     def n(self):
         return len(self.coefficients)
 
-    def __call__(self, x, chunk=4096):
+    def __call__(self, x):
         x = np.asarray(x, dtype=float)
         single = x.ndim == 1
         pts = x[None, :] if single else x.reshape(-1, x.shape[-1])
         out = np.empty(len(pts))
-        for start in range(0, len(pts), chunk):
-            stop = min(start + chunk, len(pts))
+        buf = np.empty((min(PREDICT_BLOCK_ROWS, len(pts)), self.n))
+        for start in range(0, len(pts), PREDICT_BLOCK_ROWS):
+            stop = min(start + PREDICT_BLOCK_ROWS, len(pts))
             out[start:stop] = kernel_matrix(
-                self.kernel, pts[start:stop], self.centers
+                self.kernel, pts[start:stop], self.centers,
+                out=buf[:stop - start],
             ) @ self.coefficients
         if single:
             return float(out[0])
@@ -96,11 +118,10 @@ def min_norm_interpolant(dataset, spec):
     y = dataset.labels
     last = None
     for jitter in JITTER_LADDER:
+        # every entry of K is positive, so K + 0 I would equal K bit for bit
+        a = k_mat if jitter == 0.0 else k_mat + jitter * np.eye(dataset.n)
         try:
-            factor = cho_factor(
-                k_mat + jitter * np.eye(dataset.n), lower=True,
-                check_finite=False,
-            )
+            factor = cho_factor(a, lower=True, check_finite=False)
             coef = cho_solve(factor, y, check_finite=False)
         except LinAlgError as exc:
             last = exc

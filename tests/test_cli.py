@@ -186,6 +186,15 @@ class TestSweepCommand:
         assert main(["sweep", "--config", str(bad), "--seed", "1",
                      "--out", str(tmp_path / "out")]) == 1
 
+    @pytest.mark.parametrize("threads", ["0", "-1"])
+    def test_threads_below_one_usage_error(self, cfg, tmp_path, capsys,
+                                           threads):
+        assert main(["sweep", "--config", str(cfg), "--seed", "1",
+                     "--out", str(tmp_path / "out"), "--threads",
+                     threads]) == 2
+        assert "threads must be at least 1" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
     def test_json_lines(self, cfg, tmp_path):
         assert main(["sweep", "--config", str(cfg), "--seed", "8",
                      "--out", str(tmp_path / "jl"), "--format",

@@ -1,4 +1,5 @@
 import math
+import threading
 
 import numpy as np
 import pytest
@@ -141,6 +142,34 @@ class TestValidation:
                            shrink_grid=(1.0, 0.0))
         with pytest.raises(ConfigInvalid, match="shrink_grid"):
             cfg.validate()
+
+    @pytest.mark.parametrize("predictor", ["kernel", "bayes"])
+    def test_gamma_sweep_non_bump_predictor_rejected(self, params_d1,
+                                                     pure_noise_d1, predictor):
+        cfg = small_config(params_d1, pure_noise_d1, kind="risk_vs_gamma",
+                           predictor=predictor)
+        with pytest.raises(ConfigInvalid, match="sweep.predictor"):
+            cfg.validate()
+
+
+class TestRunTrials:
+    def test_pool_starts_largest_n_first_and_keeps_job_order(self):
+        jobs = [(n, t) for n in (8, 16, 32, 64) for t in range(3)]
+        started = []
+        lock = threading.Lock()
+
+        def worker(job):
+            with lock:
+                started.append(job)
+            return job[0] * 10 + job[1]
+
+        serial = experiments._run_trials(jobs, worker, threads=1)
+        assert started == jobs
+        started.clear()
+        pooled = experiments._run_trials(jobs, worker, threads=2)
+        assert started[0][0] == 64
+        assert sorted(started) == jobs
+        assert pooled == serial == [n * 10 + t for n, t in jobs]
 
 
 class TestSweeps:

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from scipy.linalg import cho_factor, cho_solve
+from scipy.spatial.distance import cdist
 
 from sobolab import rkhs
 from sobolab.errors import UnsupportedNu, UnsupportedSpec
@@ -31,6 +33,23 @@ class TestKernelEval:
         r = np.linspace(0, 10, 1000)
         v = rkhs.kernel_eval(spec, r)
         assert np.all((0.0 < v) & (v <= 1.0))
+
+    @pytest.mark.parametrize("nu", [0.5, 1.5])
+    @pytest.mark.parametrize("lengthscale", [1.0, 0.37])
+    def test_array_equals_closed_form_and_input_untouched(self, nu,
+                                                          lengthscale):
+        spec = rkhs.KernelSpec(nu=nu, lengthscale=lengthscale)
+        r = np.random.default_rng(5).uniform(0.0, 4.0, size=(40, 7))
+        r[0, 0] = 0.0
+        before = r.copy()
+        s = r / lengthscale
+        if nu == 0.5:
+            want = np.exp(-s)
+        else:
+            want = (1.0 + math.sqrt(3.0) * s) * np.exp(-(math.sqrt(3.0) * s))
+        got = rkhs.kernel_eval(spec, r)
+        assert np.array_equal(got, want)
+        assert np.array_equal(r, before)
 
     def test_unsupported_nu(self):
         with pytest.raises(UnsupportedNu):
@@ -81,6 +100,60 @@ class TestMinNormInterpolant:
         ds = random_dataset(rng, 4097, 1)
         with pytest.raises(UnsupportedSpec):
             rkhs.min_norm_interpolant(ds, rkhs.KernelSpec(nu=0.5))
+
+    def test_coefficients_equal_plain_cholesky_at_zero_jitter(self):
+        rng = np.random.default_rng(12)
+        for nu in (0.5, 1.5):
+            ds = random_dataset(rng, 80, 3)
+            spec = rkhs.KernelSpec(nu=nu, lengthscale=0.37)
+            u = rkhs.min_norm_interpolant(ds, spec)
+            assert u.jitter_used == 0.0
+            factor = cho_factor(rkhs.kernel_matrix(spec, ds.points),
+                                lower=True, check_finite=False)
+            want = cho_solve(factor, ds.labels, check_finite=False)
+            assert np.array_equal(u.coefficients, want)
+
+
+def _oracle_predict(u, x):
+    """kernel_eval(cdist(x, centers)) @ c, one 4096-row slice at a time."""
+    return np.concatenate([
+        rkhs.kernel_eval(u.kernel, cdist(x[i:i + 4096], u.centers))
+        @ u.coefficients
+        for i in range(0, len(x), 4096)
+    ])
+
+
+class TestPredict:
+    @pytest.fixture(scope="class")
+    def data(self):
+        rng = np.random.default_rng(21)
+        return random_dataset(rng, 60, 3), rng.uniform(-1.2, 1.2, (9000, 3))
+
+    @pytest.mark.parametrize("nu", [0.5, 1.5])
+    @pytest.mark.parametrize("lengthscale", [1.0, 0.37])
+    @pytest.mark.parametrize("m", [1, 257, 4095, 4096, 4097, 9000])
+    def test_equals_per_block_oracle(self, data, nu, lengthscale, m):
+        # under 256-row blocks m = 257 would end in a 1-row block, whose
+        # product differs in the last bits, so shorter blocks fail here
+        ds, queries = data
+        u = rkhs.min_norm_interpolant(
+            ds, rkhs.KernelSpec(nu=nu, lengthscale=lengthscale))
+        x = queries[:m]
+        assert np.array_equal(u(x), _oracle_predict(u, x))
+
+    @pytest.mark.parametrize("nu", [0.5, 1.5])
+    def test_point_batch_and_empty_shapes(self, data, nu):
+        ds, queries = data
+        u = rkhs.min_norm_interpolant(ds, rkhs.KernelSpec(nu=nu))
+        single = u(queries[0])
+        assert isinstance(single, float)
+        assert single == _oracle_predict(u, queries[:1])[0]
+        batch = queries[:10].reshape(2, 5, 3)
+        got = u(batch)
+        assert got.shape == (2, 5)
+        assert np.array_equal(got.ravel(), _oracle_predict(u, queries[:10]))
+        empty = u(np.empty((0, 3)))
+        assert empty.shape == (0,)
 
 
 class TestRkhsNorm:
