@@ -15,16 +15,26 @@ phi'' and phi''' are short expressions in e^(-|z|), 1/s and 1/(1 - s); off
 the band they vanish exactly.  psi is phi of a sum of one square per
 coordinate, so D^alpha psi is a sum of phi^(|m|) times products of partial
 Bell polynomials B_{a_j, m_j}(2 w_j, 2) (see :func:`bump_partial`).
-Reference moduli ``M_alpha = integral |D^alpha psi_1|^p`` are computed once
-by adaptive Gauss-Legendre quadrature, after which every seminorm of every
-scaled bump follows from the change of variables
+Reference moduli ``M_alpha = integral |D^alpha psi_1|^p`` are computed once,
+after which every seminorm of every scaled bump follows from the change of
+variables
 
     integral |D^alpha psi_delta|^p = delta^(d - |alpha| p) * M_alpha.
+
+The path depends on p alone.  For an even integer p, |D^alpha psi_1|^p is a
+polynomial in the direction theta = x/|x| with coefficients in r = |x|; its
+theta-monomials integrate over the sphere in closed form (G. B. Folland,
+"How to integrate a polynomial over a sphere", Amer. Math. Monthly 108
+(2001) 446-448), which leaves one integral in r over the band
+1/2 <= r <= 1 (see :func:`_even_power_modulus`).  Every other p takes the
+tensor Gauss-Legendre box quadrature of :func:`integrate_partial_power`,
+which also serves as the oracle for the even-p path.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field
 from functools import lru_cache
 from itertools import product
@@ -37,6 +47,7 @@ from .errors import (
     MalformedInput,
     MismatchedLengths,
     NonpositiveRadius,
+    QuadratureNotConverged,
     UnknownMultiIndex,
     UnsupportedDimension,
     UnsupportedOrder,
@@ -335,7 +346,15 @@ class BumpSum:
 
 @dataclass(frozen=True)
 class ReferenceModuli:
-    """Table of M_alpha = integral |D^alpha psi_1|^p over |alpha| <= k."""
+    """Table of M_alpha = integral |D^alpha psi_1|^p over |alpha| <= k.
+
+    ``panels`` and ``est_error`` describe the quadrature that produced each
+    entry.  For the box path (p not an even integer) they are the panel
+    count per axis of the d-dimensional box and the difference between its
+    last two refinements; for the exact even-p path they are the panel
+    count of the radial integral over 1/2 <= r <= 1 and the difference
+    between its last two levels.
+    """
 
     params: SobolevParams
     table: dict
@@ -403,9 +422,133 @@ def integrate_partial_power_fixed(alpha, p, delta, panels,
                                                       order=order)
 
 
+# Levels of the even-p radial ladder agree to this relative tolerance, or
+# to a tighter caller's one.  Tighter stalls in rounding: at (k, p, d) =
+# (3, 32, 3), alpha = (0, 0, 3), successive levels keep differing near 1e-15.
+_EXACT_REL_TOL = 1e-13
+_LOG_DBL_MAX = math.log(sys.float_info.max)
+_LOG_DBL_MIN = math.log(sys.float_info.min)
+
+
+def _sphere_moment(beta, log_scale=0.0):
+    """e^log_scale times integral_{S^(d-1)} theta^beta, d = len(beta).
+
+    Folland's closed form: 2 prod_j Gamma((beta_j + 1)/2) /
+    Gamma((|beta| + d)/2) when every beta_j is even, and 0 otherwise.  It is
+    formed from log-gamma, so exponents of any size stay finite; a value
+    that leaves the normal double range raises
+    :class:`QuadratureNotConverged` instead of overflowing or flushing to 0.
+    """
+    if any(b % 2 for b in beta):
+        return 0.0
+    halves = [(b + 1) / 2 for b in beta]
+    log_m = (sum(map(math.lgamma, halves)) - math.lgamma(sum(halves))
+             + math.log(2.0) + log_scale)
+    if not _LOG_DBL_MIN < log_m < _LOG_DBL_MAX:
+        raise QuadratureNotConverged(
+            f"sphere moment of theta^{tuple(beta)} leaves the double range")
+    return math.exp(log_m)
+
+
+def _compositions(total, parts):
+    """Every tuple of ``parts`` nonnegative integers summing to ``total``."""
+    if parts == 1:
+        yield (total,)
+        return
+    for first in range(total + 1):
+        for rest in _compositions(total - first, parts - 1):
+            yield (first,) + rest
+
+
+def _even_power_modulus(alpha, p, rel_tol=1e-8, max_doublings=6,
+                        order=quadrature.GL_ORDER):
+    """M_alpha = integral |D^alpha psi_1|^p for an even integer p.
+
+    Returns ``(value, panels, est_error)`` like
+    :func:`integrate_partial_power`.  At x = r theta the terms of
+    :func:`_bell_terms` give
+
+        D^alpha psi_1 = sum_t g_t(r) theta^(w_t),
+        g_t(r) = c_t (2r)^|w_t| phi^(m_t)(r^2),
+
+    so the multinomial expansion of the p-th power is a sum over the
+    compositions n of p of (p; n) prod_t g_t^(n_t) theta^(sum_t n_t w_t),
+    and each theta-monomial integrates over the sphere in closed form
+    (:func:`_sphere_moment`).  What remains is one integral in r of
+    r^(d-1) times that sum over the band 1/2 <= r <= 1, where every
+    derivative of phi lives.  It runs on a Gauss-Legendre panel-doubling
+    ladder from 4 panels until two levels agree to 1e-13 relative, or to
+    ``rel_tol`` if that is tighter.  alpha = 0 adds the plateau r < 1/2,
+    where psi_1 = 1: |S^(d-1)| / (d 2^d).
+
+    An integrand that overflows, or a modulus that is not finite and
+    positive, raises :class:`QuadratureNotConverged`.  M_(e_d) overflows
+    for every even p >= 488 (d = 1, 2, 3), and a table computes it (one
+    term, so one composition) before any modulus of two terms, whose
+    expansion has p + 1 compositions; so a large p raises before it could
+    loop long.
+    """
+    alpha = tuple(int(a) for a in alpha)
+    d, p, order_alpha = len(alpha), int(p), sum(alpha)
+    terms = _bell_terms(alpha)
+    expansion = []
+    for n in _compositions(p, len(terms)):
+        beta = [sum(nt * w[j] for nt, (_, _, w) in zip(n, terms))
+                for j in range(d)]
+        log_multinomial = math.lgamma(p + 1) - sum(math.lgamma(nt + 1)
+                                                   for nt in n)
+        weight = _sphere_moment(beta, log_multinomial)
+        if weight:
+            expansion.append((weight, n))
+
+    def radial(pts):
+        r = pts[:, 0]
+        u = r * r
+        phi = [profile_values(u)]
+        if order_alpha:
+            band, derivs = _band_derivatives(u, order_alpha)
+            for dj in derivs:
+                phi.append(np.zeros(len(u)))
+                phi[-1][band] = dj
+        g = [c * (2.0 * r) ** sum(w) * phi[m] for m, c, w in terms]
+        acc = 0.0
+        with np.errstate(over="ignore", invalid="ignore"):
+            for weight, n in expansion:
+                term = weight
+                for gt, nt in zip(g, n):
+                    if nt:
+                        term = term * gt ** nt
+                acc = acc + term
+        if not np.isfinite(acc).all():
+            raise QuadratureNotConverged(
+                f"|D^{alpha} psi_1|^{p} overflows the double range")
+        return acc * r ** (d - 1)
+
+    value, panels, err = quadrature.adaptive_box(
+        radial, [(PLATEAU_END ** 0.5, SUPPORT_END)],
+        rel_tol=min(rel_tol, _EXACT_REL_TOL), start_panels=4,
+        max_doublings=max_doublings, order=order,
+    )
+    if not order_alpha:
+        value += _sphere_moment((0,) * d) / (d * 2.0 ** d)
+    if not (math.isfinite(value) and value > 0.0):
+        raise QuadratureNotConverged(
+            f"M_{alpha} at p={p} is {value}, outside the double range")
+    return value, panels, err
+
+
 def reference_moduli(params, rel_tol=1e-8, max_doublings=6,
                      order=quadrature.GL_ORDER):
     """Compute the full M_alpha table for ``params`` deterministically.
+
+    The path depends on ``params.p`` alone.  An even integer p takes the
+    exact path of :func:`_even_power_modulus`: closed-form sphere moments
+    (Folland) and one radial Gauss-Legendre ladder from 4 panels, stopped
+    when two levels agree to 1e-13 relative or to ``rel_tol`` if tighter.
+    Every other p takes the adaptive box quadrature of
+    :func:`integrate_partial_power` over [0, 1]^d from 1 panel per axis,
+    stopped at ``rel_tol``.  Either ladder raises
+    :class:`QuadratureNotConverged` after ``max_doublings`` doublings.
 
     psi_1 is radial, so M_alpha is exactly invariant under permutations of
     alpha; only one representative per permutation class is integrated and
@@ -416,10 +559,16 @@ def reference_moduli(params, rel_tol=1e-8, max_doublings=6,
     for alpha in multi_indices(params.d, params.k):
         rep = tuple(sorted(alpha))
         if rep not in by_class:
-            by_class[rep] = integrate_partial_power(
-                alpha, params.p, 1.0, rel_tol=rel_tol,
-                max_doublings=max_doublings, order=order,
-            )
+            if params.p % 2 == 0:
+                by_class[rep] = _even_power_modulus(
+                    alpha, params.p, rel_tol=rel_tol,
+                    max_doublings=max_doublings, order=order,
+                )
+            else:
+                by_class[rep] = integrate_partial_power(
+                    alpha, params.p, 1.0, rel_tol=rel_tol,
+                    max_doublings=max_doublings, order=order,
+                )
         value, n_panels, err = by_class[rep]
         table[alpha] = value
         panels[alpha] = n_panels
@@ -459,19 +608,9 @@ def moduli_constant(moduli):
 
 
 @lru_cache(maxsize=None)
-def l2_modulus(d, rel_tol=1e-9):
+def l2_modulus(d):
     """integral psi_1^2 over R^d (the alpha = 0, p = 2 modulus)."""
-    center = np.zeros(d)
-
-    def integrand(pts):
-        v = bump_eval(center, 1.0, pts)
-        return v * v
-
-    value, _, _ = quadrature.adaptive_box(
-        integrand, [(0.0, 1.0)] * d, rel_tol=rel_tol, start_panels=1,
-        max_doublings=7,
-    )
-    return 2.0 ** d * value
+    return _even_power_modulus((0,) * d, 2)[0]
 
 
 # -- cache file --------------------------------------------------------------

@@ -46,7 +46,6 @@ def moduli_d2(params_d2):
 
 @pytest.fixture(scope="session")
 def moduli_d3(params_d3):
-    # the heavy table (3D quadrature); built once per session
     return bump.reference_moduli(params_d3)
 
 

@@ -1,9 +1,11 @@
 import math
+import time
 
 import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
+from scipy.integrate import quad
 
 from sobolab import bump, quadrature
 from sobolab.errors import (
@@ -375,6 +377,129 @@ class TestModuli:
         path.write_text("\n".join(edit(lines)) + "\n")
         with pytest.raises(MalformedInput, match=f"moduli\\.txt: {where}"):
             bump.load_moduli(path)
+
+
+def _radial_oracle(alpha, p, d):
+    """M_alpha for alpha = 0 or e_d by scipy's adaptive quadrature in r.
+
+    D^alpha psi_1(r theta) is phi(r^2) or 2 r phi'(r^2) theta_d, so M_alpha
+    is a radial integral over the band times the sphere integral of
+    |theta_d|^q, 2 Gamma((q+1)/2) Gamma(1/2)^(d-1) / Gamma((q+d)/2), with
+    q = 0 or p; alpha = 0 adds the plateau, the ball of radius 1/2.
+    """
+    order = sum(alpha)
+    q = p if order else 0.0
+    sphere = (2.0 * math.gamma((q + 1) / 2) * math.gamma(0.5) ** (d - 1)
+              / math.gamma((q + d) / 2))
+
+    def radial(r):
+        v = bump.profile_eval(r * r, order) * (2.0 * r) ** order
+        return r ** (d - 1) * abs(v) ** p
+
+    band, _ = quad(radial, 0.5, 1.0, epsabs=0.0, epsrel=1e-13, limit=200)
+    plateau = 0.0 if order else sphere / (d * 2.0 ** d)
+    return sphere * band + plateau
+
+
+class TestExactModuli:
+    """The even-p path: Folland's sphere moments and one radial ladder."""
+
+    @pytest.mark.parametrize("beta, want", [
+        ((0,), 2.0),
+        ((0, 0), 2.0 * math.pi),
+        ((0, 0, 0), 4.0 * math.pi),
+        ((0, 0, 2), 4.0 * math.pi / 3.0),
+        ((2, 0, 0), 4.0 * math.pi / 3.0),
+        ((2, 2), math.pi / 4.0),
+    ])
+    def test_sphere_moment_closed_forms(self, beta, want):
+        assert bump._sphere_moment(beta) == pytest.approx(want, rel=1e-14)
+
+    @pytest.mark.parametrize("beta", [(1,), (0, 3), (2, 1, 0), (1, 1, 2)])
+    def test_sphere_moment_odd_exponent_is_zero(self, beta):
+        assert bump._sphere_moment(beta) == 0.0
+
+    @pytest.mark.parametrize("beta, log_scale", [
+        ((1000, 1000, 1000), 0.0),  # 1e-719: would flush to 0
+        ((0,), 710.0),              # 2 e^710: would overflow
+    ])
+    def test_sphere_moment_outside_double_range_raises(self, beta, log_scale):
+        with pytest.raises(QuadratureNotConverged, match="double range"):
+            bump._sphere_moment(beta, log_scale)
+
+    @pytest.mark.parametrize("value", [math.inf, math.nan, 0.0])
+    def test_ladder_value_not_finite_and_positive_raises(self, monkeypatch,
+                                                         value):
+        # the ladder accepts inf after a finite level (inf <= rel_tol * inf)
+        monkeypatch.setattr(quadrature, "adaptive_box",
+                            lambda *args, **kw: (value, 8, value))
+        with pytest.raises(QuadratureNotConverged, match="double range"):
+            bump._even_power_modulus((0, 1), 4.0)
+
+    @pytest.mark.parametrize("kpd", [(1, 4.0, 1), (2, 2.0, 2), (1, 4.0, 3)])
+    def test_matches_box_quadrature_every_class(self, kpd):
+        params = bump.SobolevParams(*kpd)
+        moduli = bump.reference_moduli(params)
+        for rep in {tuple(sorted(a)) for a in moduli.indices}:
+            box, _, _ = bump.integrate_partial_power(rep, params.p, 1.0)
+            assert moduli.modulus(rep) == pytest.approx(box, rel=1e-10), rep
+
+    @pytest.mark.parametrize("table", ["d1", "d2", "d3", "143"])
+    def test_radial_oracle_alpha_zero_and_e_d(self, table, request):
+        if table == "143":
+            moduli = bump.reference_moduli(bump.SobolevParams(1, 4.0, 3))
+        else:
+            moduli = request.getfixturevalue(f"moduli_{table}")
+        p, d = moduli.params.p, moduli.params.d
+        rel = 1e-11 if p % 2 == 0 else moduli.rel_tol
+        for alpha in [(0,) * d, (0,) * (d - 1) + (1,)]:
+            assert moduli.modulus(alpha) == pytest.approx(
+                _radial_oracle(alpha, p, d), rel=rel), alpha
+
+    def test_non_even_tables_keep_their_bits(self, moduli_d1, moduli_d2):
+        assert moduli_d1.modulus((0,)) == float.fromhex("0x1.8b0c8dc1efb3ep+0")
+        assert moduli_d1.modulus((1,)) == float.fromhex("0x1.585339f46d04ap+1")
+        assert moduli_d2.modulus((0, 0)) == \
+            float.fromhex("0x1.ada089b371bc9p+0")
+        assert moduli_d2.modulus((0, 1)) == \
+            float.fromhex("0x1.e302d2683a6d4p+3")
+
+    def test_panels_and_error_are_the_radial_ladder(self, moduli_d3):
+        assert set(moduli_d3.panels.values()) <= {8, 16, 32, 64, 128, 256}
+        for alpha, m in moduli_d3.table.items():
+            assert 0.0 <= moduli_d3.est_error[alpha] <= 1e-13 * m
+
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_l2_modulus_is_the_exact_alpha_zero_p2_modulus(self, d):
+        box, _, _ = bump.integrate_partial_power((0,) * d, 2.0, 1.0,
+                                                 rel_tol=1e-10)
+        assert bump.l2_modulus(d) == pytest.approx(box, rel=1e-12)
+
+    def test_l2_modulus_equals_table_entry(self, moduli_d3):
+        assert bump.l2_modulus(3) == moduli_d3.modulus((0, 0, 0))
+
+    def test_cache_roundtrip_exact(self, tmp_path):
+        moduli = bump.reference_moduli(bump.SobolevParams(1, 4.0, 3))
+        path = tmp_path / "moduli.txt"
+        bump.save_moduli(moduli, path)
+        back = bump.load_moduli(path)
+        assert back.params == moduli.params
+        assert back.table == moduli.table
+        assert back.panels == moduli.panels
+        assert back.est_error == moduli.est_error
+
+    @pytest.mark.parametrize("kpd", [(1, 1000.0, 1), (1, 1e20, 1),
+                                     (2, 1e20, 3), (1, 488.0, 2)])
+    def test_large_even_p_raises_quickly(self, kpd):
+        start = time.perf_counter()
+        with pytest.raises(QuadratureNotConverged):
+            bump.reference_moduli(bump.SobolevParams(*kpd))
+        assert time.perf_counter() - start < 5.0
+
+    def test_no_doublings_raises(self):
+        with pytest.raises(QuadratureNotConverged):
+            bump.reference_moduli(bump.SobolevParams(1, 4.0, 3),
+                                  max_doublings=0)
 
 
 class TestScaledSeminorm:

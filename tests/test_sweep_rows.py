@@ -2,10 +2,12 @@
 
 ``tests/data/sweep_rows.json`` holds the output of :func:`record` for the
 small configs below, one per sweep kind and predictor, written before the
-sweep kinds shared one driver.  Any later change to the sweeps must
-reproduce it: every row (key exactly, value and standard error to 1e-9
-relative, the tolerance of ``bench/reference``), every contract's name and
-verdict, and every fit.
+sweep kinds shared one driver.  The ``norm_d3`` entry, whose (1, 4, 3)
+table takes the exact even-p moduli path, was recorded with the box
+quadrature's table, before that path existed.  Any later change to the
+sweeps must reproduce it: every row (key exactly, value and standard error
+to 1e-9 relative, the tolerance of ``bench/reference``), every contract's
+name and verdict, and every fit.
 
 Re-record (only after a deliberate change of the numbers) with
 
@@ -31,6 +33,7 @@ def _configs():
     d3 = bump.SobolevParams(k=1, p=4.0, d=3)
     noise_d1 = model.DistributionSpec(params=d1)
     noise_d2 = model.DistributionSpec(params=d2)
+    noise_d3 = model.DistributionSpec(params=d3)
     truth_d2 = bump.BumpSum(centers=[[0.0, 0.0], [0.5, 0.0], [-0.4, 0.4]],
                             radii=[0.2, 0.15, 0.2], weights=[1.0, -0.5, 0.8])
     tilted_d2 = model.DistributionSpec(
@@ -45,7 +48,8 @@ def _configs():
         ("weighted_d2", "weighted_delta_sum", d2, noise_d2, dict(beta=0.8)),
         ("risk_bump_d1", "risk_vs_n", d1, noise_d1, dict(shrink=0.7)),
         ("risk_bump_d2_tilted", "risk_vs_n", d2, tilted_d2, {}),
-        ("risk_kernel_d3", "risk_vs_n", d3, model.DistributionSpec(params=d3),
+        ("norm_d3", "norm_vs_n", d3, noise_d3, {}),
+        ("risk_kernel_d3", "risk_vs_n", d3, noise_d3,
          dict(predictor="kernel", kernel_nu=0.5, plateau_ratio=0.1)),
         ("risk_bayes_d1", "risk_vs_n", d1, noise_d1, dict(predictor="bayes")),
         ("gamma_d2_tilted", "risk_vs_gamma", d2, tilted_d2, {}),
