@@ -52,7 +52,7 @@ from .errors import (
     UnsupportedDimension,
     UnsupportedOrder,
 )
-from .geometry import _sq_norm
+from .geometry import _sq_norm, _violating_pairs
 
 PLATEAU_END = 0.25
 SUPPORT_END = 1.0
@@ -98,21 +98,13 @@ def multi_indices(d, k):
 # -- profile ----------------------------------------------------------------
 
 
-def _smoothstep_values(s):
-    """S(s) on arrays, with the flat branches handled exactly."""
-    s = np.asarray(s, dtype=float)
-    mid = (s > 0.0) & (s < 1.0)
-    safe = np.where(mid, s, 0.5)
+def profile_values(t):
+    """phi(t) = S((1 - t) 4/3), vectorized, with the flat branches exact."""
+    s = (1.0 - np.asarray(t, dtype=float)) * _STEP_SCALE
+    safe = np.where((s > 0.0) & (s < 1.0), s, 0.5)
     h1 = np.exp(-1.0 / safe)
     h2 = np.exp(-1.0 / (1.0 - safe))
-    vals = h1 / (h1 + h2)
-    return np.where(s <= 0.0, 0.0, np.where(s >= 1.0, 1.0, vals))
-
-
-def profile_values(t):
-    """phi(t), vectorized."""
-    t = np.asarray(t, dtype=float)
-    return _smoothstep_values((1.0 - t) * _STEP_SCALE)
+    return np.where(s <= 0.0, 0.0, np.where(s >= 1.0, 1.0, h1 / (h1 + h2)))
 
 
 def _band_derivatives(t, order):
@@ -161,19 +153,6 @@ def _band_derivatives(t, order):
     return band, derivs[:order]
 
 
-def profile_taylor(t, order):
-    """Taylor coefficients phi^(j)(t)/j! for j = 0..order, stacked first."""
-    if not (0 <= order <= MAX_ORDER):
-        raise UnsupportedOrder(f"profile derivatives implemented up to {MAX_ORDER}")
-    t = np.asarray(t, dtype=float)
-    out = np.zeros((order + 1,) + t.shape)
-    out[0] = profile_values(t)
-    band, derivs = _band_derivatives(t, order)
-    for j, dj in enumerate(derivs, start=1):
-        out[j].reshape(-1)[band] = dj / math.factorial(j)
-    return out
-
-
 def profile_eval(t, derivative_order=0):
     """phi^(j)(t) for j <= 3; scalar in, scalar out."""
     j = int(derivative_order)
@@ -194,8 +173,9 @@ def profile_eval(t, derivative_order=0):
 
 def _scaled_offsets(center, delta, x):
     """(x - center) / delta, after checking delta and the dimensions."""
-    if not delta > 0.0:
-        raise NonpositiveRadius(f"bump radius must be positive, got {delta}")
+    delta = np.asarray(delta, dtype=float)
+    if not (delta > 0.0).all():
+        raise NonpositiveRadius(f"bump radius must be positive, got {delta.min()}")
     center = np.asarray(center, dtype=float)
     x = np.asarray(x, dtype=float)
     if x.shape[-1:] != center.shape[-1:]:
@@ -203,7 +183,7 @@ def _scaled_offsets(center, delta, x):
             f"points of dimension {x.shape[-1:]} for a center of dimension "
             f"{center.shape[-1:]}"
         )
-    return (x - center) / delta
+    return (x - center) / delta[..., None]
 
 
 def bump_eval(center, delta, x):
@@ -246,6 +226,10 @@ def bump_partial(alpha, center, delta, x):
     J. Combin. 13 (2006) R1).  Every phi^(j), j >= 1, vanishes off the
     transition band 1/4 < u < 1, so the sum is formed on the band's points
     only and every other point gets exactly 0.
+
+    ``center`` (..., d) and ``delta`` (...) may also give one bump per
+    point, broadcast against ``x``; delta^-|alpha| stays a Python-float
+    power per radius, as numpy's array power may round it differently.
     """
     center = np.asarray(center, dtype=float)
     alpha = tuple(int(a) for a in alpha)
@@ -276,9 +260,33 @@ def bump_partial(alpha, center, delta, x):
             for _ in range(k):
                 term = term * v
         acc = acc + term
+    if np.ndim(delta) == 0:
+        scale = float(delta) ** -total
+    else:
+        band_delta = np.broadcast_to(delta, batch).reshape(-1)[band]
+        radii = np.unique(band_delta)
+        inverse = np.array([float(v) ** -total for v in radii])
+        scale = inverse[np.searchsorted(radii, band_delta)]
     out = np.zeros(len(u))
-    out[band] = acc * delta ** -total
+    out[band] = acc * scale
     out = out.reshape(batch)
+    return float(out) if out.ndim == 0 else out
+
+
+def _sum_over_pairs(alpha, centers, radii, weights, x, shortlist):
+    """D^alpha sum_i w_i psi_{r_i}(x - c_i) over the ``(bump, point)`` pairs
+    that ``shortlist(pts)`` finds in open supports; pairs in bump order give
+    each point the bits of the per-bump sum."""
+    x = np.asarray(x, dtype=float)
+    d = centers.shape[1]
+    if x.shape[-1:] != (d,):
+        raise MismatchedLengths(
+            f"points of dimension {x.shape[-1:]} for bumps of dimension {d}")
+    pts = x.reshape(-1, d)
+    bump, point = shortlist(pts)
+    values = bump_partial(alpha, centers[bump], radii[bump], pts[point])
+    out = np.bincount(point, weights=weights[bump] * values,
+                      minlength=len(pts)).reshape(x.shape[:-1])
     return float(out) if out.ndim == 0 else out
 
 
@@ -287,7 +295,9 @@ class BumpSum:
     """A finite sum of disjointly supported bumps, sum_i w_i psi_{r_i}.
 
     This is the ground-truth/interpolant building block: disjoint supports
-    make every norm computation a sum over the individual bumps.
+    make every norm computation a sum over the individual bumps.  Nothing
+    bounds a radius by the gaps to other centers, so evaluation pairs each
+    bump with the points at scaled squared distance below 1 from its center.
     """
 
     centers: np.ndarray
@@ -309,13 +319,10 @@ class BumpSum:
         object.__setattr__(self, "centers", centers)
         object.__setattr__(self, "radii", radii)
         object.__setattr__(self, "weights", weights)
-        for i in range(len(centers)):
-            for j in range(i + 1, len(centers)):
-                gap = float(np.linalg.norm(centers[i] - centers[j]))
-                if gap < radii[i] + radii[j]:
-                    raise MismatchedLengths(
-                        f"supports of bumps {i} and {j} overlap"
-                    )
+        overlaps = _violating_pairs(centers, 2.0 * radii)
+        if overlaps:
+            i, j = overlaps[0]
+            raise MismatchedLengths(f"supports of bumps {i} and {j} overlap")
 
     @property
     def n(self):
@@ -334,11 +341,14 @@ class BumpSum:
         return self.partial((0,) * self.dim, x)
 
     def partial(self, alpha, x):
-        x = np.asarray(x, dtype=float)
-        out = np.zeros(x.shape[:-1])
-        for c, r, w in zip(self.centers, self.radii, self.weights):
-            out = out + w * bump_partial(alpha, c, float(r), x)
-        return float(out) if out.ndim == 0 else out
+        return _sum_over_pairs(alpha, self.centers, self.radii, self.weights,
+                               x, self._support_pairs)
+
+    def _support_pairs(self, pts):
+        inside = [np.flatnonzero(_sq_norm((pts - c) / r) < 1.0)
+                  for c, r in zip(self.centers, self.radii)]
+        bump = np.repeat(np.arange(self.n), [len(i) for i in inside])
+        return bump, np.concatenate(inside)
 
 
 # -- reference moduli ---------------------------------------------------------
@@ -386,7 +396,12 @@ def _partial_power_box(alpha, p, delta):
     center = np.zeros(len(alpha))
 
     def integrand(pts):
-        return np.abs(bump_partial(alpha, center, delta, pts)) ** p
+        with np.errstate(over="ignore"):
+            values = np.abs(bump_partial(alpha, center, delta, pts)) ** p
+        if not np.isfinite(values).all():
+            raise QuadratureNotConverged(
+                f"|D^{alpha} psi|^{p} overflows the double range")
+        return values
 
     return integrand, [(0.0, delta)] * len(alpha)
 
@@ -504,13 +519,8 @@ def _even_power_modulus(alpha, p, rel_tol=1e-8, max_doublings=6,
     def radial(pts):
         r = pts[:, 0]
         u = r * r
-        phi = [profile_values(u)]
-        if order_alpha:
-            band, derivs = _band_derivatives(u, order_alpha)
-            for dj in derivs:
-                phi.append(np.zeros(len(u)))
-                phi[-1][band] = dj
-        g = [c * (2.0 * r) ** sum(w) * phi[m] for m, c, w in terms]
+        g = [c * (2.0 * r) ** sum(w) * profile_eval(u, m)
+             for m, c, w in terms]
         acc = 0.0
         with np.errstate(over="ignore", invalid="ignore"):
             for weight, n in expansion:

@@ -34,7 +34,7 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from . import geometry, interpolant, model, rkhs, risk
-from .bump import BumpSum, multi_indices, reference_moduli
+from .bump import BumpSum, SobolevParams, multi_indices, reference_moduli
 from .errors import (
     ConfigInvalid,
     InvalidRange,
@@ -491,12 +491,6 @@ def _random_bump_sum(rng, d, max_bumps=5, box=1.0):
     return BumpSum(centers=centers, radii=radii, weights=weights)
 
 
-def _abs_derivative_power_1d(u, p):
-    def f(xs):
-        return np.abs(u.partial((1,), xs[:, None])) ** p
-    return f
-
-
 def morrey_exact_trial(u, x0, x1, delta, p, rel_tol=1e-10):
     """One exact-variant check; returns (lhs, rhs) of the inequality.
 
@@ -515,7 +509,10 @@ def morrey_exact_trial(u, x0, x1, delta, p, rel_tol=1e-10):
             if a < edge < b:
                 cuts.add(float(edge))
     breaks = np.array(sorted(cuts))
-    f = _abs_derivative_power_1d(u, p)
+
+    def f(xs):
+        return np.abs(u.partial((1,), xs[:, None])) ** p
+
     prev = integrate_1d(f, breaks)
     refined = breaks
     for _ in range(6):

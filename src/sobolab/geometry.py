@@ -6,10 +6,9 @@ perturbation stability count.
 
 Every check runs in O(n log n): a k-d tree only shortlists candidate pairs,
 and every distance that decides a result is recomputed with the same
-fixed-order arithmetic (:func:`_sq_dists`) that the O(n^2) oracles use, so
-the fast paths and the oracles agree to the bit.  :func:`_sq_norm` is the
-package's only sum of squares over coordinates; the bump profile and the
-interpolant evaluate through it too.  The oracles are
+fixed-order sum of squares (:func:`_sq_norm`, the package's only one; bump
+evaluation sums through it too) that the O(n^2) oracles use, so the fast
+paths and the oracles agree to the bit.  The oracles are
 :func:`nn_radii_brute_force`, :func:`nn_graph_brute_force` and
 :func:`check_packing_brute_force`; only tests call them.
 
@@ -40,7 +39,7 @@ from .errors import (
 BRUTE_FORCE_MAX_N = 64
 
 # Relative slack on a tree query radius: the tree's own distance arithmetic
-# may round differently from _sq_dists, so a shortlist must never sit right
+# may round differently from _sq_norm, so a shortlist must never sit right
 # on the decision boundary.
 _REACH_SLACK = 1e-9
 
@@ -70,14 +69,6 @@ def _sq_norm(v):
     for j in range(1, v.shape[-1]):
         out = out + v[..., j] * v[..., j]
     return out
-
-
-def _sq_dists(a, b):
-    """Squared distances; ``a``, ``b`` broadcast with trailing axis d.
-
-    Shared by the brute-force and tree paths so both produce identical bits.
-    """
-    return _sq_norm(a - b)
 
 
 @dataclass(frozen=True)
@@ -133,7 +124,7 @@ class NnGraph:
 
 
 def _nn_sq_dists_brute(points):
-    d2 = _sq_dists(points[:, None, :], points[None, :, :])
+    d2 = _sq_norm(points[:, None, :] - points[None, :, :])
     np.fill_diagonal(d2, np.inf)
     return d2.min(axis=1)
 
@@ -144,7 +135,7 @@ def _nn_sq_dists_tree(points, candidates=4):
     _, idx = tree.query(points, k=k)
     # Recompute candidate distances with the shared arithmetic; the tree is
     # only trusted to shortlist, never to produce the final number.
-    cand = _sq_dists(points[:, None, :], points[idx])
+    cand = _sq_norm(points[:, None, :] - points[idx])
     cand[idx == np.arange(len(points))[:, None]] = np.inf
     return cand.min(axis=1)
 
@@ -161,7 +152,7 @@ def _ball_pairs(tree, points, reach):
     ``reach`` must be finite.  The query radius is widened by a relative
     ``_REACH_SLACK`` so that every pair whose recomputed distance is at most
     reach_i is returned; a few pairs just beyond it may be returned too, and
-    callers decide each pair from :func:`_sq_dists` alone.
+    callers decide each pair from :func:`_sq_norm` alone.
     """
     balls = tree.query_ball_point(points, reach * (1.0 + _REACH_SLACK))
     sizes = np.fromiter(map(len, balls), dtype=np.intp, count=len(balls))
@@ -193,7 +184,7 @@ def nn_graph(dataset):
     points = dataset.points
     nn_sq = dataset.nn_sq_dists
     src, dst = _ball_pairs(cKDTree(points), points, np.sqrt(nn_sq))
-    tie = _sq_dists(points[src], points[dst]) == nn_sq[src]
+    tie = _sq_norm(points[src] - points[dst]) == nn_sq[src]
     return NnGraph(edges=frozenset(zip(src[tie].tolist(), dst[tie].tolist())),
                    n=dataset.n)
 
@@ -205,7 +196,7 @@ def nn_graph_brute_force(dataset):
     edges = []
     for start in range(0, n, _ORACLE_BLOCK):
         stop = min(start + _ORACLE_BLOCK, n)
-        d2 = _sq_dists(points[start:stop, None, :], points[None, :, :])
+        d2 = _sq_norm(points[start:stop, None, :] - points[None, :, :])
         for r in range(stop - start):
             d2[r, start + r] = np.inf
         rowmin = d2.min(axis=1)
@@ -243,19 +234,26 @@ def check_packing(dataset, radii):
     a non-empty return means corrupted inputs.  Pairs come as (i, j) with
     i < j, sorted by i, then j.  Radii must be finite and positive.
 
-    O(n log n) for radii of nearest-neighbor size.  A pair can violate only
-    when its distance is below (r_i + r_j)/2 <= max(r_i, r_j), so the ball
-    of radius r around one of its two points holds the other: the tree
-    shortlists those, and each shortlisted pair is decided by recomputed
-    distances alone.  :func:`check_packing_brute_force` is the O(n^2)
-    oracle.
+    :func:`check_packing_brute_force` is the O(n^2) oracle.
     """
-    radii = _checked_radii(dataset, radii)
-    points = dataset.points
-    src, dst = _ball_pairs(cKDTree(points), points, radii)
-    key = np.unique(np.minimum(src, dst) * dataset.n + np.maximum(src, dst))
-    i, j = np.divmod(key, dataset.n)
-    dist = np.sqrt(_sq_dists(points[i], points[j]))
+    return _violating_pairs(dataset.points, _checked_radii(dataset, radii))
+
+
+def _violating_pairs(points, radii):
+    """:func:`check_packing` on raw (m, d) points and valid radii, m >= 1.
+
+    Below ``BRUTE_FORCE_MAX_N`` points every pair is decided; above, a tree
+    shortlists the points within r_i of each x_i, which holds every pair
+    closer than (r_i + r_j)/2.  At 2 r_i these are overlapping B(x_i, r_i).
+    """
+    n = len(points)
+    if n < BRUTE_FORCE_MAX_N:
+        i, j = np.nonzero(np.arange(n)[:, None] < np.arange(n))
+    else:
+        src, dst = _ball_pairs(cKDTree(points), points, radii)
+        i, j = np.divmod(np.unique(np.minimum(src, dst) * n
+                                   + np.maximum(src, dst)), n)
+    dist = np.sqrt(_sq_norm(points[i] - points[j]))
     bad = dist < (radii[i] + radii[j]) / 2.0
     return list(zip(i[bad].tolist(), j[bad].tolist()))
 
@@ -268,7 +266,8 @@ def check_packing_brute_force(dataset, radii):
     violations = []
     for start in range(0, n, _ORACLE_BLOCK):
         stop = min(start + _ORACLE_BLOCK, n)
-        dist = np.sqrt(_sq_dists(points[start:stop, None, :], points[None, :, :]))
+        dist = np.sqrt(_sq_norm(points[start:stop, None, :]
+                                - points[None, :, :]))
         limit = (radii[start:stop, None] + radii[None, :]) / 2.0
         bad = dist < limit
         for r in range(stop - start):
@@ -292,7 +291,7 @@ def perturbation_changed_radii(dataset, index, replacement):
     moved = dataset.points.copy()
     moved[index] = replacement
     others = np.delete(moved, index, axis=0)
-    if np.min(_sq_dists(others, replacement[None, :])) == 0.0:
+    if np.min(_sq_norm(others - replacement[None, :])) == 0.0:
         raise DuplicatePoints("replacement coincides with another point")
     after = _nn_sq_dists(moved)
     return int(np.count_nonzero(dataset.nn_sq_dists != after))

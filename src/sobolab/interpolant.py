@@ -3,8 +3,10 @@
 Given a dataset and its nearest-neighbor radii, place around every point a
 bump of support radius ``s * delta_i / 2`` (shrink ``s`` in (0, 1]) scaled
 by its label.  Half-radius balls are pairwise disjoint, so the construction
-interpolates exactly, at most one bump is active anywhere, and every
-W^{k,p} seminorm is a finite sum of analytically scaled reference moduli:
+interpolates exactly, at most one bump is active anywhere (the strict
+nearest center's, so :func:`evaluate` pairs each point with that center
+only), and every W^{k,p} seminorm is a finite sum of analytically scaled
+reference moduli:
 
     integral |D^alpha f|^p = sum_i |y_i|^p r_i^(d - |alpha| p) M_alpha.
 
@@ -22,7 +24,7 @@ import numpy as np
 from scipy.spatial import cKDTree
 
 from . import geometry
-from .bump import SobolevParams, bump_eval, profile_values
+from .bump import SobolevParams, _sum_over_pairs, bump_eval
 from .errors import (
     DuplicatePoints,
     InvalidShrink,
@@ -68,7 +70,7 @@ class BumpInterpolant:
             if np.min(nn_sq) == 0.0:
                 raise DuplicatePoints("two bump centers coincide")
             # r_i <= delta_i / 2 makes the active bump the strict nearest
-            # center; evaluate() relies on this.
+            # center, the only center evaluate() pairs a point with.
             if np.any(radii > np.sqrt(nn_sq) / 2.0):
                 raise InvalidShrink(
                     "support radii exceed half the nearest-neighbor distance"
@@ -86,10 +88,6 @@ class BumpInterpolant:
     @property
     def dim(self):
         return self.centers.shape[1]
-
-    @property
-    def sup_abs(self):
-        return float(np.max(np.abs(self.weights), initial=0.0))
 
     def __call__(self, x):
         return evaluate(self, x)
@@ -121,25 +119,20 @@ def build(dataset, radii, shrink, params):
 def evaluate(f, x):
     """f(x), batched; at most one bump is active at any point.
 
-    The active bump's center is always the strict nearest center (supports
-    are disjoint half-radius balls), so a single nearest-neighbor query
-    suffices; the brute-force sum over all bumps is bit-identical because
-    the inactive bumps contribute exact zeros.
+    Each point is paired with its nearest center within the largest
+    support radius, the only center whose bump can be active there; the
+    bumps left out add exact zeros to :func:`evaluate_brute_force`'s sum,
+    so both agree bit for bit.
     """
-    x = np.asarray(x, dtype=float)
-    single = x.ndim == 1
-    pts = x[None, :] if single else x.reshape(-1, x.shape[-1])
-    tree = cKDTree(f.centers)
-    _, idx = tree.query(pts)
-    active_c = f.centers[idx]
-    active_r = f.support_radii[idx]
-    t = geometry._sq_norm((pts - active_c) / active_r[:, None])
-    # + 0.0 normalizes -0.0 from negative weights times an exact zero, so
-    # the result matches the brute-force sum bit for bit.
-    out = f.weights[idx] * profile_values(t) + 0.0
-    if single:
-        return float(out[0])
-    return out.reshape(x.shape[:-1])
+    reach = float(np.max(f.support_radii)) * (1.0 + geometry._REACH_SLACK)
+
+    def nearest_center(pts):
+        _, idx = cKDTree(f.centers).query(pts, distance_upper_bound=reach)
+        point = np.flatnonzero(idx < f.n)
+        return idx[point], point
+
+    return _sum_over_pairs((0,) * f.dim, f.centers, f.support_radii,
+                           f.weights, x, nearest_center)
 
 
 def evaluate_brute_force(f, x):
@@ -152,9 +145,8 @@ def evaluate_brute_force(f, x):
 
 
 def check_support_disjointness(f):
-    """Support balls pairwise disjoint: reuses the packing check on 2 r_i."""
-    dataset = geometry.Dataset(points=f.centers, labels=f.weights)
-    return geometry.check_packing(dataset, 2.0 * f.support_radii)
+    """Overlapping support balls: the packing decision on 2 r_i."""
+    return geometry._violating_pairs(f.centers, 2.0 * f.support_radii)
 
 
 def sobolev_norm(f, moduli):

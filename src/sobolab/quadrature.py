@@ -94,6 +94,7 @@ def adaptive_box(f, bounds, rel_tol=1e-8, start_panels=1, max_doublings=6,
         if err <= rel_tol * max(abs(cur), 1e-300):
             return cur, panels, err
         prev = cur
+    per_axis = " per axis" if len(bounds) > 1 else ""
     raise QuadratureNotConverged(
-        f"no convergence to rel {rel_tol:g} after {panels} panels per axis"
+        f"no convergence to rel {rel_tol:g} after {panels} panels{per_axis}"
     )

@@ -66,3 +66,16 @@ def random_dataset(rng, n, d, box=1.0):
 
     pts = rng.uniform(-box, box, size=(n, d))
     return Dataset(points=pts, labels=rng.standard_normal(n))
+
+
+def support_probes(centers, radii):
+    """Points exactly on c_i +- r_i e_j and c_i +- (r_i / 2) e_j for every
+    bump i and axis j, and two points beyond every support."""
+    centers = np.asarray(centers, dtype=float)
+    d = centers.shape[1]
+    steps = np.concatenate([np.eye(d), -np.eye(d)])
+    probes = [c + s * step for c, r in zip(centers, radii)
+              for s in (r, r / 2.0) for step in steps]
+    reach = 2.0 * float(np.max(radii)) + 1.0
+    probes += [centers.min(axis=0) - reach, centers.max(axis=0) + reach]
+    return np.array(probes)

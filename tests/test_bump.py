@@ -1,5 +1,6 @@
 import math
 import time
+import warnings
 
 import mpmath
 import numpy as np
@@ -7,7 +8,7 @@ import pytest
 from hypothesis import given, strategies as st
 from scipy.integrate import quad
 
-from sobolab import bump, quadrature
+from sobolab import bump, geometry, quadrature
 from sobolab.errors import (
     InvalidRange,
     MalformedInput,
@@ -19,6 +20,7 @@ from sobolab.errors import (
     UnsupportedOrder,
 )
 
+from conftest import support_probes
 from fdiff import fd_partial
 
 
@@ -99,14 +101,6 @@ class TestProfile:
             assert bump.profile_eval(t, j) == pytest.approx(
                 want, rel=1e-12, abs=0.0)
 
-    def test_taylor_stacks_scaled_derivatives(self):
-        t = np.array([[0.1, 0.3], [0.7, 1.2]])
-        coefs = bump.profile_taylor(t, 3)
-        assert coefs.shape == (4, 2, 2)
-        for j in range(4):
-            assert np.array_equal(coefs[j] * math.factorial(j),
-                                  bump.profile_eval(t, j))
-
 
 def _mp_profile(t, j):
     """phi^(j)(t) by mpmath differentiation at 50 digits, as a float.
@@ -141,6 +135,32 @@ def _partial_cases(draw):
                                        max_size=d)
                               .filter(lambda v: np.linalg.norm(v) > 0.1)))
     return alpha, center, delta, direction / np.linalg.norm(direction)
+
+
+@st.composite
+def _bump_sums(draw):
+    """A sum of 1-5 disjoint bumps in d = 1..3 and a multi-index |alpha| <= 3.
+
+    Centers step along the first axis by r_i + r_(i+1) plus a gap, and every
+    coordinate is a multiple of 1/64, so supports with no gap and no lateral
+    offset touch exactly.  Neighbours of unequal radii break
+    r_i <= delta_i / 2, which a sum of bumps does not promise.
+    """
+    d = draw(st.integers(1, 3))
+    m = draw(st.integers(1, 5))
+    radii = np.array(draw(st.lists(st.integers(1, 32), min_size=m,
+                                   max_size=m))) / 64.0
+    gaps = np.array(draw(st.lists(st.sampled_from([0, 0, 1, 5, 20]),
+                                  min_size=m - 1, max_size=m - 1))) / 64.0
+    centers = np.zeros((m, d))
+    centers[1:, 0] = np.cumsum(radii[:-1] + radii[1:] + gaps)
+    centers[:, 1:] = np.array(draw(st.lists(
+        st.sampled_from([0, 0, 3, -7]), min_size=m * (d - 1),
+        max_size=m * (d - 1)))).reshape(m, d - 1) / 64.0
+    weights = np.array(draw(st.lists(st.floats(-3.0, 3.0), min_size=m,
+                                     max_size=m)))
+    alpha = draw(st.sampled_from(bump.multi_indices(d, bump.MAX_ORDER)))
+    return bump.BumpSum(centers=centers, radii=radii, weights=weights), alpha
 
 
 class TestBumpEval:
@@ -255,6 +275,26 @@ class TestBumpPartial:
             assert got[i, j] == bump.bump_partial((1, 1), c, 1.0, x[i, j])
         assert bump.bump_partial((1, 1), c, 1.0, np.zeros((0, 2))).shape == (0,)
 
+    @pytest.mark.parametrize("alpha", [(0, 0), (1, 0), (1, 1), (0, 3)])
+    def test_per_point_centers_and_radii(self, alpha):
+        # numpy's array power rounds about 5% of r^-2 and r^-3 differently
+        # from a Python-float power; 600 points, most on the band, show it
+        rng = np.random.default_rng(sum(alpha))
+        centers = rng.uniform(-1, 1, size=(20, 30, 2))
+        radii = rng.uniform(0.2, 2.0, size=(20, 30))
+        x = centers + radii[..., None] * rng.uniform(-0.8, 0.8,
+                                                     size=(20, 30, 2))
+        got = bump.bump_partial(alpha, centers, radii, x)
+        assert got.shape == (20, 30)
+        for i, j in np.ndindex(20, 30):
+            want = bump.bump_partial(alpha, centers[i, j], float(radii[i, j]),
+                                     x[i, j])
+            assert (np.float64(got[i, j]).tobytes()
+                    == np.float64(want).tobytes())
+        with pytest.raises(NonpositiveRadius):
+            bump.bump_partial(alpha, centers,
+                              np.where(radii > 1.0, radii, 0.0), x)
+
     def test_order_cap_and_shape_checks(self):
         with pytest.raises(UnsupportedOrder):
             bump.bump_partial((2, 2), np.zeros(2), 1.0, np.zeros(2))
@@ -302,6 +342,76 @@ class TestBumpSum:
         assert f.sup_abs == 4.0
         assert f(np.array([2.0])) == -4.0
         assert f(np.array([1.0])) == 0.0
+
+    def test_touching_supports_accepted(self):
+        f = bump.BumpSum(centers=[[0.0], [1.0]], radii=[0.5, 0.5],
+                         weights=[1.0, 1.0])
+        assert f(np.array([0.5])) == 0.0
+
+    @pytest.mark.parametrize("centers, first", [
+        ([[0.0], [0.1], [0.2]], (0, 1)),
+        ([[5.0], [0.0], [0.1], [5.1]], (0, 3)),
+    ])
+    def test_first_overlapping_pair_named(self, centers, first):
+        with pytest.raises(MismatchedLengths,
+                           match=f"bumps {first[0]} and {first[1]} overlap"):
+            bump.BumpSum(centers=centers, radii=[0.3] * len(centers),
+                         weights=[1.0] * len(centers))
+
+    def test_single_bump(self):
+        f = bump.BumpSum(centers=[[0.2, 0.1]], radii=[0.4], weights=[-2.0])
+        assert f(np.array([0.2, 0.1])) == -2.0
+        assert geometry._violating_pairs(f.centers, 2.0 * f.radii) == []
+
+    @given(seed=st.integers(0, 2 ** 32 - 1), m=st.integers(64, 256),
+           d=st.integers(1, 3), spread=st.sampled_from([0.0, 0.5]))
+    def test_overlap_verdict_equals_brute_force(self, seed, m, d, spread):
+        rng = np.random.default_rng(seed)
+        ds = geometry.Dataset(points=rng.uniform(-1, 1, size=(m, d)),
+                              labels=np.zeros(m))
+        radii = geometry.nn_radii(ds) / 2.0 * rng.uniform(
+            1.0 - spread, 1.0 + spread, size=m)
+        want = geometry.check_packing_brute_force(ds, 2.0 * radii)
+        assert geometry._violating_pairs(ds.points, 2.0 * radii) == want
+        if spread == 0.0:
+            assert want == []
+        args = dict(centers=ds.points, radii=radii, weights=np.ones(m))
+        if want:
+            with pytest.raises(MismatchedLengths,
+                               match=f"bumps {want[0][0]} and {want[0][1]} "):
+                bump.BumpSum(**args)
+        else:
+            bump.BumpSum(**args)
+
+    @pytest.mark.parametrize("shape", [(4, 3), (3,), (2, 2, 1)])
+    def test_wrong_point_dimension(self, shape):
+        f = bump.BumpSum(centers=[[0.0, 0.0]], radii=[1.0], weights=[1.0])
+        with pytest.raises(MismatchedLengths, match="dimension"):
+            f(np.zeros(shape))
+
+    def test_empty_batch(self):
+        f = bump.BumpSum(centers=[[0.0, 0.0]], radii=[1.0], weights=[1.0])
+        assert f(np.zeros((0, 2))).shape == (0,)
+        assert f.partial((1, 0), np.zeros((2, 0, 2))).shape == (2, 0)
+
+    @given(case=_bump_sums(), seed=st.integers(0, 2 ** 32 - 1))
+    def test_property_equals_per_bump_sum(self, case, seed):
+        u, alpha = case
+        rng = np.random.default_rng(seed)
+        lo = u.centers.min(axis=0) - u.radii.max()
+        hi = u.centers.max(axis=0) + u.radii.max()
+        pts = np.vstack([support_probes(u.centers, u.radii),
+                         rng.uniform(lo, hi, size=(40, u.dim))])
+        half = len(pts) // 2
+        batches = (pts, pts[:2 * half].reshape(2, half, u.dim), pts[0],
+                   pts[-1])
+        for x in batches:
+            got = u.partial(alpha, x)
+            want = np.zeros(x.shape[:-1])
+            for c, r, w in zip(u.centers, u.radii, u.weights):
+                want = want + w * bump.bump_partial(alpha, c, float(r), x)
+            assert np.shape(got) == want.shape
+            assert np.asarray(got).tobytes() == want.tobytes()
 
 
 class TestModuli:
@@ -495,6 +605,23 @@ class TestExactModuli:
         with pytest.raises(QuadratureNotConverged):
             bump.reference_moduli(bump.SobolevParams(*kpd))
         assert time.perf_counter() - start < 5.0
+
+    def test_box_power_overflow_raises_without_warnings(self):
+        # |psi'|^1001 leaves the double range on the odd-p box path
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            with pytest.raises(QuadratureNotConverged,
+                               match="overflows the double range"):
+                bump.reference_moduli(bump.SobolevParams(1, 1001.0, 1))
+
+    def test_one_axis_ladder_names_panels_not_per_axis(self):
+        with pytest.raises(QuadratureNotConverged,
+                           match=r"after 256 panels$"):
+            bump.reference_moduli(bump.SobolevParams(1, 1e20, 1))
+        with pytest.raises(QuadratureNotConverged,
+                           match=r"after 1 panels per axis$"):
+            quadrature.adaptive_box(lambda pts: pts[:, 0], [(0, 1), (0, 1)],
+                                    max_doublings=0)
 
     def test_no_doublings_raises(self):
         with pytest.raises(QuadratureNotConverged):

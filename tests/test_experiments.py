@@ -1,5 +1,6 @@
 import math
 import threading
+import typing
 
 import numpy as np
 import pytest
@@ -67,6 +68,10 @@ class TestFit:
 
 
 class TestValidation:
+    def test_config_annotations_resolve(self):
+        hints = typing.get_type_hints(experiments.SweepConfig)
+        assert hints["params"] is bump.SobolevParams
+
     def test_beta_boundary_rejected(self, params_d2):
         spec = model.DistributionSpec(params=params_d2)
         cfg = small_config(params_d2, spec, kind="weighted_delta_sum",

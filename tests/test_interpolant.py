@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from sobolab import bump, geometry, interpolant, model, quadrature
 from sobolab.errors import (
@@ -11,7 +12,7 @@ from sobolab.errors import (
 )
 from sobolab.geometry import Dataset
 
-from conftest import random_dataset
+from conftest import CANONICAL, random_dataset, support_probes
 
 
 def line_dataset(xs, ys):
@@ -118,11 +119,46 @@ class TestEvaluate:
         f = built(line_dataset([0, 1], [5, -7]), 1.0, params_d1)
         assert interpolant.evaluate(f, np.array([100.0])) == 0.0
 
+    @given(seed=st.integers(0, 2 ** 32 - 1), n=st.integers(2, 80),
+           d=st.integers(1, 3), shrink=st.sampled_from([1.0, 0.5, 0.25]))
+    def test_property_bit_identical_on_support_probes(self, seed, n, d,
+                                                      shrink):
+        rng = np.random.default_rng(seed)
+        f = built(random_dataset(rng, n, d), shrink,
+                  bump.SobolevParams(**CANONICAL[d]))
+        pts = np.vstack([support_probes(f.centers, f.support_radii),
+                         rng.uniform(-1.2, 1.2, size=(40, d))])
+        half = len(pts) // 2
+        for x in (pts, pts[:2 * half].reshape(2, half, d), pts[0], pts[-1]):
+            got = interpolant.evaluate(f, x)
+            want = interpolant.evaluate_brute_force(f, x)
+            assert np.shape(got) == np.shape(want)
+            assert np.asarray(got).tobytes() == np.asarray(want).tobytes()
+
+    @pytest.mark.parametrize("shape", [(4, 3), (3,), (2, 2, 1)])
+    def test_wrong_point_dimension(self, params_d2, shape):
+        f = built(random_dataset(np.random.default_rng(4), 20, 2), 1.0,
+                  params_d2)
+        with pytest.raises(MismatchedLengths, match="dimension"):
+            interpolant.evaluate(f, np.zeros(shape))
+
+    def test_empty_batch(self, params_d2):
+        f = built(random_dataset(np.random.default_rng(4), 20, 2), 1.0,
+                  params_d2)
+        assert interpolant.evaluate(f, np.zeros((0, 2))).shape == (0,)
+
     def test_support_disjointness_check(self, params_d2):
         rng = np.random.default_rng(17)
         ds = random_dataset(rng, 100, 2)
         f = built(ds, 1.0, params_d2)
         assert interpolant.check_support_disjointness(f) == []
+
+    def test_support_disjointness_single_bump(self, params_d1):
+        f = interpolant.BumpInterpolant(
+            centers=[[0.0]], support_radii=[0.3], weights=[1.0], shrink=1.0,
+            params=params_d1)
+        assert interpolant.check_support_disjointness(f) == []
+        assert interpolant.evaluate(f, np.array([0.0])) == 1.0
 
 
 class TestSobolevNorm:
