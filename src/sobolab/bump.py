@@ -154,7 +154,7 @@ def _band_derivatives(t, order):
 
 
 def profile_eval(t, derivative_order=0):
-    """phi^(j)(t) for j <= 3; scalar in, scalar out."""
+    """phi^(j)(t) for j <= 3, vectorized; a scalar t gives a float."""
     j = int(derivative_order)
     if not (0 <= j <= MAX_ORDER):
         raise UnsupportedOrder(f"profile derivatives implemented up to {MAX_ORDER}")
@@ -396,12 +396,8 @@ def _partial_power_box(alpha, p, delta):
     center = np.zeros(len(alpha))
 
     def integrand(pts):
-        with np.errstate(over="ignore"):
-            values = np.abs(bump_partial(alpha, center, delta, pts)) ** p
-        if not np.isfinite(values).all():
-            raise QuadratureNotConverged(
-                f"|D^{alpha} psi|^{p} overflows the double range")
-        return values
+        with np.errstate(over="ignore"):  # the ladder raises on inf
+            return np.abs(bump_partial(alpha, center, delta, pts)) ** p
 
     return integrand, [(0.0, delta)] * len(alpha)
 
@@ -522,17 +518,14 @@ def _even_power_modulus(alpha, p, rel_tol=1e-8, max_doublings=6,
         g = [c * (2.0 * r) ** sum(w) * profile_eval(u, m)
              for m, c, w in terms]
         acc = 0.0
-        with np.errstate(over="ignore", invalid="ignore"):
+        with np.errstate(over="ignore", invalid="ignore"):  # ladder raises
             for weight, n in expansion:
                 term = weight
                 for gt, nt in zip(g, n):
                     if nt:
                         term = term * gt ** nt
                 acc = acc + term
-        if not np.isfinite(acc).all():
-            raise QuadratureNotConverged(
-                f"|D^{alpha} psi_1|^{p} overflows the double range")
-        return acc * r ** (d - 1)
+            return acc * r ** (d - 1)
 
     value, panels, err = quadrature.adaptive_box(
         radial, [(PLATEAU_END ** 0.5, SUPPORT_END)],

@@ -242,17 +242,16 @@ def check_packing(dataset, radii):
 def _violating_pairs(points, radii):
     """:func:`check_packing` on raw (m, d) points and valid radii, m >= 1.
 
-    Below ``BRUTE_FORCE_MAX_N`` points every pair is decided; above, a tree
-    shortlists the points within r_i of each x_i, which holds every pair
-    closer than (r_i + r_j)/2.  At 2 r_i these are overlapping B(x_i, r_i).
+    A pair can violate only when its distance is below (r_i + r_j)/2 <=
+    max(r_i, r_j), so the ball of radius r around one of its two points
+    holds the other: the tree shortlists those, and each shortlisted pair is
+    decided by recomputed distances alone.  At 2 r_i the violating pairs
+    are the overlapping balls B(x_i, r_i).
     """
     n = len(points)
-    if n < BRUTE_FORCE_MAX_N:
-        i, j = np.nonzero(np.arange(n)[:, None] < np.arange(n))
-    else:
-        src, dst = _ball_pairs(cKDTree(points), points, radii)
-        i, j = np.divmod(np.unique(np.minimum(src, dst) * n
-                                   + np.maximum(src, dst)), n)
+    src, dst = _ball_pairs(cKDTree(points), points, radii)
+    key = np.unique(np.minimum(src, dst) * n + np.maximum(src, dst))
+    i, j = np.divmod(key, n)
     dist = np.sqrt(_sq_norm(points[i] - points[j]))
     bad = dist < (radii[i] + radii[j]) / 2.0
     return list(zip(i[bad].tolist(), j[bad].tolist()))

@@ -14,7 +14,7 @@ results deterministic and independent of chunk-level parallelism.
 from __future__ import annotations
 
 from functools import lru_cache
-from math import prod
+from math import isfinite, prod
 
 import numpy as np
 
@@ -83,18 +83,24 @@ def adaptive_box(f, bounds, rel_tol=1e-8, start_panels=1, max_doublings=6,
 
     Converged once two successive refinements agree to ``rel_tol`` in
     relative terms (absolute terms for integrals indistinguishable from
-    zero).  Raises :class:`QuadratureNotConverged` when the cap is hit.
+    zero).  Raises :class:`QuadratureNotConverged` when the cap is hit, or
+    at the first level whose sum is not finite: an integrand that overflows
+    can never converge.
     """
-    panels = start_panels
-    prev = integrate_box(f, bounds, panels, order=order)
-    for _ in range(max_doublings):
-        panels *= 2
-        cur = integrate_box(f, bounds, panels, order=order)
-        err = abs(cur - prev)
-        if err <= rel_tol * max(abs(cur), 1e-300):
-            return cur, panels, err
-        prev = cur
     per_axis = " per axis" if len(bounds) > 1 else ""
+    prev = None
+    for level in range(max_doublings + 1):
+        panels = start_panels << level
+        cur = integrate_box(f, bounds, panels, order=order)
+        if not isfinite(cur):
+            raise QuadratureNotConverged(
+                f"integral is {cur} at {panels} panels{per_axis}: the "
+                f"integrand overflows the double range")
+        if prev is not None:
+            err = abs(cur - prev)
+            if err <= rel_tol * max(abs(cur), 1e-300):
+                return cur, panels, err
+        prev = cur
     raise QuadratureNotConverged(
         f"no convergence to rel {rel_tol:g} after {panels} panels{per_axis}"
     )

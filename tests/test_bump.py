@@ -540,7 +540,7 @@ class TestExactModuli:
     @pytest.mark.parametrize("value", [math.inf, math.nan, 0.0])
     def test_ladder_value_not_finite_and_positive_raises(self, monkeypatch,
                                                          value):
-        # the ladder accepts inf after a finite level (inf <= rel_tol * inf)
+        # the modulus is checked again after the ladder, whatever it returns
         monkeypatch.setattr(quadrature, "adaptive_box",
                             lambda *args, **kw: (value, 8, value))
         with pytest.raises(QuadratureNotConverged, match="double range"):
@@ -613,6 +613,19 @@ class TestExactModuli:
             with pytest.raises(QuadratureNotConverged,
                                match="overflows the double range"):
                 bump.reference_moduli(bump.SobolevParams(1, 1001.0, 1))
+
+    @pytest.mark.parametrize("value", [math.inf, math.nan])
+    def test_ladder_raises_at_first_level_not_finite(self, value):
+        calls = []
+
+        def f(pts):
+            calls.append(len(pts))
+            return np.full(len(pts), value if len(calls) > 1 else 1.0)
+
+        with pytest.raises(QuadratureNotConverged,
+                           match=r"at 2 panels: the integrand overflows"):
+            quadrature.adaptive_box(f, [(0.0, 1.0)])
+        assert len(calls) == 2
 
     def test_one_axis_ladder_names_panels_not_per_axis(self):
         with pytest.raises(QuadratureNotConverged,
