@@ -183,7 +183,8 @@ def _scaled_offsets(center, delta, x):
             f"points of dimension {x.shape[-1:]} for a center of dimension "
             f"{center.shape[-1:]}"
         )
-    return (x - center) / delta[..., None]
+    # a 0-d delta keeps numpy's array-by-scalar loop, which is faster
+    return (x - center) / (delta[..., None] if delta.ndim else delta)
 
 
 def bump_eval(center, delta, x):
@@ -551,7 +552,8 @@ def reference_moduli(params, rel_tol=1e-8, max_doublings=6,
     Every other p takes the adaptive box quadrature of
     :func:`integrate_partial_power` over [0, 1]^d from 1 panel per axis,
     stopped at ``rel_tol``.  Either ladder raises
-    :class:`QuadratureNotConverged` after ``max_doublings`` doublings.
+    :class:`QuadratureNotConverged` after ``max_doublings`` doublings, or
+    at the first level whose integrand overflows.
 
     psi_1 is radial, so M_alpha is exactly invariant under permutations of
     alpha; only one representative per permutation class is integrated and
