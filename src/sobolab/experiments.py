@@ -19,7 +19,11 @@ bound, subset membership conditions) are checked inline on every trial with
 zero tolerance; statistical contracts (fitted slopes, plateau ratios,
 subset-size frequencies) are evaluated on per-n medians, never on single
 trials.  ``morrey`` draws random bump sums instead of datasets and has its
-own runner, :func:`_run_morrey`.
+own runner, :func:`_run_morrey`.  Its exact variant (d = k = 1) draws
+``MORREY_BLOCK`` trials at a time and runs each block's quadrature ladders
+together, one refinement level at a time, with one ``bump_partial`` call
+per level for the whole block (:func:`morrey_exact_batch`); every trial
+still gets the bits of a ladder run on its own.
 """
 
 from __future__ import annotations
@@ -33,17 +37,29 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from . import geometry, interpolant, model, rkhs, risk
-from .bump import BumpSum, SobolevParams, multi_indices, reference_moduli
+from . import geometry, interpolant, model, quadrature, rkhs, risk
+from .bump import (
+    PLATEAU_END,
+    SUPPORT_END,
+    BumpSum,
+    SobolevParams,
+    bump_partial,
+    multi_indices,
+    reference_moduli,
+)
 from .errors import (
     ConfigInvalid,
     InvalidRange,
+    MalformedInput,
+    MismatchedLengths,
+    NonpositiveRadius,
     QuadratureNotConverged,
     UnsupportedExactVariant,
     UnsupportedNu,
     UnsupportedSpec,
 )
-from .quadrature import integrate_1d, integrate_box
+from .geometry import _sq_norm
+from .quadrature import integrate_box
 
 CSV_COLUMNS = ("sweep", "n", "trial", "seed", "metric", "value", "stderr")
 
@@ -54,6 +70,14 @@ SLOPE_TOL = 0.3
 DELTA_SLOPE_TOL = 0.2
 GAMMA_SLOPE_SLACK = 0.75
 SUBSET_FREQUENCY = 0.95
+
+# Trials per block of the exact Morrey ladder.  It bounds the flat node
+# arrays of a block: at most 26 panels per trial, halved six times, with 16
+# nodes each, so some 430k nodes (3.4 MB per array) at the deepest level.
+# Blocks of this size already share out nearly all of the per-call overhead.
+MORREY_BLOCK = 16
+# Halvings of every panel before the Morrey ladder gives up.
+_MORREY_HALVINGS = 6
 
 
 @dataclass(frozen=True)
@@ -491,44 +515,161 @@ def _random_bump_sum(rng, d, max_bumps=5, box=1.0):
     return BumpSum(centers=centers, radii=radii, weights=weights)
 
 
-def morrey_exact_trial(u, x0, x1, delta, p, rel_tol=1e-10):
-    """One exact-variant check; returns (lhs, rhs) of the inequality.
+def _morrey_inputs(sums, x0, x1, delta, p):
+    """One batch's inputs, checked: arrays x0, x1, delta and a float p."""
+    p = float(p)
+    if not (math.isfinite(p) and p >= 1.0):
+        raise InvalidRange(f"p must lie in [1, inf), got {p}")
+    x0, x1, delta = (np.array(v, dtype=float).reshape(-1)
+                     for v in (x0, x1, delta))
+    if not len(sums) == len(x0) == len(x1) == len(delta):
+        raise MismatchedLengths("sums, x0, x1 and delta must align")
+    if not all(u.dim == 1 for u in sums):
+        raise MismatchedLengths("the exact Morrey check takes bump sums in d = 1")
+    for name, v in (("x0", x0), ("x1", x1), ("delta", delta)):
+        if not np.isfinite(v).all():
+            raise MalformedInput(f"{name} must be finite")
+    if not np.all(delta > 0.0):
+        raise NonpositiveRadius("delta must be positive")
+    return x0, x1, delta, p
 
-    |u(x1) - u(x0)|^p <= (2 delta)^(p-1) * integral_{B(x0, 2 delta)} |u'|^p
-    is the Hoelder route through the fundamental theorem of calculus; the
-    integral is evaluated by panel quadrature with breakpoints at support
-    and plateau boundaries, halving every panel until two estimates agree
-    to ``rel_tol``.  Raises :class:`QuadratureNotConverged` if six halvings
-    do not get there.
+
+def morrey_exact_batch(sums, x0, x1, delta, p, rel_tol=1e-10):
+    """(lhs, rhs) of the exact-variant check for each trial, in trial order.
+
+    Trial t checks, for the d = 1 bump sum u = ``sums[t]``,
+
+        |u(x1) - u(x0)|^p <= (2 delta)^(p-1) integral_{B(x0, 2 delta)} |u'|^p,
+
+    the Hoelder route through the fundamental theorem of calculus.  The
+    integral is a panel quadrature with breakpoints at the support and
+    plateau edges, halving every panel until two levels agree to
+    ``rel_tol``.  The trials run in blocks of ``MORREY_BLOCK``, which bounds
+    the node arrays (see :func:`_morrey_block`).  Raises
+    :class:`QuadratureNotConverged`, naming the interval of the first such
+    trial, if six halvings do not get a trial there.
     """
-    lhs = abs(u(np.array([x1])) - u(np.array([x0]))) ** p
-    a, b = x0 - 2.0 * delta, x0 + 2.0 * delta
-    cuts = {a, b}
-    for c, r in zip(u.centers[:, 0], u.radii):
-        for edge in (c - r, c - r / 2.0, c, c + r / 2.0, c + r):
-            if a < edge < b:
-                cuts.add(float(edge))
-    breaks = np.array(sorted(cuts))
+    x0, x1, delta, p = _morrey_inputs(sums, x0, x1, delta, p)
+    out = []
+    for s in range(0, len(sums), MORREY_BLOCK):
+        block = slice(s, s + MORREY_BLOCK)
+        out.extend(_morrey_block(sums[block], x0[block], x1[block],
+                                 delta[block], p, rel_tol))
+    return out
 
-    def f(xs):
-        return np.abs(u.partial((1,), xs[:, None])) ** p
 
-    prev = integrate_1d(f, breaks)
-    refined = breaks
-    for _ in range(6):
-        mids = (refined[:-1] + refined[1:]) / 2.0
-        refined = np.sort(np.concatenate([refined, mids]))
-        cur = integrate_1d(f, refined)
-        if abs(cur - prev) <= rel_tol * max(abs(cur), 1e-300):
-            break
-        prev = cur
-    else:
+def morrey_exact_trial(u, x0, x1, delta, p, rel_tol=1e-10):
+    """(lhs, rhs) of one exact-variant check, as a batch of one trial.
+
+    The same code as :func:`morrey_exact_batch`, so a trial checked alone
+    gets the bits it gets in any block; alone, it pays the per-level
+    overhead that a block of ``MORREY_BLOCK`` trials shares.
+    """
+    (lhs, rhs), = morrey_exact_batch([u], [x0], [x1], [delta], p, rel_tol)
+    return lhs, rhs
+
+
+def _morrey_block(sums, x0, x1, delta, p, rel_tol):
+    """One block of :func:`morrey_exact_batch`, one level at a time.
+
+    Each trial's breakpoints hold the ends of [x0 - 2 delta, x0 + 2 delta]
+    and every edge c +- r, c +- r/2 and centre c inside it, so a panel lies
+    in at most one bump's support.  At each level the panels of the trials
+    that have not converged sit in flat arrays, trial by trial.  Only the
+    nodes of band panels (r/2 < |x - c| < r) go through one per-point
+    :func:`bump_partial` call; every other node holds an exact 0.  Each
+    trial's level sum is one ``np.sum`` over its own segment, zeros
+    included, in the node order of a one-trial ladder, so no trial's bits
+    depend on the others in its block.  u(x0) and u(x1) take one
+    ``bump_partial`` call the same way.
+    """
+    m = len(sums)
+    sizes = [u.n for u in sums]
+    centers = np.concatenate([u.centers[:, 0] for u in sums])
+    radii = np.concatenate([u.radii for u in sums])
+    weights = np.concatenate([u.weights for u in sums])
+    owner = np.repeat(np.arange(m), sizes)
+
+    # u(x1), then u(x0): every point against every bump of its trial, the
+    # pairs in bump order and summed per point, as in BumpSum.partial
+    bump = np.tile(np.arange(len(owner)), 2)
+    point = np.concatenate([owner, owner + m])
+    pts = np.concatenate([x1, x0])[point]
+    inside = _sq_norm(((pts - centers[bump]) / radii[bump])[:, None]) < 1.0
+    bump, point, pts = bump[inside], point[inside], pts[inside]
+    values = bump_partial((0,), centers[bump][:, None], radii[bump],
+                          pts[:, None])
+    at = np.bincount(point, weights=weights[bump] * values, minlength=2 * m)
+    lhs = [abs(float(at[t]) - float(at[m + t])) ** p for t in range(m)]
+
+    # level 0: each trial's breakpoints
+    spans, breaks = [], []
+    for u, c0, d in zip(sums, x0.tolist(), delta.tolist()):
+        a, b = c0 - 2.0 * d, c0 + 2.0 * d
+        cuts = {a, b}
+        for c, r in zip(u.centers[:, 0], u.radii):
+            for edge in (c - r, c - r / 2.0, c, c + r / 2.0, c + r):
+                if a < edge < b:
+                    cuts.add(float(edge))
+        spans.append((a, b))
+        breaks.append(np.array(sorted(cuts)))
+    counts = np.array([len(br) - 1 for br in breaks])
+    lo = np.concatenate([br[:-1] for br in breaks])
+    hi = np.concatenate([br[1:] for br in breaks])
+    # the bump whose open support holds each panel (-1: none), and whether
+    # the panel lies on that bump's band
+    trial = np.repeat(np.arange(m), counts)
+    mid = (lo + hi) / 2.0
+    held = np.full(len(lo), -1)
+    band = np.zeros(len(lo), dtype=bool)
+    first = np.cumsum([0] + sizes[:-1])[trial]
+    for k in range(max(sizes)):
+        j = np.minimum(first + k, len(centers) - 1)
+        sq = ((mid - centers[j]) / radii[j]) ** 2
+        hit = (owner[j] == trial) & (sq < SUPPORT_END)
+        held[hit] = j[hit]
+        band[hit] = sq[hit] > PLATEAU_END
+
+    order = quadrature.GL_ORDER
+    live = np.arange(m)  # the trials not yet converged, in trial order
+    prev, rhs = [0.0] * m, [None] * m
+    for level in range(_MORREY_HALVINGS + 1):
+        if level:  # each panel becomes its two halves, in panel order
+            mid = (lo + hi) / 2.0
+            lo, hi = (np.stack([lo, mid], axis=1).ravel(),
+                      np.stack([mid, hi], axis=1).ravel())
+            held, band, counts = held.repeat(2), band.repeat(2), 2 * counts
+        on = np.flatnonzero(band)
+        terms = np.zeros(len(lo) * order)
+        if on.size:
+            nodes, wts = quadrature.rule_from_panels(lo[on], hi[on], order)
+            j = held[on].repeat(order)
+            slope = bump_partial((1,), centers[j][:, None], radii[j],
+                                 nodes[:, None])
+            slots = (on[:, None] * order + np.arange(order)).ravel()
+            terms[slots] = np.abs(weights[j] * slope) ** p * wts
+        stops = (np.cumsum(counts) * order).tolist()
+        done = np.zeros(len(live), dtype=bool)
+        for i, (t, n, stop) in enumerate(zip(live.tolist(), counts.tolist(),
+                                             stops)):
+            cur = float(np.sum(terms[stop - n * order:stop]))
+            if level and abs(cur - prev[t]) <= rel_tol * max(abs(cur), 1e-300):
+                rhs[t] = (2.0 * float(delta[t])) ** (p - 1.0) * cur
+                done[i] = True
+            prev[t] = cur
+        if done.any():
+            keep = np.repeat(~done, counts)
+            lo, hi, held, band = lo[keep], hi[keep], held[keep], band[keep]
+            live, counts = live[~done], counts[~done]
+            if not live.size:
+                break
+    if live.size:
+        a, b = spans[live[0]]
         raise QuadratureNotConverged(
             f"Morrey integral over [{a!r}, {b!r}] not converged to rel "
-            f"{rel_tol:g} after {len(refined) - 1} panels"
+            f"{rel_tol:g} after {counts[0]} panels"
         )
-    rhs = (2.0 * delta) ** (p - 1.0) * cur
-    return lhs, rhs
+    return list(zip(lhs, rhs))
 
 
 def _local_sobolev_norm_p(u, x0, delta, params, indices, panels=24):
@@ -548,14 +689,34 @@ def _local_sobolev_norm_p(u, x0, delta, params, indices, panels=24):
     return total ** params.p
 
 
+def _morrey_draw(rng, delta_range):
+    """One exact-variant trial: a bump sum, x0, delta and x1, drawn in this
+    order."""
+    u = _random_bump_sum(rng, 1)
+    x0 = float(rng.uniform(-1.5, 1.5))
+    delta = float(rng.uniform(*delta_range))
+    x1 = x0 + float(rng.uniform(-1.0, 1.0)) * delta
+    return u, x0, x1, delta
+
+
 def morrey_check(params, trials, seed, delta_range=(0.01, 0.75),
                  variant="auto"):
     """Randomized verification of the local oscillation bound.
 
     d = 1, k = 1: the exact Hoelder inequality with 1e-9 slack, zero
-    violations expected.  Otherwise: a boundedness diagnostic of the ratio
-    |u(x1)-u(x0)|^p / (delta^(kp-d) ||u||^p_{local}) across a delta grid.
+    violations expected.  The trials are drawn ``MORREY_BLOCK`` at a time,
+    in the order of one trial after another, and each block goes through
+    :func:`morrey_exact_batch` as one batch.  Otherwise: a boundedness
+    diagnostic of the ratio |u(x1)-u(x0)|^p / (delta^(kp-d)
+    ||u||^p_{local}) across a delta grid.
     """
+    if not (isinstance(trials, (int, np.integer)) and trials >= 1):
+        raise ConfigInvalid(f"trials: need at least 1, got {trials!r}")
+    lo, hi = (float(v) for v in delta_range)
+    if not (math.isfinite(lo) and math.isfinite(hi) and 0.0 < lo <= hi):
+        raise InvalidRange(
+            f"delta_range must satisfy 0 < lo <= hi, both finite; got "
+            f"{tuple(delta_range)}")
     if variant == "auto":
         exact = params.d == 1 and params.k == 1
     elif variant == "exact":
@@ -569,24 +730,24 @@ def morrey_check(params, trials, seed, delta_range=(0.01, 0.75),
     else:
         raise UnsupportedExactVariant(f"unknown variant {variant!r}")
     rng = np.random.default_rng(np.random.SeedSequence([seed, 0x30]))
-    p = params.p
     if exact:
         report = MorreyReport(variant="exact", trials=trials)
-        for t in range(trials):
-            u = _random_bump_sum(rng, 1)
-            x0 = float(rng.uniform(-1.5, 1.5))
-            delta = float(rng.uniform(*delta_range))
-            x1 = x0 + float(rng.uniform(-1.0, 1.0)) * delta
-            lhs, rhs = morrey_exact_trial(u, x0, x1, delta, p)
-            if lhs > rhs + 1e-9:
-                report.violations.append(
-                    {"trial": t, "lhs": lhs, "rhs": rhs, "x0": x0, "x1": x1,
-                     "delta": delta})
+        for start in range(0, trials, MORREY_BLOCK):
+            draws = [_morrey_draw(rng, (lo, hi))
+                     for _ in range(start, min(start + MORREY_BLOCK, trials))]
+            sums, x0s, x1s, deltas = zip(*draws)
+            checked = morrey_exact_batch(sums, x0s, x1s, deltas, params.p)
+            for t, (lhs, rhs), (_, x0, x1, delta) in zip(
+                    range(start, trials), checked, draws):
+                if lhs > rhs + 1e-9:
+                    report.violations.append(
+                        {"trial": t, "lhs": lhs, "rhs": rhs, "x0": x0,
+                         "x1": x1, "delta": delta})
         return report
 
     report = MorreyReport(variant="diagnostic", trials=trials)
     indices = multi_indices(params.d, params.k)
-    deltas = np.geomspace(delta_range[0], delta_range[1], 16)
+    deltas = np.geomspace(lo, hi, 16)
     ratios = np.zeros(len(deltas))
     exponent = params.k * params.p - params.d
     for t in range(trials):

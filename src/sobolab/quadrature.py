@@ -41,10 +41,15 @@ def composite_rule(a, b, panels, order=GL_ORDER):
 def rule_from_breakpoints(breaks, order=GL_ORDER):
     """One Gauss-Legendre panel between each pair of consecutive breakpoints."""
     breaks = np.asarray(breaks, dtype=float)
+    return rule_from_panels(breaks[:-1], breaks[1:], order=order)
+
+
+def rule_from_panels(lo, hi, order=GL_ORDER):
+    """One Gauss-Legendre panel on each [lo_i, hi_i]; ``order`` nodes per
+    panel, panel by panel.  Each node depends on its own panel only."""
     x, w = _gl_nodes(order)
-    lo = breaks[:-1, None]
-    hi = breaks[1:, None]
-    half = 0.5 * (hi - lo)
+    lo = np.asarray(lo, dtype=float)[:, None]
+    half = 0.5 * (np.asarray(hi, dtype=float)[:, None] - lo)
     nodes = (lo + half + half * x).ravel()
     weights = (half * w).ravel()
     return nodes, weights

@@ -2,21 +2,32 @@ import math
 import threading
 import typing
 
+import re
+import warnings
+
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
+from morrey_oracle import morrey_trial_oracle
 from sobolab import bump, config, experiments, model, rkhs
 from sobolab.errors import (
     ConfigInvalid,
     InvalidRange,
+    MalformedInput,
+    MismatchedLengths,
+    NonpositiveRadius,
     QuadratureNotConverged,
+    SobolabError,
     UnsupportedExactVariant,
 )
 from sobolab.experiments import (
+    MORREY_BLOCK,
     SweepConfig,
     derive_seed,
     fit_loglog,
     morrey_check,
+    morrey_exact_batch,
     morrey_exact_trial,
 )
 
@@ -233,6 +244,28 @@ class TestSweeps:
         assert not res.all_passed
 
 
+@st.composite
+def _morrey_trial(draw):
+    """One Morrey trial: 1-5 bumps in a row, some with exactly touching
+    supports (dyadic centres and radii, so the touching is exact), and an
+    interval [x0 - 2 delta, x0 + 2 delta] anywhere from inside one support
+    to clear of every bump."""
+    m = draw(st.integers(1, 5))
+    radii = draw(st.lists(st.integers(16, 512), min_size=m, max_size=m))
+    gaps = draw(st.lists(st.one_of(st.just(0), st.integers(1, 400)),
+                         min_size=m - 1, max_size=m - 1))
+    centers = [draw(st.integers(-1536, 0)) + radii[0]]
+    for gap, r0, r1 in zip(gaps, radii, radii[1:]):
+        centers.append(centers[-1] + r0 + gap + r1)
+    weights = draw(st.lists(st.floats(-5.0, 5.0), min_size=m, max_size=m))
+    u = bump.BumpSum(centers=np.array(centers)[:, None] / 1024.0,
+                     radii=np.array(radii) / 1024.0, weights=weights)
+    x0 = draw(st.floats(-3.0, 3.0))
+    delta = draw(st.floats(0.005, 1.0))
+    x1 = x0 + draw(st.floats(-1.0, 1.0)) * delta
+    return u, x0, x1, delta
+
+
 class TestMorrey:
     def test_constant_function_trivial(self, params_d1):
         u = bump.BumpSum(centers=[[0.0]], radii=[0.3], weights=[0.0])
@@ -254,6 +287,103 @@ class TestMorrey:
         u = bump.BumpSum(centers=[[0.0]], radii=[1.0], weights=[1.0])
         with pytest.raises(QuadratureNotConverged, match="not converged"):
             morrey_exact_trial(u, 0.0, 0.8, 0.9, 2.0, rel_tol=-1.0)
+
+    def test_unconverged_batch_names_first_trial(self):
+        # both trials miss a negative tolerance; the error names the
+        # interval of the first, in the one-trial ladder's words
+        u = bump.BumpSum(centers=[[0.0]], radii=[1.0], weights=[1.0])
+        v = bump.BumpSum(centers=[[0.5]], radii=[0.25], weights=[-2.0])
+        with pytest.raises(QuadratureNotConverged) as caught:
+            morrey_exact_batch([u, v], [0.0, 0.4], [0.8, 0.5], [0.9, 0.1],
+                               2.0, rel_tol=-1.0)
+        with pytest.raises(QuadratureNotConverged) as alone:
+            morrey_trial_oracle(u, 0.0, 0.8, 0.9, 2.0, rel_tol=-1.0)
+        assert str(caught.value) == str(alone.value)
+        assert re.search(r"over \[-1\.8, 1\.8\] not converged to rel -1 "
+                         r"after \d+ panels", str(caught.value))
+
+    @pytest.mark.parametrize("x0, delta", [
+        (2.0, 0.1),      # [a, b] meets no bump: the integral is exactly 0
+        (0.35, 0.05),    # [a, b] covers the outer half of the band only
+        (0.1, 0.05),     # inside the plateau: u' = 0 on all of [a, b]
+    ])
+    def test_edge_intervals_match_oracle(self, x0, delta):
+        u = bump.BumpSum(centers=[[0.0]], radii=[0.4], weights=[1.5])
+        got = morrey_exact_trial(u, x0, x0 + 0.5 * delta, delta, 1.25)
+        assert got == morrey_trial_oracle(u, x0, x0 + 0.5 * delta, delta, 1.25)
+
+    @given(st.sampled_from([1.0, 1.25, 2.0, 3.5]),
+           st.sampled_from([1, MORREY_BLOCK - 1, MORREY_BLOCK,
+                            MORREY_BLOCK + 1]).flatmap(
+               lambda size: st.lists(_morrey_trial(), min_size=size,
+                                     max_size=size)))
+    def test_batch_matches_oracle_bitwise(self, p, trials):
+        sums, x0, x1, delta = zip(*trials)
+        got = morrey_exact_batch(sums, x0, x1, delta, p)
+        want = [morrey_trial_oracle(*trial, p) for trial in trials]
+        assert got == want
+
+    @pytest.mark.parametrize("seed", [0x5EE9, 781508])
+    def test_check_matches_oracle_loop(self, params_d1, seed):
+        trials = 3 * MORREY_BLOCK + 5
+        # the draws of morrey_check, trial after trial, through the oracle
+        rng = np.random.default_rng(np.random.SeedSequence([seed, 0x30]))
+        draws, checked, violations = [], [], []
+        for t in range(trials):
+            u = experiments._random_bump_sum(rng, 1)
+            x0 = float(rng.uniform(-1.5, 1.5))
+            delta = float(rng.uniform(0.01, 0.75))
+            x1 = x0 + float(rng.uniform(-1.0, 1.0)) * delta
+            lhs, rhs = morrey_trial_oracle(u, x0, x1, delta, params_d1.p)
+            draws.append((u, x0, x1, delta))
+            checked.append((lhs, rhs))
+            if lhs > rhs + 1e-9:
+                violations.append({"trial": t, "lhs": lhs, "rhs": rhs,
+                                   "x0": x0, "x1": x1, "delta": delta})
+        rep = morrey_check(params_d1, trials=trials, seed=seed)
+        assert rep.violations == violations
+        assert morrey_exact_batch(*zip(*draws), params_d1.p) == checked
+
+    @pytest.mark.parametrize("x0, x1, delta, p, error", [
+        (0.1, 0.2, -0.3, 1.25, NonpositiveRadius),
+        (0.1, 0.2, 0.0, 1.25, NonpositiveRadius),
+        (math.nan, 0.2, 0.3, 1.25, MalformedInput),
+        (0.1, math.inf, 0.3, 1.25, MalformedInput),
+        (0.1, 0.2, math.nan, 1.25, MalformedInput),
+        (0.1, 0.2, 0.3, 0.5, InvalidRange),
+        (0.1, 0.2, 0.3, math.nan, InvalidRange),
+        (0.1, 0.2, 0.3, math.inf, InvalidRange),
+    ])
+    def test_bad_trial_inputs_rejected(self, x0, x1, delta, p, error):
+        u = bump.BumpSum(centers=[[0.0]], radii=[1.0], weights=[1.0])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # rejected before any arithmetic
+            with pytest.raises(error):
+                morrey_exact_trial(u, x0, x1, delta, p)
+
+    def test_batch_shape_checks(self):
+        u = bump.BumpSum(centers=[[0.0]], radii=[1.0], weights=[1.0])
+        flat = bump.BumpSum(centers=[[0.0, 0.0]], radii=[1.0], weights=[1.0])
+        with pytest.raises(MismatchedLengths):
+            morrey_exact_trial(flat, 0.1, 0.2, 0.3, 2.0)
+        with pytest.raises(MismatchedLengths):
+            morrey_exact_batch([u, u], [0.1], [0.2, 0.2], [0.3, 0.3], 2.0)
+        assert morrey_exact_batch([], [], [], [], 2.0) == []
+
+    @pytest.mark.parametrize("kwargs", [
+        dict(delta_range=(-0.1, 0.2)),
+        dict(delta_range=(0.0, 0.2)),
+        dict(delta_range=(0.5, 0.2)),
+        dict(delta_range=(0.1, math.inf)),
+        dict(delta_range=(math.nan, 0.2)),
+        dict(trials=0),
+        dict(trials=2.5),
+    ])
+    @pytest.mark.parametrize("variant", ["exact", "diagnostic"])
+    def test_bad_check_inputs_rejected(self, params_d1, kwargs, variant):
+        args = {"trials": 5, "seed": 1, "variant": variant, **kwargs}
+        with pytest.raises(SobolabError):
+            morrey_check(params_d1, **args)
 
     def test_exact_variant_randomized(self, params_d1):
         rep = morrey_check(params_d1, trials=500, seed=11)
