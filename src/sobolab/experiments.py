@@ -43,6 +43,7 @@ from .bump import (
     SUPPORT_END,
     BumpSum,
     SobolevParams,
+    _sum_over_pairs,
     bump_partial,
     multi_indices,
     reference_moduli,
@@ -580,26 +581,27 @@ def _morrey_block(sums, x0, x1, delta, p, rel_tol):
     :func:`bump_partial` call; every other node holds an exact 0.  Each
     trial's level sum is one ``np.sum`` over its own segment, zeros
     included, in the node order of a one-trial ladder, so no trial's bits
-    depend on the others in its block.  u(x0) and u(x1) take one
-    ``bump_partial`` call the same way.
+    depend on the others in its block.  u(x0) and u(x1) of the whole block
+    take one :func:`_sum_over_pairs` call, the evaluator of ``BumpSum``.
     """
     m = len(sums)
     sizes = [u.n for u in sums]
-    centers = np.concatenate([u.centers[:, 0] for u in sums])
+    centers = np.concatenate([u.centers for u in sums])
     radii = np.concatenate([u.radii for u in sums])
     weights = np.concatenate([u.weights for u in sums])
     owner = np.repeat(np.arange(m), sizes)
 
-    # u(x1), then u(x0): every point against every bump of its trial, the
-    # pairs in bump order and summed per point, as in BumpSum.partial
-    bump = np.tile(np.arange(len(owner)), 2)
-    point = np.concatenate([owner, owner + m])
-    pts = np.concatenate([x1, x0])[point]
-    inside = _sq_norm(((pts - centers[bump]) / radii[bump])[:, None]) < 1.0
-    bump, point, pts = bump[inside], point[inside], pts[inside]
-    values = bump_partial((0,), centers[bump][:, None], radii[bump],
-                          pts[:, None])
-    at = np.bincount(point, weights=weights[bump] * values, minlength=2 * m)
+    def own_supports(pts):
+        """(bump, point) pairs of point t and t + m with the bumps of trial
+        t whose open support holds them, in bump order, as BumpSum pairs."""
+        bump = np.tile(np.arange(len(owner)), 2)
+        point = np.concatenate([owner, owner + m])
+        inside = _sq_norm((pts[point] - centers[bump])
+                          / radii[bump][:, None]) < 1.0
+        return bump[inside], point[inside]
+
+    at = _sum_over_pairs((0,), centers, radii, weights,
+                         np.concatenate([x1, x0])[:, None], own_supports)
     lhs = [abs(float(at[t]) - float(at[m + t])) ** p for t in range(m)]
 
     # level 0: each trial's breakpoints
@@ -625,7 +627,7 @@ def _morrey_block(sums, x0, x1, delta, p, rel_tol):
     first = np.cumsum([0] + sizes[:-1])[trial]
     for k in range(max(sizes)):
         j = np.minimum(first + k, len(centers) - 1)
-        sq = ((mid - centers[j]) / radii[j]) ** 2
+        sq = ((mid - centers[j, 0]) / radii[j]) ** 2
         hit = (owner[j] == trial) & (sq < SUPPORT_END)
         held[hit] = j[hit]
         band[hit] = sq[hit] > PLATEAU_END
@@ -644,8 +646,7 @@ def _morrey_block(sums, x0, x1, delta, p, rel_tol):
         if on.size:
             nodes, wts = quadrature.rule_from_panels(lo[on], hi[on], order)
             j = held[on].repeat(order)
-            slope = bump_partial((1,), centers[j][:, None], radii[j],
-                                 nodes[:, None])
+            slope = bump_partial((1,), centers[j], radii[j], nodes[:, None])
             slots = (on[:, None] * order + np.arange(order)).ravel()
             terms[slots] = np.abs(weights[j] * slope) ** p * wts
         stops = (np.cumsum(counts) * order).tolist()

@@ -1,8 +1,7 @@
 import math
+import re
 import threading
 import typing
-
-import re
 import warnings
 
 import numpy as np
