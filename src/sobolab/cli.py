@@ -131,7 +131,7 @@ def cmd_check(args):
 
     moduli = _load_moduli_or_build(args, params)
     f = interpolant.build(ds, radii, 1.0, params)
-    resid = float(np.max(np.abs(interpolant.evaluate(f, ds.points) - ds.labels)))
+    resid = float(np.max(interpolant.interpolation_residual(f, ds)))
     print(f"interpolation: max residual {resid:.3e} "
           f"(tolerance {interpolant.INTERPOLATION_TOL:g})")
     failures += int(resid > interpolant.INTERPOLATION_TOL)

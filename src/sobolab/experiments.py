@@ -252,15 +252,14 @@ def _structural_violations(dataset, radii, f=None):
     """Zero-tolerance per-trial checks; returns violation counts."""
     return {
         "packing": len(geometry.check_packing(dataset, radii)),
-        "interpolation": (0 if f is None
-                          else _interpolation_violations(dataset, f)),
+        "interpolation": (0 if f is None else _interpolation_violations(
+            interpolant.interpolation_residual(f, dataset))),
         "norm_bound": 0,
     }
 
 
-def _interpolation_violations(dataset, f):
-    resid = np.abs(interpolant.evaluate(f, dataset.points) - dataset.labels)
-    return int(np.count_nonzero(resid > interpolant.INTERPOLATION_TOL))
+def _interpolation_violations(residual):
+    return int(np.count_nonzero(residual > interpolant.INTERPOLATION_TOL))
 
 
 def _violation_contracts(total, sweep):
@@ -430,8 +429,9 @@ def _gamma_trial(config, moduli, ds, radii, n, trial):
     metrics = []
     for si, s in enumerate(config.shrink_grid):
         f = interpolant.build(ds, radii, s, config.params)
-        checks["interpolation"] += _interpolation_violations(ds, f)
-        report = interpolant.gamma_report(f, ds, radii, moduli)
+        residual = interpolant.interpolation_residual(f, ds)
+        checks["interpolation"] += _interpolation_violations(residual)
+        report = interpolant._gamma_report(f, ds, radii, moduli, residual)
         mc_seed = derive_seed(config.master_seed, n, trial, si, 2)
         est = _risk_of_bump(f, config.spec, config.mc_samples, mc_seed)
         metrics.append((f"gamma_lower_bound[s={s!r}]",

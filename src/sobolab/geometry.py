@@ -147,20 +147,22 @@ def _nn_sq_dists(points):
 
 
 def _ball_pairs(tree, points, reach):
-    """Shortlist (i, j), i != j, with x_j within about reach_i of x_i.
+    """Shortlist (i, j) with the tree's point j within about reach_i of
+    ``points[i]``, as two flat index arrays.
 
     ``reach`` must be finite.  The query radius is widened by a relative
     ``_REACH_SLACK`` so that every pair whose recomputed distance is at most
     reach_i is returned; a few pairs just beyond it may be returned too, and
-    callers decide each pair from :func:`_sq_norm` alone.
+    callers decide each pair from :func:`_sq_norm` alone.  When the tree
+    indexes ``points`` themselves, the self pairs (i, i) are among those
+    returned.
     """
     balls = tree.query_ball_point(points, reach * (1.0 + _REACH_SLACK))
     sizes = np.fromiter(map(len, balls), dtype=np.intp, count=len(balls))
     src = np.repeat(np.arange(len(balls)), sizes)
     dst = np.fromiter(itertools.chain.from_iterable(balls), dtype=np.intp,
                       count=int(sizes.sum()))
-    keep = src != dst
-    return src[keep], dst[keep]
+    return src, dst
 
 
 def nn_radii(dataset):
@@ -184,6 +186,8 @@ def nn_graph(dataset):
     points = dataset.points
     nn_sq = dataset.nn_sq_dists
     src, dst = _ball_pairs(cKDTree(points), points, np.sqrt(nn_sq))
+    keep = src != dst
+    src, dst = src[keep], dst[keep]
     tie = _sq_norm(points[src] - points[dst]) == nn_sq[src]
     return NnGraph(edges=frozenset(zip(src[tie].tolist(), dst[tie].tolist())),
                    n=dataset.n)
@@ -250,6 +254,8 @@ def _violating_pairs(points, radii):
     """
     n = len(points)
     src, dst = _ball_pairs(cKDTree(points), points, radii)
+    keep = src != dst
+    src, dst = src[keep], dst[keep]
     key = np.unique(np.minimum(src, dst) * n + np.maximum(src, dst))
     i, j = np.divmod(key, n)
     dist = np.sqrt(_sq_norm(points[i] - points[j]))

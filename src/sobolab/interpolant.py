@@ -4,9 +4,9 @@ Given a dataset and its nearest-neighbor radii, place around every point a
 bump of support radius ``s * delta_i / 2`` (shrink ``s`` in (0, 1]) scaled
 by its label.  Half-radius balls are pairwise disjoint, so the construction
 interpolates exactly, at most one bump is active anywhere (the strict
-nearest center's, so :func:`evaluate` pairs each point with that center
-only), and every W^{k,p} seminorm is a finite sum of analytically scaled
-reference moduli:
+nearest center's, so :func:`evaluate` sums at each point only the bumps a
+k-d tree shortlists near it), and every W^{k,p} seminorm is a finite sum of
+analytically scaled reference moduli:
 
     integral |D^alpha f|^p = sum_i |y_i|^p r_i^(d - |alpha| p) M_alpha.
 
@@ -70,7 +70,7 @@ class BumpInterpolant:
             if np.min(nn_sq) == 0.0:
                 raise DuplicatePoints("two bump centers coincide")
             # r_i <= delta_i / 2 makes the active bump the strict nearest
-            # center, the only center evaluate() pairs a point with.
+            # center's, so every bump evaluate() leaves out adds a zero.
             if np.any(radii > np.sqrt(nn_sq) / 2.0):
                 raise InvalidShrink(
                     "support radii exceed half the nearest-neighbor distance"
@@ -119,20 +119,28 @@ def build(dataset, radii, shrink, params):
 def evaluate(f, x):
     """f(x), batched; at most one bump is active at any point.
 
-    Each point is paired with its nearest center within the largest
-    support radius, the only center whose bump can be active there; the
-    bumps left out add exact zeros to :func:`evaluate_brute_force`'s sum,
-    so both agree bit for bit.
+    The k-d tree indexes the batch when it holds more points than f has
+    centers (a Monte Carlo chunk): one unbalanced build over the batch and
+    one ball query per center, for the points within its own support
+    radius, cost less than one nearest-center query per point.  A batch no
+    larger than the center set (the data points) is queried against a tree
+    over the centers instead, where indexing the batch would cost about
+    twice as much: each point is paired with its nearest center within the
+    largest support radius, the only center whose bump can be active there.
+    Either way the bumps left out add exact zeros to
+    :func:`evaluate_brute_force`'s sum, so both agree bit for bit.
     """
-    reach = float(np.max(f.support_radii)) * (1.0 + geometry._REACH_SLACK)
-
-    def nearest_center(pts):
+    def shortlist(pts):
+        if len(pts) > f.n:
+            tree = cKDTree(pts, balanced_tree=False, compact_nodes=False)
+            return geometry._ball_pairs(tree, f.centers, f.support_radii)
+        reach = float(np.max(f.support_radii)) * (1.0 + geometry._REACH_SLACK)
         _, idx = cKDTree(f.centers).query(pts, distance_upper_bound=reach)
         point = np.flatnonzero(idx < f.n)
         return idx[point], point
 
     return _sum_over_pairs((0,) * f.dim, f.centers, f.support_radii,
-                           f.weights, x, nearest_center)
+                           f.weights, x, shortlist)
 
 
 def evaluate_brute_force(f, x):
@@ -212,8 +220,19 @@ class GammaReport:
     gamma_lower_bound: float
 
 
+def interpolation_residual(f, dataset):
+    """|f(x_i) - y_i| at every data point."""
+    return np.abs(evaluate(f, dataset.points) - dataset.labels)
+
+
 def gamma_report(f, dataset, radii, moduli):
-    residual = np.abs(evaluate(f, dataset.points) - dataset.labels)
+    return _gamma_report(f, dataset, radii, moduli,
+                         interpolation_residual(f, dataset))
+
+
+def _gamma_report(f, dataset, radii, moduli, residual):
+    """:func:`gamma_report` with ``interpolation_residual(f, dataset)``
+    already known."""
     worst = float(np.max(residual))
     if worst > INTERPOLATION_TOL:
         raise NotInterpolating(

@@ -8,8 +8,10 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from conftest import random_dataset
 from morrey_oracle import morrey_trial_oracle
-from sobolab import bump, config, experiments, model, rkhs
+from sobolab import (bump, config, experiments, geometry, interpolant, model,
+                     rkhs)
 from sobolab.errors import (
     ConfigInvalid,
     InvalidRange,
@@ -185,6 +187,35 @@ class TestRunTrials:
         assert started[0][0] == 64
         assert sorted(started) == jobs
         assert pooled == serial == [n * 10 + t for n, t in jobs]
+
+
+class TestGammaTrial:
+    def test_evaluates_each_shrink_at_the_data_once(self, params_d2,
+                                                     moduli_d2, monkeypatch):
+        # one evaluation at the data points feeds both the interpolation
+        # count and gamma_report's check; a budget below one Monte Carlo
+        # chunk adds one more per shrink
+        spec = model.DistributionSpec(params=params_d2, density="parabolic",
+                                      tilt=0.5)
+        cfg = small_config(params_d2, spec, kind="risk_vs_gamma",
+                           n_grid=(64,), shrink_grid=(1.0, 0.5, 0.25),
+                           mc_samples=1000)
+        ds = random_dataset(np.random.default_rng(5), 64, 2, box=0.6)
+        radii = geometry.nn_radii(ds)
+        calls = []
+        evaluate = interpolant.evaluate
+
+        def counted(f, x):
+            calls.append(np.shape(x))
+            return evaluate(f, x)
+
+        monkeypatch.setattr(interpolant, "evaluate", counted)
+        metrics, checks = experiments._gamma_trial(cfg, moduli_d2, ds, radii,
+                                                   64, 0)
+        assert len(calls) == 2 * len(cfg.shrink_grid)
+        assert calls.count(ds.points.shape) == len(cfg.shrink_grid)
+        assert checks["interpolation"] == 0
+        assert len(metrics) == 2 * len(cfg.shrink_grid)
 
 
 class TestSweeps:

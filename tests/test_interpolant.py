@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from sobolab import bump, geometry, interpolant, model, quadrature
 from sobolab.errors import (
@@ -133,6 +133,49 @@ class TestEvaluate:
             got = interpolant.evaluate(f, x)
             want = interpolant.evaluate_brute_force(f, x)
             assert np.shape(got) == np.shape(want)
+            assert np.asarray(got).tobytes() == np.asarray(want).tobytes()
+
+    @given(seed=st.integers(0, 2 ** 32 - 1), n=st.integers(1, 40),
+           d=st.integers(1, 3), shrink=st.sampled_from([1.0, 0.5]),
+           side=st.sampled_from(["fewer", "equal", "more"]))
+    @example(seed=1, n=1, d=2, shrink=1.0, side="more")
+    @example(seed=2, n=1, d=3, shrink=1.0, side="fewer")
+    @example(seed=3, n=12, d=2, shrink=1.0, side="equal")
+    def test_property_bit_identical_across_the_size_switch(self, seed, n, d,
+                                                           shrink, side):
+        # evaluate indexes the centers for a batch of at most n points and
+        # the batch itself beyond that; both must keep every bit, signed
+        # zeros included, of the per-bump sum.
+        rng = np.random.default_rng(seed)
+        params = bump.SobolevParams(**CANONICAL[d])
+        if n == 1:
+            f = interpolant.BumpInterpolant(
+                centers=rng.uniform(-1, 1, size=(1, d)),
+                support_radii=[rng.uniform(0.1, 1.0)],
+                weights=[rng.standard_normal()], shrink=1.0, params=params)
+            contact = np.empty((0, d))
+        else:
+            ds = random_dataset(rng, n, d)
+            f = built(ds, shrink, params)
+            # the closest pair is a mutual nearest-neighbor pair: at s = 1
+            # their supports touch at the midpoint
+            i = int(np.argmin(ds.nn_sq_dists))
+            sq = np.sum((ds.points - ds.points[i]) ** 2, axis=1)
+            sq[i] = np.inf
+            j = int(np.argmin(sq))
+            contact = (ds.points[[i]] + ds.points[[j]]) / 2.0
+        pool = np.vstack([contact,
+                          support_probes(f.centers, f.support_radii),
+                          rng.uniform(-1.2, 1.2, size=(4 * n + 8, d))])
+        m = {"fewer": int(rng.integers(0, n)), "equal": n,
+             "more": int(rng.integers(n + 1, len(pool) + 1))}[side]
+        pts = pool[:m]
+        shapes = [(m, d), (1, m, d)] + ([(2, m // 2, d)] if m % 2 == 0 else [])
+        for shape in shapes:
+            x = pts.reshape(shape)
+            got = interpolant.evaluate(f, x)
+            want = interpolant.evaluate_brute_force(f, x)
+            assert np.shape(got) == shape[:-1]
             assert np.asarray(got).tobytes() == np.asarray(want).tobytes()
 
     @pytest.mark.parametrize("shape", [(4, 3), (3,), (2, 2, 1)])
