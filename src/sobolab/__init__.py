@@ -20,7 +20,7 @@ from . import (  # noqa: F401
 )
 from .bump import BumpSum, ReferenceModuli, SobolevParams  # noqa: F401
 from .geometry import Dataset, NnGraph  # noqa: F401
-from .interpolant import BumpInterpolant, GammaReport  # noqa: F401
+from .interpolant import GammaReport  # noqa: F401
 from .model import DistributionSpec, NoiseConstants, SubsetSelection  # noqa: F401
 from .risk import RiskEstimate  # noqa: F401
 from .rkhs import KernelInterpolant, KernelSpec  # noqa: F401

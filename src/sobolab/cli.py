@@ -98,16 +98,16 @@ def cmd_interp(args):
     radii = geometry.nn_radii(ds)
     f = interpolant.build(ds, radii, args.shrink, params)
     out = _outdir(args) / f"interpolant_shrink{args.shrink!r}.csv"
-    interpolant.save_interpolant(f, out)
+    interpolant.save_interpolant(f, params, args.shrink, out)
     print(f"wrote {f.n}-bump interpolant (shrink={args.shrink}) to {out}")
     return EXIT_OK
 
 
 def cmd_norm(args):
-    f = interpolant.load_interpolant(args.interp)
-    moduli = _load_moduli_or_build(args, f.params)
+    f, params, _ = interpolant.load_interpolant(args.interp)
+    moduli = _load_moduli_or_build(args, params)
     norm = interpolant.sobolev_norm(f, moduli)
-    print(f"W^{{{f.params.k},{f.params.p}}} norm: {norm!r}")
+    print(f"W^{{{params.k},{params.p}}} norm: {norm!r}")
     return EXIT_OK
 
 

@@ -426,12 +426,15 @@ def _gamma_trial(config, moduli, ds, radii, n, trial):
     """Certified gamma lower bound and excess risk at every shrink."""
     # packing depends on the dataset and radii alone, not on the shrink
     checks = _structural_violations(ds, radii)
+    # as is the norm of the s = 1 interpolant, every shrink's gamma bound
+    bound = interpolant.sobolev_norm(
+        interpolant.build(ds, radii, 1.0, config.params), moduli)
     metrics = []
     for si, s in enumerate(config.shrink_grid):
         f = interpolant.build(ds, radii, s, config.params)
         residual = interpolant.interpolation_residual(f, ds)
         checks["interpolation"] += _interpolation_violations(residual)
-        report = interpolant._gamma_report(f, ds, radii, moduli, residual)
+        report = interpolant._gamma_report(f, moduli, residual, bound)
         mc_seed = derive_seed(config.master_seed, n, trial, si, 2)
         est = _risk_of_bump(f, config.spec, config.mc_samples, mc_seed)
         metrics.append((f"gamma_lower_bound[s={s!r}]",
@@ -505,15 +508,15 @@ def _random_bump_sum(rng, d, max_bumps=5, box=1.0):
     m = int(rng.integers(1, max_bumps + 1))
     while True:
         centers = rng.uniform(-box, box, size=(m, d))
+        nn_sq = geometry._nn_sq_dists(centers)
         if m == 1:
             radii = np.array([rng.uniform(0.1, 0.5) * box])
             break
-        nn = np.sqrt(geometry._nn_sq_dists(centers))
-        if np.min(nn) > 0:
-            radii = rng.uniform(0.3, 0.999, size=m) * nn / 2.0
+        if np.min(nn_sq) > 0:
+            radii = rng.uniform(0.3, 0.999, size=m) * np.sqrt(nn_sq) / 2.0
             break
     weights = rng.normal(0.0, 2.0, size=m)
-    return BumpSum(centers=centers, radii=radii, weights=weights)
+    return BumpSum(centers=centers, radii=radii, weights=weights, _nn_sq=nn_sq)
 
 
 def _morrey_inputs(sums, x0, x1, delta, p):

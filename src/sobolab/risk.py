@@ -149,7 +149,7 @@ def excess_risk_semianalytic(f, spec):
     if spec.density != "uniform":
         raise UnsupportedSpec("semi-analytic risk requires the uniform density")
     d = f.dim
-    reach = np.linalg.norm(f.centers, axis=1) + f.support_radii
+    reach = np.linalg.norm(f.centers, axis=1) + f.radii
     crossing = reach > spec.radius
     if np.any(crossing) and d != 1:
         raise UnsupportedSpec(
@@ -158,9 +158,9 @@ def excess_risk_semianalytic(f, spec):
     m2 = l2_modulus(d)
     interior = ~crossing
     value = float(np.sum(
-        f.weights[interior] ** 2 * f.support_radii[interior] ** d)) * m2
+        f.weights[interior] ** 2 * f.radii[interior] ** d)) * m2
     for i in np.nonzero(crossing)[0]:
         value += f.weights[i] ** 2 * _clipped_bump_l2_1d(
-            float(f.centers[i, 0]), float(f.support_radii[i]), spec.radius)
+            float(f.centers[i, 0]), float(f.radii[i]), spec.radius)
     return RiskEstimate(mean=value / spec.volume, stderr=0.0, samples=0,
                         method="semi-analytic")

@@ -1,12 +1,14 @@
 """The benchmark harness still runs against the program.
 
-``bench/tracing.py`` calls ``experiments.morrey_exact_trial`` and
-``bump.BumpSum`` directly, in the ``morrey_d1`` replay and in the probe of
-every traced workload, and ``interpolant.evaluate`` and
-``interpolant.gamma_report`` in the ``gamma_d2_tilted`` replay, so a change
-of any of these APIs breaks the benchmark without breaking any other test.
-Smoke runs of the two traced workloads cover them; they write their files
-to the git-ignored ``.bench_out/``.
+``bench/tracing.py`` builds ``bump.BumpSum(centers=, radii=, weights=)``
+itself and calls ``experiments.morrey_exact_trial`` in the ``morrey_d1``
+replay and in the probe of every traced workload.  Its replays and probe
+also call ``interpolant.build``, which returns a ``BumpSum`` too, and
+``interpolant.evaluate``, ``interpolant.gamma_report`` and
+``interpolant.sobolev_norm`` on what it returns.  A change of any of these
+APIs breaks the benchmark without breaking any other test.  Smoke runs of
+the two traced workloads, ``morrey_d1`` and ``gamma_d2_tilted``, cover
+them; they write their files to the git-ignored ``.bench_out/``.
 """
 
 import json

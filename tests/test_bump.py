@@ -5,10 +5,10 @@ import warnings
 import mpmath
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 from scipy.integrate import quad
 
-from sobolab import bump, geometry, quadrature
+from sobolab import bump, geometry, interpolant, quadrature
 from sobolab.errors import (
     InvalidRange,
     MalformedInput,
@@ -138,8 +138,9 @@ def _partial_cases(draw):
 
 
 @st.composite
-def _bump_sums(draw):
-    """A sum of 1-5 disjoint bumps in d = 1..3 and a multi-index |alpha| <= 3.
+def _bump_sums(draw, max_bumps=5):
+    """A sum of 1 to ``max_bumps`` disjoint bumps in d = 1..3 and a
+    multi-index |alpha| <= 3.
 
     Centers step along the first axis by r_i + r_(i+1) plus a gap, and every
     coordinate is a multiple of 1/64, so supports with no gap and no lateral
@@ -147,7 +148,7 @@ def _bump_sums(draw):
     r_i <= delta_i / 2, which a sum of bumps does not promise.
     """
     d = draw(st.integers(1, 3))
-    m = draw(st.integers(1, 5))
+    m = draw(st.integers(1, max_bumps))
     radii = np.array(draw(st.lists(st.integers(1, 32), min_size=m,
                                    max_size=m))) / 64.0
     gaps = np.array(draw(st.lists(st.sampled_from([0, 0, 1, 5, 20]),
@@ -161,6 +162,22 @@ def _bump_sums(draw):
                                      max_size=m)))
     alpha = draw(st.sampled_from(bump.multi_indices(d, bump.MAX_ORDER)))
     return bump.BumpSum(centers=centers, radii=radii, weights=weights), alpha
+
+
+def _chain(radii, d):
+    """Bumps of the given radii along the last axis, each touching the
+    next, with alternating weights."""
+    radii = np.array(radii) / 64.0
+    centers = np.zeros((len(radii), d))
+    centers[1:, -1] = np.cumsum(radii[:-1] + radii[1:])
+    weights = np.resize([1.5, -0.5], len(radii))
+    return bump.BumpSum(centers=centers, radii=radii, weights=weights)
+
+
+# Twelve touching bumps: unequal neighbours break the certificate, equal
+# ones meet it exactly.
+_TOUCHING_CHAIN = _chain([1, 3] * 6, 1)
+_EVEN_CHAIN = _chain([2] * 12, 2)
 
 
 class TestBumpEval:
@@ -383,6 +400,64 @@ class TestBumpSum:
         else:
             bump.BumpSum(**args)
 
+    def test_empty_sum_rejected(self):
+        with pytest.raises(MismatchedLengths, match="at least one bump"):
+            bump.BumpSum(centers=np.zeros((0, 2)), radii=[], weights=[])
+
+    def test_zero_dimensional_centers_rejected(self):
+        with pytest.raises(MismatchedLengths, match="dimension >= 1"):
+            bump.BumpSum(centers=np.zeros((2, 0)), radii=[0.1, 0.1],
+                         weights=[1.0, 1.0])
+
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    @pytest.mark.parametrize("radii, certified, overlap", [
+        ([0.5, 0.5], True, False),  # touching, both at half the gap
+        ([0.25, 0.75], False, False),  # touching, one beyond half the gap
+        # one ulp past: the sum of the radii rounds back to the gap
+        ([0.5, 0.5 + 2.0 ** -53], False, False),
+        ([0.5, 0.5 + 2.0 ** -52], False, True),  # two ulps past
+    ])
+    def test_certificate_against_overlap_search_at_touching_supports(
+            self, d, radii, certified, overlap):
+        centers = np.zeros((2, d))
+        centers[:, -1] = [-0.375, 0.625]
+        radii = np.array(radii)
+        assert geometry._violating_pairs(centers, 2.0 * radii) == (
+            [(0, 1)] if overlap else [])
+        args = dict(centers=centers, radii=radii, weights=[1.0, -1.0])
+        if overlap:
+            with pytest.raises(MismatchedLengths, match="bumps 0 and 1"):
+                bump.BumpSum(**args)
+            return
+        u = bump.BumpSum(**args)
+        assert u._certified is certified
+        assert u(centers).tolist() == [1.0, -1.0]
+
+    @given(d=st.integers(1, 3), m=st.integers(2, 40),
+           seed=st.integers(0, 2 ** 32 - 1), widen=st.booleans())
+    def test_certificate_implies_no_overlap(self, d, m, seed, widen):
+        # centers on a grid of 1/8, every radius at exactly half its
+        # nearest-neighbor distance, so supports touch; widening one
+        # radius by one ulp breaks the certificate
+        rng = np.random.default_rng(seed)
+        centers = rng.choice(64, size=(m, d)) / 8.0
+        nn_sq = geometry._nn_sq_dists(centers)
+        if np.min(nn_sq) == 0.0:
+            return
+        radii = np.sqrt(nn_sq) / 2.0
+        if widen:
+            j = int(rng.integers(m))
+            radii[j] = np.nextafter(radii[j], np.inf)
+        pairs = geometry._violating_pairs(centers, 2.0 * radii)
+        args = dict(centers=centers, radii=radii, weights=np.ones(m))
+        if pairs:
+            assert widen
+            with pytest.raises(MismatchedLengths,
+                               match=f"bumps {pairs[0][0]} and {pairs[0][1]} "):
+                bump.BumpSum(**args)
+        else:
+            assert bump.BumpSum(**args)._certified is not widen
+
     @pytest.mark.parametrize("shape", [(4, 3), (3,), (2, 2, 1)])
     def test_wrong_point_dimension(self, shape):
         f = bump.BumpSum(centers=[[0.0, 0.0]], radii=[1.0], weights=[1.0])
@@ -412,6 +487,35 @@ class TestBumpSum:
                 want = want + w * bump.bump_partial(alpha, c, float(r), x)
             assert np.shape(got) == want.shape
             assert np.asarray(got).tobytes() == want.tobytes()
+
+    @given(case=_bump_sums(max_bumps=3 * bump._MASK_MAX_BUMPS),
+           seed=st.integers(0, 2 ** 32 - 1),
+           side=st.sampled_from(["fewer", "equal", "more"]))
+    @example(case=(_TOUCHING_CHAIN, (1,)), seed=3, side="equal")
+    @example(case=(_TOUCHING_CHAIN, (2,)), seed=4, side="fewer")
+    @example(case=(_EVEN_CHAIN, (0, 1)), seed=5, side="equal")
+    @example(case=(_EVEN_CHAIN, (0, 0)), seed=6, side="more")
+    def test_property_every_shortlist_equals_per_bump_sum(self, case, seed,
+                                                          side):
+        # a few bumps take masks; beyond bump._MASK_MAX_BUMPS a sum
+        # evaluated at more points than it has bumps, or one without the
+        # certificate, takes a tree over the batch, and a certified one at
+        # no more points than bumps takes the nearest-center query
+        u, alpha = case
+        rng = np.random.default_rng(seed)
+        lo = u.centers.min(axis=0) - u.radii.max()
+        hi = u.centers.max(axis=0) + u.radii.max()
+        pool = np.vstack([support_probes(u.centers, u.radii),
+                          rng.uniform(lo, hi, size=(4 * u.n + 8, u.dim))])
+        m = {"fewer": int(rng.integers(0, u.n)), "equal": u.n,
+             "more": int(rng.integers(u.n + 1, len(pool) + 1))}[side]
+        x = pool[:m]
+        got = u(x)
+        assert got.tobytes() == interpolant.evaluate_brute_force(u, x).tobytes()
+        want = np.zeros(m)
+        for c, r, w in zip(u.centers, u.radii, u.weights):
+            want = want + w * bump.bump_partial(alpha, c, float(r), x)
+        assert u.partial(alpha, x).tobytes() == want.tobytes()
 
 
 class TestModuli:

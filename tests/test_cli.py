@@ -66,7 +66,8 @@ class TestInterpNorm:
                      str(dataset_csv), "--shrink", "0.5",
                      "--out", str(tmp_path)]) == 0
         interp_csv = tmp_path / "interpolant_shrink0.5.csv"
-        f = interpolant.load_interpolant(interp_csv)
+        f, _, shrink = interpolant.load_interpolant(interp_csv)
+        assert shrink == 0.5
         ds = geometry.load_dataset(dataset_csv)
         assert np.max(np.abs(interpolant.evaluate(f, ds.points)
                              - ds.labels)) <= 1e-12
@@ -79,6 +80,18 @@ class TestInterpNorm:
                        "0.0,0.25,1.0\n")
         assert main(["norm", "--config", str(cfg), "--interp",
                      str(bad)]) == 2
+
+
+    def test_header_dimension_disagrees_with_columns(self, cfg, tmp_path,
+                                                      capsys):
+        bad = tmp_path / "interp.csv"
+        bad.write_text("# k=1 p=2.5 d=2 shrink=1.0\nc_1,radius,weight\n"
+                       "0.0,0.25,1.0\n")
+        assert main(["norm", "--config", str(cfg), "--interp",
+                     str(bad)]) == 2
+        err = capsys.readouterr().err
+        assert "interp.csv: line 1: header says d=2" in err
+        assert "Traceback" not in err
 
 
 class TestModuliCache:

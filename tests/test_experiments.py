@@ -10,8 +10,7 @@ from hypothesis import given, strategies as st
 
 from conftest import random_dataset
 from morrey_oracle import morrey_trial_oracle
-from sobolab import (bump, config, experiments, geometry, interpolant, model,
-                     rkhs)
+from sobolab import bump, config, experiments, geometry, model, rkhs
 from sobolab.errors import (
     ConfigInvalid,
     InvalidRange,
@@ -203,13 +202,13 @@ class TestGammaTrial:
         ds = random_dataset(np.random.default_rng(5), 64, 2, box=0.6)
         radii = geometry.nn_radii(ds)
         calls = []
-        evaluate = interpolant.evaluate
+        evaluate = bump.BumpSum.__call__
 
         def counted(f, x):
             calls.append(np.shape(x))
             return evaluate(f, x)
 
-        monkeypatch.setattr(interpolant, "evaluate", counted)
+        monkeypatch.setattr(bump.BumpSum, "__call__", counted)
         metrics, checks = experiments._gamma_trial(cfg, moduli_d2, ds, radii,
                                                    64, 0)
         assert len(calls) == 2 * len(cfg.shrink_grid)

@@ -7,6 +7,7 @@ from sobolab.errors import (
     InvalidShrink,
     MalformedInput,
     MismatchedLengths,
+    NonpositiveRadius,
     NotInterpolating,
     ParamsMismatch,
 )
@@ -41,7 +42,7 @@ class TestBuild:
         ds = line_dataset([0, 1, 3], [1.0, 2.0, -0.5])
         full = built(ds, 1.0, params_d1)
         half = built(ds, 0.5, params_d1)
-        assert np.array_equal(half.support_radii, full.support_radii / 2)
+        assert np.array_equal(half.radii, full.radii / 2)
         assert np.array_equal(interpolant.evaluate(half, ds.points), ds.labels)
 
     @pytest.mark.parametrize("s", [0.0, -0.1, 1.5])
@@ -50,13 +51,11 @@ class TestBuild:
         with pytest.raises(InvalidShrink):
             built(ds, s, params_d1)
 
-    def test_oversized_radii_rejected(self, params_d1):
-        with pytest.raises(InvalidShrink):
-            interpolant.BumpInterpolant(
-                centers=np.array([[0.0], [1.0]]),
-                support_radii=np.array([0.8, 0.8]),
-                weights=np.array([1.0, 1.0]),
-                shrink=1.0, params=params_d1)
+    def test_oversized_radii_rejected(self):
+        with pytest.raises(MismatchedLengths, match="bumps 0 and 1 overlap"):
+            bump.BumpSum(centers=np.array([[0.0], [1.0]]),
+                         radii=np.array([0.8, 0.8]),
+                         weights=np.array([1.0, 1.0]))
 
     @pytest.mark.parametrize("n", [3, 200])
     def test_build_rejects_radii_above_half_nn(self, n, params_d1):
@@ -71,28 +70,28 @@ class TestBuild:
     def test_build_equals_direct_construction(self, params_d2):
         ds = random_dataset(np.random.default_rng(4), 300, 2)
         f = built(ds, 0.5, params_d2)
-        direct = interpolant.BumpInterpolant(
-            centers=ds.points, support_radii=f.support_radii,
-            weights=ds.labels, shrink=0.5, params=params_d2)
-        assert np.array_equal(direct.support_radii, f.support_radii)
+        direct = bump.BumpSum(centers=ds.points, radii=f.radii,
+                              weights=ds.labels)
+        assert np.array_equal(direct.radii, f.radii)
+        assert direct._certified and f._certified
         assert np.array_equal(interpolant.evaluate(direct, ds.points),
                               interpolant.evaluate(f, ds.points))
 
     @pytest.mark.parametrize("field, value, error", [
-        ("support_radii", np.nan, InvalidShrink),
-        ("support_radii", np.inf, InvalidShrink),
+        ("radii", np.nan, NonpositiveRadius),
+        ("radii", np.inf, NonpositiveRadius),
         ("weights", np.nan, MalformedInput),
         ("weights", -np.inf, MalformedInput),
         ("centers", np.nan, MalformedInput),
     ])
-    def test_nonfinite_rejected(self, field, value, error, params_d1):
+    def test_nonfinite_rejected(self, field, value, error):
         args = dict(centers=np.array([[0.0], [1.0], [3.0]]),
-                    support_radii=np.array([0.25, 0.25, 0.5]),
+                    radii=np.array([0.25, 0.25, 0.5]),
                     weights=np.array([1.0, 2.0, 3.0]))
         args[field] = args[field].copy()
         args[field][1] = value
         with pytest.raises(error):
-            interpolant.BumpInterpolant(shrink=0.5, params=params_d1, **args)
+            bump.BumpSum(**args)
 
 
 class TestEvaluate:
@@ -126,7 +125,7 @@ class TestEvaluate:
         rng = np.random.default_rng(seed)
         f = built(random_dataset(rng, n, d), shrink,
                   bump.SobolevParams(**CANONICAL[d]))
-        pts = np.vstack([support_probes(f.centers, f.support_radii),
+        pts = np.vstack([support_probes(f.centers, f.radii),
                          rng.uniform(-1.2, 1.2, size=(40, d))])
         half = len(pts) // 2
         for x in (pts, pts[:2 * half].reshape(2, half, d), pts[0], pts[-1]):
@@ -143,16 +142,16 @@ class TestEvaluate:
     @example(seed=3, n=12, d=2, shrink=1.0, side="equal")
     def test_property_bit_identical_across_the_size_switch(self, seed, n, d,
                                                            shrink, side):
-        # evaluate indexes the centers for a batch of at most n points and
-        # the batch itself beyond that; both must keep every bit, signed
-        # zeros included, of the per-bump sum.
+        # up to bump._MASK_MAX_BUMPS bumps take one mask each; a larger
+        # interpolant indexes its centers for a batch of at most n points
+        # and the batch itself beyond that.  Every path must keep every
+        # bit, signed zeros included, of the per-bump sum.
         rng = np.random.default_rng(seed)
         params = bump.SobolevParams(**CANONICAL[d])
         if n == 1:
-            f = interpolant.BumpInterpolant(
-                centers=rng.uniform(-1, 1, size=(1, d)),
-                support_radii=[rng.uniform(0.1, 1.0)],
-                weights=[rng.standard_normal()], shrink=1.0, params=params)
+            f = bump.BumpSum(centers=rng.uniform(-1, 1, size=(1, d)),
+                             radii=[rng.uniform(0.1, 1.0)],
+                             weights=[rng.standard_normal()])
             contact = np.empty((0, d))
         else:
             ds = random_dataset(rng, n, d)
@@ -165,7 +164,7 @@ class TestEvaluate:
             j = int(np.argmin(sq))
             contact = (ds.points[[i]] + ds.points[[j]]) / 2.0
         pool = np.vstack([contact,
-                          support_probes(f.centers, f.support_radii),
+                          support_probes(f.centers, f.radii),
                           rng.uniform(-1.2, 1.2, size=(4 * n + 8, d))])
         m = {"fewer": int(rng.integers(0, n)), "equal": n,
              "more": int(rng.integers(n + 1, len(pool) + 1))}[side]
@@ -194,13 +193,13 @@ class TestEvaluate:
         rng = np.random.default_rng(17)
         ds = random_dataset(rng, 100, 2)
         f = built(ds, 1.0, params_d2)
-        assert interpolant.check_support_disjointness(f) == []
+        assert f._certified
+        assert geometry._violating_pairs(f.centers, 2.0 * f.radii) == []
 
-    def test_support_disjointness_single_bump(self, params_d1):
-        f = interpolant.BumpInterpolant(
-            centers=[[0.0]], support_radii=[0.3], weights=[1.0], shrink=1.0,
-            params=params_d1)
-        assert interpolant.check_support_disjointness(f) == []
+    def test_support_disjointness_single_bump(self):
+        f = bump.BumpSum(centers=[[0.0]], radii=[0.3], weights=[1.0])
+        assert f._certified
+        assert geometry._violating_pairs(f.centers, 2.0 * f.radii) == []
         assert interpolant.evaluate(f, np.array([0.0])) == 1.0
 
 
@@ -233,7 +232,7 @@ class TestSobolevNorm:
         for alpha in moduli_d1.indices:
             def integrand(pts, alpha=alpha):
                 out = np.zeros(pts.shape[0])
-                for c, r, w in zip(f.centers, f.support_radii, f.weights):
+                for c, r, w in zip(f.centers, f.radii, f.weights):
                     out = out + w * bump.bump_partial(alpha, c, float(r), pts)
                 return np.abs(out) ** p
             val, _, _ = quadrature.adaptive_box(
@@ -251,7 +250,7 @@ class TestSobolevNorm:
         for alpha in moduli_d2.indices:
             def integrand(pts, alpha=alpha):
                 out = np.zeros(pts.shape[0])
-                for c, r, w in zip(f.centers, f.support_radii, f.weights):
+                for c, r, w in zip(f.centers, f.radii, f.weights):
                     out = out + w * bump.bump_partial(alpha, c, float(r), pts)
                 return np.abs(out) ** p
             val, _, _ = quadrature.adaptive_box(
@@ -330,10 +329,8 @@ class TestGammaReport:
         ds = line_dataset([0, 1, 3], [1.0, -2.0, 0.5])
         radii = geometry.nn_radii(ds)
         f = interpolant.build(ds, radii, 1.0, params_d1)
-        heavier = interpolant.BumpInterpolant(
-            centers=f.centers, support_radii=f.support_radii,
-            weights=f.weights * np.array([2.0, 1.0, 1.0]),
-            shrink=1.0, params=params_d1)
+        heavier = bump.BumpSum(centers=f.centers, radii=f.radii,
+                               weights=f.weights * np.array([2.0, 1.0, 1.0]))
         loud = interpolant.sobolev_norm(heavier, moduli_d1)
         base = interpolant.sobolev_norm(f, moduli_d1)
         assert loud > base
@@ -342,9 +339,8 @@ class TestGammaReport:
         ds = line_dataset([0, 1, 3], [1.0, -2.0, 0.5])
         radii = geometry.nn_radii(ds)
         f = interpolant.build(ds, radii, 1.0, params_d1)
-        wrong = interpolant.BumpInterpolant(
-            centers=f.centers, support_radii=f.support_radii,
-            weights=f.weights + 0.001, shrink=1.0, params=params_d1)
+        wrong = bump.BumpSum(centers=f.centers, radii=f.radii,
+                             weights=f.weights + 0.001)
         with pytest.raises(NotInterpolating):
             interpolant.gamma_report(wrong, ds, radii, moduli_d1)
 
@@ -355,13 +351,24 @@ class TestCsv:
         ds = random_dataset(rng, 23, 2)
         f = built(ds, 0.7, params_d2)
         path = tmp_path / "interp.csv"
-        interpolant.save_interpolant(f, path)
-        back = interpolant.load_interpolant(path)
-        assert back.params == f.params
-        assert back.shrink == f.shrink
+        interpolant.save_interpolant(f, params_d2, 0.7, path)
+        assert path.read_text().startswith(
+            "# k=1 p=2.5 d=2 shrink=0.7\nc_1,c_2,radius,weight\n")
+        back, params, shrink = interpolant.load_interpolant(path)
+        assert params == params_d2
+        assert shrink == 0.7
         assert np.array_equal(back.centers, f.centers)
-        assert np.array_equal(back.support_radii, f.support_radii)
+        assert np.array_equal(back.radii, f.radii)
         assert np.array_equal(back.weights, f.weights)
+
+    def test_save_rejects_params_of_another_dimension(self, params_d1,
+                                                       params_d2, tmp_path):
+        f = built(random_dataset(np.random.default_rng(5), 8, 2), 1.0,
+                  params_d2)
+        path = tmp_path / "interp.csv"
+        with pytest.raises(ParamsMismatch):
+            interpolant.save_interpolant(f, params_d1, 1.0, path)
+        assert not path.exists()
 
     @pytest.mark.parametrize("text, error, where", [
         ("# k=1 d=1 shrink=1.0\nc_1,radius,weight\n0.0,0.25,1.0\n",
@@ -372,6 +379,8 @@ class TestCsv:
          "0.0,0.25,1.0\nabc,0.25,1.0\n", MalformedInput, "line 4"),
         ("# k=1 p=1.25 d=1 shrink=1.0\nc_1,radius,weight\n0.0,0.25\n",
          MismatchedLengths, "line 3"),
+        ("# k=1 p=2.5 d=2 shrink=1.0\nc_1,radius,weight\n0.0,0.25,1.0\n",
+         MalformedInput, "line 1: header says d=2"),
     ])
     def test_malformed_file_names_file_and_line(self, tmp_path, text, error,
                                                 where):

@@ -62,9 +62,8 @@ class TestSemianalytic:
     def test_single_bump_formula(self, params_d1):
         # y = 1, r = 1 on the interval (-2, 2): risk = M_2 / |Omega|
         spec = DistributionSpec(params=params_d1, radius=2.0)
-        f = interpolant.BumpInterpolant(
-            centers=np.array([[0.0]]), support_radii=np.array([1.0]),
-            weights=np.array([1.0]), shrink=1.0, params=params_d1)
+        f = bump.BumpSum(centers=np.array([[0.0]]), radii=np.array([1.0]),
+                         weights=np.array([1.0]))
         est = risk.excess_risk_semianalytic(f, spec)
         assert est.mean == pytest.approx(bump.l2_modulus(1) / 4.0, rel=1e-9)
         assert est.stderr == 0.0
@@ -93,9 +92,8 @@ class TestSemianalytic:
     def test_requires_pure_noise(self, params_d1):
         g = bump.BumpSum(centers=[[0.0]], radii=[0.2], weights=[1.0])
         spec = DistributionSpec(params=params_d1, ground_truth=g)
-        f = interpolant.BumpInterpolant(
-            centers=np.array([[0.0]]), support_radii=np.array([0.1]),
-            weights=np.array([1.0]), shrink=1.0, params=params_d1)
+        f = bump.BumpSum(centers=np.array([[0.0]]), radii=np.array([0.1]),
+                         weights=np.array([1.0]))
         with pytest.raises(UnsupportedSpec):
             risk.excess_risk_semianalytic(f, spec)
 
