@@ -383,20 +383,34 @@ class BumpSum:
     def _support_pairs(self, pts):
         """(bump, point) pairs that hold every point inside an open support.
 
-        A few bumps take one mask each.  A batch larger than the sum, or a
-        sum without the certificate, takes one unbalanced k-d tree over the
-        batch and one ball query per bump, in bump order.  Otherwise (a
-        certified sum at its own data points, say) each point is paired
-        with its nearest center within the largest radius: r_i <= delta_i/2
-        makes that the only center whose bump can be active there, and one
-        query per point costs less than a tree over the batch.  Pairs
-        outside a support add exact zeros to the per-bump sum.
+        Four shortlists, tried in this order:
+
+        - masks: a sum of at most ``_MASK_MAX_BUMPS`` bumps takes one mask
+          per bump;
+        - identity: a certified sum evaluated at exactly its own centers
+          (``np.array_equal``) pairs point i with bump i alone, with no
+          tree.  For j != i, ||c_i - c_j|| >= delta_j >= 2 r_j, so c_i lies
+          outside every other support; these are the pairs, in the same
+          order, that the nearest-center query below returns there;
+        - batch tree: a batch larger than the sum, or a sum without the
+          certificate, takes one unbalanced k-d tree over the batch and one
+          ball query per bump, in bump order;
+        - nearest center: otherwise (a certified sum at a few points) each
+          point is paired with its nearest center within the largest
+          radius: r_i <= delta_i/2 makes that the only center whose bump can
+          be active there, and one query per point costs less than a tree
+          over the batch.
+
+        Pairs outside a support add exact zeros to the per-bump sum.
         """
         if self.n <= _MASK_MAX_BUMPS:
             inside = [np.flatnonzero(_sq_norm((pts - c) / r) < 1.0)
                       for c, r in zip(self.centers, self.radii)]
             bump = np.repeat(np.arange(self.n), [len(i) for i in inside])
             return bump, np.concatenate(inside)
+        if self._certified and np.array_equal(pts, self.centers):
+            own = np.arange(self.n)
+            return own, own
         if len(pts) > self.n or not self._certified:
             tree = cKDTree(pts, balanced_tree=False, compact_nodes=False)
             return _ball_pairs(tree, self.centers, self.radii)

@@ -8,9 +8,11 @@ Every check runs in O(n log n): a k-d tree only shortlists candidate pairs,
 and every distance that decides a result is recomputed with the same
 fixed-order sum of squares (:func:`_sq_norm`, the package's only one; bump
 evaluation sums through it too) that the O(n^2) oracles use, so the fast
-paths and the oracles agree to the bit.  The oracles are
-:func:`nn_radii_brute_force`, :func:`nn_graph_brute_force` and
-:func:`check_packing_brute_force`; only tests call them.
+paths and the oracles agree to the bit.  The packing check runs in O(n),
+with no tree, when the radii pass its certificate (every radius at most
+the point's nearest-neighbor distance, as with the dataset's own radii).
+The oracles are :func:`nn_radii_brute_force`, :func:`nn_graph_brute_force`
+and :func:`check_packing_brute_force`; only tests call them.
 
 All functions are pure; `Dataset` arrays are frozen after construction.
 """
@@ -27,6 +29,7 @@ from scipy.spatial import cKDTree
 
 from .errors import (
     DuplicatePoints,
+    InvalidRange,
     MalformedInput,
     MismatchedLengths,
     NonpositiveRadius,
@@ -77,7 +80,9 @@ class Dataset:
 
     ``nn_sq_dists`` holds the squared distance from each point to its
     nearest other point.  It is computed once, at construction, and every
-    nearest-neighbor quantity of the dataset derives from it.
+    nearest-neighbor quantity of the dataset derives from it.  It is finite
+    and positive: points whose nearest-neighbor squared distance overflows
+    are rejected.
     """
 
     points: np.ndarray
@@ -97,7 +102,7 @@ class Dataset:
             raise TooFewPoints(f"need n >= 2 points, got {points.shape[0]}")
         if not (np.isfinite(points).all() and np.isfinite(labels).all()):
             raise MalformedInput("points and labels must be finite")
-        nn_sq = _nn_sq_dists(points)
+        nn_sq = _finite_nn_sq_dists(points)
         if np.min(nn_sq) == 0.0:
             raise DuplicatePoints("two points of the dataset coincide")
         for arr in (points, labels, nn_sq):
@@ -130,13 +135,15 @@ def _nn_sq_dists_brute(points):
 
 
 def _nn_sq_dists_tree(points, candidates=4):
+    n = len(points)
     tree = cKDTree(points)
-    k = min(candidates + 1, len(points))
-    _, idx = tree.query(points, k=k)
+    _, idx = tree.query(points, k=min(candidates + 1, n))
     # Recompute candidate distances with the shared arithmetic; the tree is
-    # only trusted to shortlist, never to produce the final number.
-    cand = _sq_norm(points[:, None, :] - points[idx])
-    cand[idx == np.arange(len(points))[:, None]] = np.inf
+    # only trusted to shortlist, never to produce the final number.  Where
+    # its own squared distance overflows it finds no candidate: index n.
+    missing = idx == n
+    cand = _sq_norm(points[:, None, :] - points[np.where(missing, 0, idx)])
+    cand[missing | (idx == np.arange(n)[:, None])] = np.inf
     return cand.min(axis=1)
 
 
@@ -144,6 +151,16 @@ def _nn_sq_dists(points):
     if len(points) < BRUTE_FORCE_MAX_N:
         return _nn_sq_dists_brute(points)
     return _nn_sq_dists_tree(points)
+
+
+def _finite_nn_sq_dists(points):
+    """:func:`_nn_sq_dists`, raising :class:`MalformedInput` (and no numpy
+    warning) when a nearest-neighbor squared distance overflows."""
+    with np.errstate(over="ignore"):
+        nn_sq = _nn_sq_dists(points)
+    if not np.isfinite(nn_sq).all():
+        raise MalformedInput("nearest-neighbour distance overflows")
+    return nn_sq
 
 
 def _ball_pairs(tree, points, reach):
@@ -238,9 +255,25 @@ def check_packing(dataset, radii):
     a non-empty return means corrupted inputs.  Pairs come as (i, j) with
     i < j, sorted by i, then j.  Radii must be finite and positive.
 
+    Certificate: when every r_i <= sqrt(nn_sq_i), with nn_sq the dataset's
+    own ``nn_sq_dists``, the list is empty and no tree is built (O(n)).
+    Proof, in the rounded arithmetic the check uses: for i < j, x_i - x_j
+    and x_j - x_i differ only in sign, so :func:`_sq_norm` gives both the
+    same value s_ij.  nn_sq_i is the least such value over the points other
+    than x_i, so s_ij is at least nn_sq_i and nn_sq_j.  Correctly
+    rounded sqrt is monotone, so dist_ij = sqrt(s_ij) >= max(r_i, r_j).
+    nn_sq is finite (a :class:`Dataset` invariant), so r_i + r_j cannot
+    overflow, and rounding is monotone: the rounded (r_i + r_j) / 2 is at
+    most max(r_i, r_j) <= dist_ij, and no pair violates.  The dataset's
+    own radii (:func:`nn_radii`) always pass; other radii take the k-d tree
+    search of :func:`_violating_pairs`.
+
     :func:`check_packing_brute_force` is the O(n^2) oracle.
     """
-    return _violating_pairs(dataset.points, _checked_radii(dataset, radii))
+    radii = _checked_radii(dataset, radii)
+    if np.all(radii <= np.sqrt(dataset.nn_sq_dists)):
+        return []
+    return _violating_pairs(dataset.points, radii)
 
 
 def _violating_pairs(points, radii):
@@ -286,19 +319,28 @@ def perturbation_changed_radii(dataset, index, replacement):
     """How many nearest-neighbor radii change when x_index moves.
 
     Bounded by 1 + 2 tau(d) for d <= 3: the moved point, plus the old and
-    new in-neighborhoods.
+    new in-neighborhoods.  ``index`` must be an integer in [0, n) (not a
+    bool), else :class:`InvalidRange`; a non-finite replacement, or one
+    whose nearest-neighbor squared distance overflows, raises
+    :class:`MalformedInput`.
     """
+    if (not isinstance(index, (int, np.integer)) or isinstance(index, bool)
+            or not 0 <= index < dataset.n):
+        raise InvalidRange(
+            f"index must be an integer in [0, {dataset.n}), got {index!r}")
     replacement = np.asarray(replacement, dtype=float).reshape(-1)
     if replacement.shape != (dataset.dim,):
         raise MismatchedLengths(
             f"replacement has dim {replacement.shape[0]}, dataset d={dataset.dim}"
         )
+    if not np.isfinite(replacement).all():
+        raise MalformedInput("replacement must be finite")
     moved = dataset.points.copy()
     moved[index] = replacement
-    others = np.delete(moved, index, axis=0)
-    if np.min(_sq_norm(others - replacement[None, :])) == 0.0:
+    after = _finite_nn_sq_dists(moved)
+    # the other points are distinct, so a zero pairs the replacement
+    if np.min(after) == 0.0:
         raise DuplicatePoints("replacement coincides with another point")
-    after = _nn_sq_dists(moved)
     return int(np.count_nonzero(dataset.nn_sq_dists != after))
 
 

@@ -68,6 +68,22 @@ def random_dataset(rng, n, d, box=1.0):
     return Dataset(points=pts, labels=rng.standard_normal(n))
 
 
+def count_trees(monkeypatch, *modules):
+    """Wrap each module's ``cKDTree``; returns the list of the point counts
+    of the trees built through them, which grows as they are built."""
+    from scipy.spatial import cKDTree
+
+    built = []
+
+    def counted(data, *args, **kwargs):
+        built.append(len(data))
+        return cKDTree(data, *args, **kwargs)
+
+    for module in modules:
+        monkeypatch.setattr(module, "cKDTree", counted)
+    return built
+
+
 def support_probes(centers, radii):
     """Points exactly on c_i +- r_i e_j and c_i +- (r_i / 2) e_j for every
     bump i and axis j, and two points beyond every support."""

@@ -341,6 +341,7 @@ class TestBumpSum:
         ("radii", 0.0, NonpositiveRadius),
         ("weights", np.nan, MalformedInput),
         ("weights", np.inf, MalformedInput),
+        ("weights", -np.inf, MalformedInput),
         ("centers", np.nan, MalformedInput),
         ("centers", -np.inf, MalformedInput),
     ])

@@ -156,6 +156,19 @@ class TestCheck:
         assert main(["check", "--config", str(cfg), "--data", str(bad)]) == 2
         assert "nan.csv: line 3" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", [
+        ["check"], ["interp", "--out", "OUT"], ["risk", "--seed", "1"]],
+        ids=["check", "interp", "risk"])
+    def test_overflowing_nn_distance_usage_error(self, cfg, tmp_path, capsys,
+                                                 command):
+        far = tmp_path / "far.csv"
+        far.write_text("x_1,y\n0,1.0\n1e200,2.0\n")
+        argv = [str(tmp_path) if a == "OUT" else a for a in command]
+        assert main(argv + ["--config", str(cfg), "--data", str(far)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == ("error: nearest-neighbour distance "
+                                "overflows\n")
+
     def test_dimension_4_rejected(self, tmp_path):
         cfg4 = tmp_path / "d4.ini"
         cfg4.write_text(BASE_INI.replace("d = 1", "d = 4"))

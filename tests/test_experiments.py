@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from conftest import random_dataset
+from conftest import count_trees, random_dataset
 from morrey_oracle import morrey_trial_oracle
 from sobolab import bump, config, experiments, geometry, model, rkhs
 from sobolab.errors import (
@@ -186,6 +186,22 @@ class TestRunTrials:
         assert started[0][0] == 64
         assert sorted(started) == jobs
         assert pooled == serial == [n * 10 + t for n, t in jobs]
+
+
+class TestNormTrial:
+    def test_builds_only_the_datasets_tree(self, params_d3, pure_noise_d3,
+                                           moduli_d3, monkeypatch):
+        # the packing check and the interpolation residual are certified;
+        # only the dataset's nearest-neighbor search needs a tree
+        cfg = small_config(params_d3, pure_noise_d3, n_grid=(256,))
+        built = count_trees(monkeypatch, geometry, bump)
+        ds = model.sample(cfg.spec, 256, derive_seed(cfg.master_seed, 256, 0))
+        radii = geometry.nn_radii(ds)
+        metrics, checks = experiments._norm_trial(cfg, moduli_d3, ds, radii,
+                                                  256, 0)
+        assert built == [256]
+        assert checks == {"packing": 0, "interpolation": 0, "norm_bound": 0}
+        assert [name for name, _ in metrics] == ["norm_p", "norm_bound"]
 
 
 class TestGammaTrial:

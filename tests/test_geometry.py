@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from sobolab import geometry
 from sobolab.errors import (
     DuplicatePoints,
+    InvalidRange,
     MalformedInput,
     MismatchedLengths,
     NonpositiveRadius,
@@ -16,7 +17,7 @@ from sobolab.errors import (
 )
 from sobolab.geometry import Dataset
 
-from conftest import random_dataset
+from conftest import count_trees, random_dataset
 
 
 def line_dataset(*xs):
@@ -84,6 +85,24 @@ class TestDataset:
         path.write_text("x_1,x_2,y\n0.0,0.0,1.0\n0.5,2.0\n")
         with pytest.raises(MismatchedLengths, match=r"ds\.csv: line 3"):
             geometry.load_dataset(path)
+
+    @pytest.mark.parametrize("n", [2, 70])
+    def test_overflowing_nn_distance_rejected(self, n):
+        # finite points whose nearest-neighbor squared distance overflows;
+        # n = 70 takes the k-d tree path, which finds no finite candidate
+        pts = np.random.default_rng(0).uniform(size=(n, 3))
+        pts[-1] = (1e200, 0.0, 0.0)
+        with pytest.raises(MalformedInput, match="distance overflows"):
+            Dataset(points=pts, labels=np.zeros(n))
+
+    def test_far_pair_with_finite_nn_distances(self):
+        # the tree finds one finite candidate for each far point
+        near = np.random.default_rng(0).uniform(size=(70, 3))
+        far = np.array([[1e200, 0.0, 0.0], [1e200, 1.0, 0.0]])
+        ds = Dataset(points=np.vstack([near, far]), labels=np.zeros(72))
+        assert ds.nn_sq_dists[-2:].tolist() == [1.0, 1.0]
+        alone = Dataset(points=near, labels=np.zeros(70))
+        assert ds.nn_sq_dists[:-2].tobytes() == alone.nn_sq_dists.tobytes()
 
     def test_nn_sq_dists_frozen(self):
         ds = line_dataset(0.0, 1.0, 3.0)
@@ -224,9 +243,20 @@ def datasets(draw):
     return geometry.Dataset(points=points, labels=np.zeros(n))
 
 
+class TestTreeCounts:
+    def test_packing_with_own_radii_builds_no_tree(self, monkeypatch):
+        ds = random_dataset(np.random.default_rng(3), 300, 3)
+        built = count_trees(monkeypatch, geometry)
+        assert geometry.check_packing(ds, geometry.nn_radii(ds)) == []
+        assert built == []
+        assert geometry.check_packing(ds, geometry.nn_radii(ds) * 3.0) != []
+        assert built == [300]
+
+
 class TestOracles:
     @given(ds=datasets(),
-           factor=st.sampled_from([1.0, 1.01, 3.0, "jitter"]),
+           factor=st.sampled_from([0.5, 1.0, np.nextafter(1.0, 2.0), 1.01,
+                                   3.0, "jitter"]),
            seed=st.integers(0, 2 ** 32 - 1))
     def test_check_packing_equals_brute_force(self, ds, factor, seed):
         radii = geometry.nn_radii(ds)
@@ -237,7 +267,7 @@ class TestOracles:
             radii = radii * factor
         fast = geometry.check_packing(ds, radii)
         assert fast == geometry.check_packing_brute_force(ds, radii)
-        if factor == 1.0:
+        if factor in (0.5, 1.0):
             assert fast == []
 
     @given(ds=datasets())
@@ -273,6 +303,30 @@ class TestPerturbation:
         count = geometry.perturbation_changed_radii(
             line_dataset(0, 1, 3), 1, np.array([1.0]))
         assert count == 0
+
+    @pytest.mark.parametrize("index", [10, 2.5, True, -1, np.int64(-1)],
+                             ids=["n", "float", "bool", "negative",
+                                  "numpy-negative"])
+    def test_index_out_of_range_rejected(self, index):
+        ds = line_dataset(*range(10))
+        with pytest.raises(InvalidRange, match="index"):
+            geometry.perturbation_changed_radii(ds, index, np.array([20.0]))
+
+    def test_numpy_integer_index(self):
+        count = geometry.perturbation_changed_radii(
+            line_dataset(0, 1, 3), np.int64(2), np.array([10.0]))
+        assert count == 1
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_replacement_rejected(self, bad):
+        ds = line_dataset(*range(10))
+        with pytest.raises(MalformedInput, match="finite"):
+            geometry.perturbation_changed_radii(ds, 3, np.array([bad]))
+
+    def test_overflowing_replacement_rejected(self):
+        ds = line_dataset(0, 1, 3)
+        with pytest.raises(MalformedInput, match="distance overflows"):
+            geometry.perturbation_changed_radii(ds, 2, np.array([1e200]))
 
     def test_collision_rejected(self):
         with pytest.raises(DuplicatePoints):
