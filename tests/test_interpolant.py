@@ -7,6 +7,7 @@ from sobolab.errors import (
     InvalidShrink,
     MalformedInput,
     MismatchedLengths,
+    NonpositiveRadius,
     NotInterpolating,
     ParamsMismatch,
 )
@@ -75,6 +76,22 @@ class TestBuild:
         assert direct._certified and f._certified
         assert np.array_equal(interpolant.evaluate(direct, ds.points),
                               interpolant.evaluate(f, ds.points))
+
+    @pytest.mark.parametrize("field, value, error", [
+        ("radii", np.nan, NonpositiveRadius),
+        ("radii", np.inf, NonpositiveRadius),
+        ("weights", np.nan, MalformedInput),
+        ("weights", -np.inf, MalformedInput),
+        ("centers", np.nan, MalformedInput),
+    ])
+    def test_nonfinite_rejected(self, field, value, error):
+        args = dict(centers=np.array([[0.0], [1.0], [3.0]]),
+                    radii=np.array([0.25, 0.25, 0.5]),
+                    weights=np.array([1.0, 2.0, 3.0]))
+        args[field] = args[field].copy()
+        args[field][1] = value
+        with pytest.raises(error):
+            bump.BumpSum(**args)
 
 
 class TestEvaluate:
