@@ -58,13 +58,7 @@ from .errors import (
     UnsupportedDimension,
     UnsupportedOrder,
 )
-from .geometry import (
-    _REACH_SLACK,
-    _ball_pairs,
-    _nn_sq_dists,
-    _sq_norm,
-    _violating_pairs,
-)
+from .geometry import _ball_pairs, _certified_violations, _nn_sq_dists, _sq_norm
 
 PLATEAU_END = 0.25
 SUPPORT_END = 1.0
@@ -310,6 +304,10 @@ def _sum_over_pairs(alpha, centers, radii, weights, x, shortlist):
 # at 32 bumps against 12.6-15.3 ms.
 _MASK_MAX_BUMPS = 8
 
+# A k-d tree over points with coordinates of at most this magnitude never
+# overflows its squared distances: 3 (2e150)^2 is far below the double range.
+_TREE_MAX_COORD = 1e150
+
 
 @dataclass(frozen=True)
 class BumpSum:
@@ -317,11 +315,13 @@ class BumpSum:
 
     The package's one bump-sum type: ground truths, random Morrey sums and
     interpolants alike.  Disjoint supports make every norm a sum over the
-    individual bumps, so construction rejects overlapping ones.  It first
-    tries a certificate, every r_i <= delta_i / 2 with delta_i the distance
-    to the nearest other center: r_i + r_j <= ||c_i - c_j|| then holds in
-    rounded arithmetic too, and no pair can overlap.  Only a sum that fails
-    the certificate runs the k-d tree overlap search.  ``_nn_sq`` passes the
+    individual bumps, so construction rejects overlapping ones, through
+    the packing check at twice the radii
+    (:func:`sobolab.geometry._certified_violations`): a sum with every
+    r_i <= delta_i / 2, delta_i the distance to the nearest other center,
+    is certified with no search, and only other sums run the k-d tree
+    overlap search.  Centers whose squared distances overflow take that
+    search and raise :class:`MalformedInput`.  ``_nn_sq`` passes the
     centers' squared nearest-neighbor distances in when they are already
     known (as :func:`sobolab.interpolant.build` does); otherwise they are
     computed here.
@@ -351,14 +351,16 @@ class BumpSum:
         object.__setattr__(self, "centers", centers)
         object.__setattr__(self, "radii", radii)
         object.__setattr__(self, "weights", weights)
-        nn_sq = _nn_sq_dists(centers) if _nn_sq is None else _nn_sq
-        certified = bool(np.all(radii <= np.sqrt(nn_sq) / 2.0))
+        # an overflowed distance never certifies, and a 2 r that overflows
+        # is an inf reach, which overlaps every other bump
+        with np.errstate(over="ignore"):
+            nn_sq = _nn_sq_dists(centers) if _nn_sq is None else _nn_sq
+            certified, overlaps = _certified_violations(centers, 2.0 * radii,
+                                                        nn_sq)
         object.__setattr__(self, "_certified", certified)
-        if not certified:
-            overlaps = _violating_pairs(centers, 2.0 * radii)
-            if overlaps:
-                i, j = overlaps[0]
-                raise MismatchedLengths(f"supports of bumps {i} and {j} overlap")
+        if overlaps:
+            i, j = overlaps[0]
+            raise MismatchedLengths(f"supports of bumps {i} and {j} overlap")
 
     @property
     def n(self):
@@ -383,23 +385,22 @@ class BumpSum:
     def _support_pairs(self, pts):
         """(bump, point) pairs that hold every point inside an open support.
 
-        Four shortlists, tried in this order:
+        Three shortlists, tried in this order:
 
         - masks: a sum of at most ``_MASK_MAX_BUMPS`` bumps takes one mask
           per bump;
         - identity: a certified sum evaluated at exactly its own centers
           (``np.array_equal``) pairs point i with bump i alone, with no
           tree.  For j != i, ||c_i - c_j|| >= delta_j >= 2 r_j, so c_i lies
-          outside every other support; these are the pairs, in the same
-          order, that the nearest-center query below returns there;
-        - batch tree: a batch larger than the sum, or a sum without the
-          certificate, takes one unbalanced k-d tree over the batch and one
-          ball query per bump, in bump order;
-        - nearest center: otherwise (a certified sum at a few points) each
-          point is paired with its nearest center within the largest
-          radius: r_i <= delta_i/2 makes that the only center whose bump can
-          be active there, and one query per point costs less than a tree
-          over the batch.
+          outside every other support;
+        - batch tree: any other batch takes one unbalanced k-d tree over its
+          points and one ball query per bump, in bump order.  A batch with a
+          coordinate beyond ``_TREE_MAX_COORD`` in magnitude first drops
+          every point whose offset from the centers' bounding box exceeds
+          the largest radius on some axis, so that the tree's squared
+          distances do not overflow (unless the centers themselves span
+          that far): rounding is monotone, so such a point has a scaled
+          offset >= 1 from every center and lies in no support.
 
         Pairs outside a support add exact zeros to the per-bump sum.
         """
@@ -411,13 +412,18 @@ class BumpSum:
         if self._certified and np.array_equal(pts, self.centers):
             own = np.arange(self.n)
             return own, own
-        if len(pts) > self.n or not self._certified:
-            tree = cKDTree(pts, balanced_tree=False, compact_nodes=False)
-            return _ball_pairs(tree, self.centers, self.radii)
-        reach = float(np.max(self.radii)) * (1.0 + _REACH_SLACK)
-        _, idx = cKDTree(self.centers).query(pts, distance_upper_bound=reach)
-        point = np.flatnonzero(idx < self.n)
-        return idx[point], point
+        tree_pts, near = pts, None
+        if (pts.min(initial=0.0) < -_TREE_MAX_COORD
+                or pts.max(initial=0.0) > _TREE_MAX_COORD):
+            reach = np.max(self.radii)
+            with np.errstate(over="ignore"):  # an inf offset is far too
+                far = ((self.centers.min(axis=0) - pts > reach)
+                       | (pts - self.centers.max(axis=0) > reach))
+            near = np.flatnonzero(~far.any(axis=1))
+            tree_pts = pts[near]
+        tree = cKDTree(tree_pts, balanced_tree=False, compact_nodes=False)
+        bump, point = _ball_pairs(tree, self.centers, self.radii)
+        return bump, (point if near is None else near[point])
 
 
 # -- reference moduli ---------------------------------------------------------

@@ -10,7 +10,9 @@ fixed-order sum of squares (:func:`_sq_norm`, the package's only one; bump
 evaluation sums through it too) that the O(n^2) oracles use, so the fast
 paths and the oracles agree to the bit.  The packing check runs in O(n),
 with no tree, when the radii pass its certificate (every radius at most
-the point's nearest-neighbor distance, as with the dataset's own radii).
+the point's nearest-neighbor distance, as with the dataset's own radii);
+:class:`~sobolab.bump.BumpSum` checks its supports with the same
+certificate.
 The oracles are :func:`nn_radii_brute_force`, :func:`nn_graph_brute_force`
 and :func:`check_packing_brute_force`; only tests call them.
 
@@ -167,7 +169,7 @@ def _ball_pairs(tree, points, reach):
     """Shortlist (i, j) with the tree's point j within about reach_i of
     ``points[i]``, as two flat index arrays.
 
-    ``reach`` must be finite.  The query radius is widened by a relative
+    An inf reach shortlists every point.  The query radius is widened by a relative
     ``_REACH_SLACK`` so that every pair whose recomputed distance is at most
     reach_i is returned; a few pairs just beyond it may be returned too, and
     callers decide each pair from :func:`_sq_norm` alone.  When the tree
@@ -255,36 +257,62 @@ def check_packing(dataset, radii):
     a non-empty return means corrupted inputs.  Pairs come as (i, j) with
     i < j, sorted by i, then j.  Radii must be finite and positive.
 
-    Certificate: when every r_i <= sqrt(nn_sq_i), with nn_sq the dataset's
-    own ``nn_sq_dists``, the list is empty and no tree is built (O(n)).
-    Proof, in the rounded arithmetic the check uses: for i < j, x_i - x_j
-    and x_j - x_i differ only in sign, so :func:`_sq_norm` gives both the
-    same value s_ij.  nn_sq_i is the least such value over the points other
-    than x_i, so s_ij is at least nn_sq_i and nn_sq_j.  Correctly
-    rounded sqrt is monotone, so dist_ij = sqrt(s_ij) >= max(r_i, r_j).
-    nn_sq is finite (a :class:`Dataset` invariant), so r_i + r_j cannot
-    overflow, and rounding is monotone: the rounded (r_i + r_j) / 2 is at
-    most max(r_i, r_j) <= dist_ij, and no pair violates.  The dataset's
-    own radii (:func:`nn_radii`) always pass; other radii take the k-d tree
-    search of :func:`_violating_pairs`.
+    When every r_i is at most the point's own nearest-neighbor distance, as
+    the dataset's own radii (:func:`nn_radii`) always are, the list is
+    empty and no tree is built (O(n)); the certificate and its proof are
+    in :func:`_certified_violations`.  Other radii take the k-d tree search
+    of :func:`_violating_pairs`.
 
     :func:`check_packing_brute_force` is the O(n^2) oracle.
     """
     radii = _checked_radii(dataset, radii)
-    if np.all(radii <= np.sqrt(dataset.nn_sq_dists)):
-        return []
-    return _violating_pairs(dataset.points, radii)
+    return _certified_violations(dataset.points, radii,
+                                 dataset.nn_sq_dists)[1]
+
+
+def _certified_violations(points, radii, nn_sq):
+    """``(certified, pairs)``: :func:`check_packing` on raw (m, d) points and
+    valid radii, given ``nn_sq``, the points' nearest-neighbor squared
+    distances (a lone point's is inf).
+
+    Certificate: when every nn_sq_i is finite (or m = 1) and every
+    r_i <= sqrt(nn_sq_i), no pair violates, and ``(True, [])`` returns with
+    no tree built.  Proof, in the rounded arithmetic of the check: for
+    i < j, x_i - x_j and x_j - x_i differ only in sign, so :func:`_sq_norm`
+    gives both the same value s_ij.  nn_sq_i is the least such value over
+    the points other than x_i, so s_ij is at least nn_sq_i and nn_sq_j.
+    Correctly rounded sqrt is monotone, so dist_ij = sqrt(s_ij) >=
+    max(r_i, r_j).  Both nn_sq are finite, so r_i + r_j cannot overflow,
+    and rounding is monotone: the rounded (r_i + r_j) / 2 is at most
+    max(r_i, r_j) <= dist_ij, and no pair violates.  An overflowed nn_sq
+    bounds nothing (sqrt(inf) exceeds every radius while the true distance
+    may not), so it never certifies.
+
+    Otherwise ``(False, pairs)`` with the pairs of :func:`_violating_pairs`.
+    At 2 r_i the violating pairs are the overlapping balls B(x_i, r_i).
+    """
+    if ((len(points) == 1 or np.isfinite(nn_sq).all())
+            and np.all(radii <= np.sqrt(nn_sq))):
+        return True, []
+    return False, _violating_pairs(points, radii)
 
 
 def _violating_pairs(points, radii):
-    """:func:`check_packing` on raw (m, d) points and valid radii, m >= 1.
+    """:func:`check_packing` on raw (m, d) points and valid radii, m >= 1,
+    by k-d tree search.
 
     A pair can violate only when its distance is below (r_i + r_j)/2 <=
     max(r_i, r_j), so the ball of radius r around one of its two points
     holds the other: the tree shortlists those, and each shortlisted pair is
-    decided by recomputed distances alone.  At 2 r_i the violating pairs
-    are the overlapping balls B(x_i, r_i).
+    decided by recomputed distances alone.  Points whose squared distances
+    may overflow raise :class:`MalformedInput`: no pair's distance could be
+    decided there (the check is on the bounding box, whose diagonal's
+    :func:`_sq_norm` bounds every pair's, since rounding is monotone).
     """
+    with np.errstate(over="ignore"):
+        diagonal_sq = _sq_norm(np.ptp(points, axis=0))
+    if not np.isfinite(diagonal_sq):
+        raise MalformedInput("squared distances between the points overflow")
     n = len(points)
     src, dst = _ball_pairs(cKDTree(points), points, radii)
     keep = src != dst

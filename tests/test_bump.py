@@ -434,6 +434,47 @@ class TestBumpSum:
         assert u._certified is certified
         assert u(centers).tolist() == [1.0, -1.0]
 
+    @pytest.mark.parametrize("n", [2, 2 * bump._MASK_MAX_BUMPS, 70])
+    def test_overflowing_center_distance_rejected(self, n):
+        # 0 and 1e160 are 1e160 apart, but the squared distance overflows:
+        # it certifies nothing, and the overlap search cannot decide it
+        centers = np.arange(n, dtype=float)[:, None]
+        centers[1] = 1e160
+        with pytest.raises(MalformedInput, match="distances .* overflow"):
+            bump.BumpSum(centers=centers, radii=np.full(n, 1e200),
+                         weights=np.ones(n))
+        with pytest.raises(MalformedInput, match="distances .* overflow"):
+            bump.BumpSum(centers=centers, radii=np.full(n, 0.25),
+                         weights=np.ones(n))
+
+    def test_radius_whose_double_overflows(self):
+        assert bump.BumpSum(centers=[[0.0]], radii=[1e308],
+                            weights=[1.0])._certified
+        with pytest.raises(MismatchedLengths, match="bumps 0 and 1"):
+            bump.BumpSum(centers=[[0.0], [1.0]], radii=[1e308, 0.25],
+                         weights=[1.0, 1.0])
+
+    @pytest.mark.parametrize("far", [(), (1e200,), (-1e308, 1.7e308)])
+    @pytest.mark.parametrize("m", [1, 3, 40])
+    def test_far_and_edge_points_in_the_batch_tree(self, m, far):
+        # a batch with a far point drops every point whose offset from the
+        # centers' box exceeds the largest radius before the tree, whose
+        # squared distances would overflow; m = 1 and 3 are batches no
+        # larger than the sum
+        n = 2 * bump._MASK_MAX_BUMPS
+        u = bump.BumpSum(centers=np.arange(n, dtype=float)[:, None] / 2.0,
+                         radii=np.full(n, 0.25), weights=np.arange(1.0, n + 1))
+        hi, lo = u.centers[-1, 0] + 0.25, -0.25
+        # 0.95 r from the outer centers, where the bumps are still nonzero
+        probes = [hi - 0.0125, lo + 0.0125, lo, hi, np.nextafter(hi, 9.0),
+                  np.nextafter(lo, -9.0), 0.0, 0.375]
+        x = np.append(np.resize(probes, m), far)[:, None]
+        want = np.zeros(len(x))
+        for c, r, w in zip(u.centers, u.radii, u.weights):
+            near = np.abs(x[:, 0] - c[0]) < 1.0
+            want[near] += w * bump.bump_eval(c, float(r), x[near])
+        assert u(x).tobytes() == want.tobytes()
+
     @given(d=st.integers(1, 3), m=st.integers(2, 40),
            seed=st.integers(0, 2 ** 32 - 1), widen=st.booleans())
     def test_certificate_implies_no_overlap(self, d, m, seed, widen):
@@ -498,10 +539,8 @@ class TestBumpSum:
     @example(case=(_EVEN_CHAIN, (0, 0)), seed=6, side="more")
     def test_property_every_shortlist_equals_per_bump_sum(self, case, seed,
                                                           side):
-        # a few bumps take masks; beyond bump._MASK_MAX_BUMPS a sum
-        # evaluated at more points than it has bumps, or one without the
-        # certificate, takes a tree over the batch, and a certified one at
-        # no more points than bumps takes the nearest-center query
+        # the shortlists of BumpSum._support_pairs: masks for a few bumps,
+        # the identity at a certified sum's own centers, else the batch tree
         u, alpha = case
         rng = np.random.default_rng(seed)
         lo = u.centers.min(axis=0) - u.radii.max()

@@ -201,6 +201,23 @@ class TestPacking:
         bad = geometry.nn_radii(ds) * 3.0
         assert geometry.check_packing(ds, bad) != []
 
+    def test_far_clusters(self):
+        # every nearest-neighbor distance is finite, so the dataset's own
+        # radii certify; wider radii need the overlap search, whose squared
+        # distances between the clusters overflow
+        ds = line_dataset(0.0, 1.0, 1e160, 1e160 + 1e145)
+        assert geometry.check_packing(ds, geometry.nn_radii(ds)) == []
+        with pytest.raises(MalformedInput, match="distances .* overflow"):
+            geometry.check_packing(ds, geometry.nn_radii(ds) * 3.0)
+
+    def test_overflowed_nn_distance_never_certifies(self):
+        pts = np.array([[0.0], [1e160]])
+        with pytest.raises(MalformedInput, match="distances .* overflow"):
+            geometry._certified_violations(pts, np.ones(2),
+                                           np.full(2, np.inf))
+        assert geometry._certified_violations(
+            pts[:1], np.ones(1), np.full(1, np.inf)) == (True, [])
+
     def test_length_mismatch(self):
         ds = line_dataset(0, 1, 3)
         with pytest.raises(MismatchedLengths):
