@@ -58,7 +58,13 @@ from .errors import (
     UnsupportedDimension,
     UnsupportedOrder,
 )
-from .geometry import _ball_pairs, _certified_violations, _nn_sq_dists, _sq_norm
+from .geometry import (
+    _ball_pairs,
+    _certified_violations,
+    _check_squared_spread,
+    _nn_sq_dists,
+    _sq_norm,
+)
 
 PLATEAU_END = 0.25
 SUPPORT_END = 1.0
@@ -398,9 +404,11 @@ class BumpSum:
           coordinate beyond ``_TREE_MAX_COORD`` in magnitude first drops
           every point whose offset from the centers' bounding box exceeds
           the largest radius on some axis, so that the tree's squared
-          distances do not overflow (unless the centers themselves span
-          that far): rounding is monotone, so such a point has a scaled
-          offset >= 1 from every center and lies in no support.
+          distances do not overflow: rounding is monotone, so such a point
+          has a scaled offset >= 1 from every center and lies in no
+          support.  Centers and remaining points whose squared distances
+          may still overflow (centers that span more than about 1e154, as
+          two far clusters do) raise :class:`MalformedInput`.
 
         Pairs outside a support add exact zeros to the per-bump sum.
         """
@@ -413,14 +421,17 @@ class BumpSum:
             own = np.arange(self.n)
             return own, own
         tree_pts, near = pts, None
-        if (pts.min(initial=0.0) < -_TREE_MAX_COORD
-                or pts.max(initial=0.0) > _TREE_MAX_COORD):
+        lo, hi = pts.min(initial=np.inf), pts.max(initial=-np.inf)
+        box_lo, box_hi = self.centers.min(axis=0), self.centers.max(axis=0)
+        if lo < -_TREE_MAX_COORD or hi > _TREE_MAX_COORD:
             reach = np.max(self.radii)
             with np.errstate(over="ignore"):  # an inf offset is far too
-                far = ((self.centers.min(axis=0) - pts > reach)
-                       | (pts - self.centers.max(axis=0) > reach))
+                far = (box_lo - pts > reach) | (pts - box_hi > reach)
             near = np.flatnonzero(~far.any(axis=1))
             tree_pts = pts[near]
+            lo, hi = tree_pts.min(initial=np.inf), tree_pts.max(initial=-np.inf)
+        # the tree's points lie in [lo, hi] on every axis
+        _check_squared_spread(np.minimum(box_lo, lo), np.maximum(box_hi, hi))
         tree = cKDTree(tree_pts, balanced_tree=False, compact_nodes=False)
         bump, point = _ball_pairs(tree, self.centers, self.radii)
         return bump, (point if near is None else near[point])

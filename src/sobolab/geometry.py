@@ -165,6 +165,20 @@ def _finite_nn_sq_dists(points):
     return nn_sq
 
 
+def _check_squared_spread(lo, hi):
+    """Raise :class:`MalformedInput` when squared distances between points
+    in the box [lo, hi] may overflow.
+
+    The box's diagonal's :func:`_sq_norm` bounds every pair's, since
+    rounding is monotone; a k-d tree over such points raises scipy's
+    ``ValueError`` on overflow.  A NaN bound passes.
+    """
+    with np.errstate(over="ignore"):
+        diagonal_sq = _sq_norm(hi - lo)
+    if np.isinf(diagonal_sq):
+        raise MalformedInput("squared distances between the points overflow")
+
+
 def _ball_pairs(tree, points, reach):
     """Shortlist (i, j) with the tree's point j within about reach_i of
     ``points[i]``, as two flat index arrays.
@@ -200,10 +214,13 @@ def nn_graph(dataset):
     O(n log n): the tree shortlists every x_j within delta_i of x_i, and an
     edge is kept when its recomputed squared distance equals the dataset's
     nearest-neighbor squared distance exactly, so exact ties stay in the
-    graph.  :func:`nn_graph_brute_force` is the O(n^2) oracle.
+    graph.  :func:`nn_graph_brute_force` is the O(n^2) oracle.  Points
+    whose squared distances may overflow, such as two clusters 1e160
+    apart, raise :class:`MalformedInput` (:func:`_check_squared_spread`).
     """
     points = dataset.points
     nn_sq = dataset.nn_sq_dists
+    _check_squared_spread(points.min(axis=0), points.max(axis=0))
     src, dst = _ball_pairs(cKDTree(points), points, np.sqrt(nn_sq))
     keep = src != dst
     src, dst = src[keep], dst[keep]
@@ -305,14 +322,10 @@ def _violating_pairs(points, radii):
     max(r_i, r_j), so the ball of radius r around one of its two points
     holds the other: the tree shortlists those, and each shortlisted pair is
     decided by recomputed distances alone.  Points whose squared distances
-    may overflow raise :class:`MalformedInput`: no pair's distance could be
-    decided there (the check is on the bounding box, whose diagonal's
-    :func:`_sq_norm` bounds every pair's, since rounding is monotone).
+    may overflow raise :class:`MalformedInput` (:func:`_check_squared_spread`):
+    no pair's distance could be decided there.
     """
-    with np.errstate(over="ignore"):
-        diagonal_sq = _sq_norm(np.ptp(points, axis=0))
-    if not np.isfinite(diagonal_sq):
-        raise MalformedInput("squared distances between the points overflow")
+    _check_squared_spread(points.min(axis=0), points.max(axis=0))
     n = len(points)
     src, dst = _ball_pairs(cKDTree(points), points, radii)
     keep = src != dst

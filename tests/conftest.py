@@ -95,3 +95,17 @@ def support_probes(centers, radii):
     reach = 2.0 * float(np.max(radii)) + 1.0
     probes += [centers.min(axis=0) - reach, centers.max(axis=0) + reach]
     return np.array(probes)
+
+
+def peak_traced_bytes(fn):
+    """Peak bytes allocated through Python's allocators (numpy arrays
+    included) while ``fn()`` runs, above what was allocated before it."""
+    import tracemalloc
+
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        fn()
+        return tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()

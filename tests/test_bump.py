@@ -475,6 +475,32 @@ class TestBumpSum:
             want[near] += w * bump.bump_eval(c, float(r), x[near])
         assert u(x).tobytes() == want.tobytes()
 
+    @pytest.mark.parametrize("base", [1e153, 1e160])
+    @pytest.mark.parametrize("near", [(0,), (1,), (0, 1)],
+                             ids=["first", "second", "both"])
+    def test_far_clusters_in_the_batch_tree(self, base, near):
+        # two clusters of bumps, base apart: every nearest-neighbor distance
+        # is finite, so the sum certifies and evaluates at its centers with
+        # no tree, but at 1e160 the batch tree's squared distances between
+        # the clusters would overflow, whichever cluster the batch is near
+        n = bump._MASK_MAX_BUMPS
+        step = base * 1e-15
+        centers = np.append(np.arange(n), base + step * np.arange(n))[:, None]
+        radii = np.append(np.full(n, 0.25), np.full(n, step / 4.0))
+        u = bump.BumpSum(centers=centers, radii=radii,
+                         weights=np.arange(1.0, 2 * n + 1))
+        assert u._certified
+        assert u(centers).tolist() == u.weights.tolist()
+        x = np.array([(0.125, base + step / 8.0)[i] for i in near])[:, None]
+        if base == 1e160:
+            with pytest.raises(MalformedInput, match="distances .* overflow"):
+                u(x)
+            return
+        want = np.zeros(len(x))
+        for c, r, w in zip(u.centers, u.radii, u.weights):
+            want += w * bump.bump_eval(c, float(r), x)
+        assert u(x).tobytes() == want.tobytes()
+
     @given(d=st.integers(1, 3), m=st.integers(2, 40),
            seed=st.integers(0, 2 ** 32 - 1), widen=st.booleans())
     def test_certificate_implies_no_overlap(self, d, m, seed, widen):

@@ -169,6 +169,18 @@ class TestCheck:
         assert captured.err == ("error: nearest-neighbour distance "
                                 "overflows\n")
 
+    def test_far_clusters_usage_error(self, cfg, tmp_path, capsys):
+        # the dataset's radii certify the packing check; the squared
+        # distances of the nearest-neighbor graph's tree would overflow
+        far = tmp_path / "far.csv"
+        far.write_text(f"x_1,y\n0,1.0\n1,2.0\n1e160,0.0\n"
+                       f"{1e160 + 1e145!r},1.0\n")
+        assert main(["check", "--config", str(cfg), "--data", str(far)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "packing: 0 violations\n"
+        assert captured.err == ("error: squared distances between the "
+                                "points overflow\n")
+
     def test_dimension_4_rejected(self, tmp_path):
         cfg4 = tmp_path / "d4.ini"
         cfg4.write_text(BASE_INI.replace("d = 1", "d = 4"))

@@ -163,6 +163,18 @@ class TestNnGraph:
         deg = geometry.in_degrees(g)
         assert deg.max() <= geometry.kissing_number(1)
 
+    def test_far_clusters_rejected(self):
+        # every nearest-neighbor distance is finite, but the tree's squared
+        # distances between the clusters would overflow
+        with pytest.raises(MalformedInput, match="distances .* overflow"):
+            geometry.nn_graph(line_dataset(0.0, 1.0, 1e160, 1e160 + 1e145))
+
+    def test_clusters_1e153_apart_equal_brute_force(self):
+        ds = line_dataset(0.0, 1.0, 1e153, 1e153 + 1e137)
+        g = geometry.nn_graph(ds)
+        assert g == geometry.nn_graph_brute_force(ds)
+        assert g.edges == {(0, 1), (1, 0), (2, 3), (3, 2)}
+
     def test_random_in_degree_bound_2d(self):
         rng = np.random.default_rng(11)
         ds = random_dataset(rng, 500, 2)

@@ -6,10 +6,12 @@ from scipy.linalg import cho_factor, cho_solve
 from scipy.spatial.distance import cdist
 
 from sobolab import rkhs
-from sobolab.errors import UnsupportedNu, UnsupportedSpec
+from sobolab.errors import MismatchedLengths, UnsupportedNu, UnsupportedSpec
 from sobolab.geometry import Dataset
 
-from conftest import random_dataset
+from conftest import peak_traced_bytes, random_dataset
+
+MB = 1e6
 
 
 class TestKernelEval:
@@ -50,6 +52,18 @@ class TestKernelEval:
         got = rkhs.kernel_eval(spec, r)
         assert np.array_equal(got, want)
         assert np.array_equal(r, before)
+
+    @pytest.mark.parametrize("nu", [0.5, 1.5])
+    def test_matrix_over_many_sub_blocks_equals_closed_form(self, nu):
+        # 600 rows fill three row sub-blocks, the last one of 88 rows
+        rng = np.random.default_rng(6)
+        x, z = rng.uniform(-1, 1, (600, 3)), rng.uniform(-1, 1, (70, 3))
+        spec = rkhs.KernelSpec(nu=nu, lengthscale=0.37)
+        want = rkhs.kernel_eval(spec, cdist(x, z))
+        assert np.array_equal(rkhs.kernel_matrix(spec, x, z), want)
+        out = np.empty((600, 70))
+        assert rkhs.kernel_matrix(spec, x, z, out=out) is out
+        assert np.array_equal(out, want)
 
     def test_unsupported_nu(self):
         with pytest.raises(UnsupportedNu):
@@ -113,6 +127,30 @@ class TestMinNormInterpolant:
             want = cho_solve(factor, ds.labels, check_finite=False)
             assert np.array_equal(u.coefficients, want)
 
+    def test_jittered_coefficients_equal_plain_cholesky(self):
+        # two points 2e-9 apart make the nu = 3/2 kernel matrix singular in
+        # doubles; the ladder's first jitter is added to its diagonal
+        ds = Dataset(points=np.array([[0.0], [2e-9]]),
+                     labels=np.array([1.0, 1.0]))
+        spec = rkhs.KernelSpec(nu=1.5)
+        u = rkhs.min_norm_interpolant(ds, spec)
+        assert u.jitter_used == rkhs.JITTER_LADDER[1]
+        a = rkhs.kernel_matrix(spec, ds.points) + u.jitter_used * np.eye(2)
+        want = cho_solve(cho_factor(a, lower=True, check_finite=False),
+                         ds.labels, check_finite=False)
+        assert np.array_equal(u.coefficients, want)
+        assert np.max(np.abs(u(ds.points) - ds.labels)) <= rkhs.RESIDUAL_TOL
+
+    @pytest.mark.parametrize("nu", [0.5, 1.5])
+    def test_solve_holds_one_kernel_matrix(self, nu):
+        # the matrix is factored in place, and the residual is measured
+        # through the blocked predict (a second n x n array: 2 n^2 8 bytes)
+        n = 1024
+        ds = random_dataset(np.random.default_rng(13), n, 3)
+        spec = rkhs.KernelSpec(nu=nu)
+        peak = peak_traced_bytes(lambda: rkhs.min_norm_interpolant(ds, spec))
+        assert peak < n * n * 8 + 3 * MB
+
 
 def _oracle_predict(u, x):
     """kernel_eval(cdist(x, centers)) @ c, one 4096-row slice at a time."""
@@ -127,14 +165,19 @@ class TestPredict:
     @pytest.fixture(scope="class")
     def data(self):
         rng = np.random.default_rng(21)
-        return random_dataset(rng, 60, 3), rng.uniform(-1.2, 1.2, (9000, 3))
+        # the first 9000 queries are those of a 9000-point draw
+        return random_dataset(rng, 60, 3), rng.uniform(-1.2, 1.2, (12289, 3))
 
     @pytest.mark.parametrize("nu", [0.5, 1.5])
     @pytest.mark.parametrize("lengthscale", [1.0, 0.37])
-    @pytest.mark.parametrize("m", [1, 257, 4095, 4096, 4097, 9000])
+    @pytest.mark.parametrize("m", [1, 257, 4095, 4096, 4097, 9000, 255, 256,
+                                   258, 271, 272, 513, 4353, 4367, 12289])
     def test_equals_per_block_oracle(self, data, nu, lengthscale, m):
-        # under 256-row blocks m = 257 would end in a 1-row block, whose
-        # product differs in the last bits, so shorter blocks fail here
+        # a plain split into 256-row sub-blocks would end m = 257, 513 and
+        # 4353 in a 1-row block, whose product differs in the last bits;
+        # 271 and 4367 join a 15-row tail to the sub-block before it, 272
+        # keeps a 16-row one, and 12289 ends in a 1-row 4096-row span, as
+        # the oracle does
         ds, queries = data
         u = rkhs.min_norm_interpolant(
             ds, rkhs.KernelSpec(nu=nu, lengthscale=lengthscale))
@@ -155,8 +198,35 @@ class TestPredict:
         empty = u(np.empty((0, 3)))
         assert empty.shape == (0,)
 
+    @pytest.mark.parametrize("shape", [(5, 2), (2,)])
+    def test_wrong_point_dimension(self, data, shape):
+        ds, _ = data
+        u = rkhs.min_norm_interpolant(ds, rkhs.KernelSpec(nu=0.5))
+        with pytest.raises(MismatchedLengths, match="dimension"):
+            u(np.zeros(shape))
+
+    @pytest.mark.parametrize("nu", [0.5, 1.5])
+    def test_memory_is_one_sub_block(self, nu):
+        # at n = 1024 a sub-block buffer is 271 x 1024 doubles, 2.2 MB; a
+        # 4096-row block was 33.6 MB, and nu = 3/2 took a second one
+        rng = np.random.default_rng(14)
+        ds = random_dataset(rng, 1024, 3)
+        u = rkhs.min_norm_interpolant(ds, rkhs.KernelSpec(nu=nu))
+        x = rng.uniform(-1, 1, (20000, 3))
+        assert peak_traced_bytes(lambda: u(x)) < 5 * MB
+
 
 class TestRkhsNorm:
+    @pytest.mark.parametrize("nu", [0.5, 1.5])
+    def test_equals_dense_quadratic_form(self, nu):
+        rng = np.random.default_rng(15)
+        ds = random_dataset(rng, 300, 3)
+        u = rkhs.min_norm_interpolant(ds, rkhs.KernelSpec(nu=nu))
+        c = u.coefficients
+        k_mat = rkhs.kernel_matrix(u.kernel, u.centers)
+        assert rkhs.rkhs_norm(u) == pytest.approx(math.sqrt(c @ k_mat @ c),
+                                                  rel=1e-12)
+
     def test_single_point_unit(self):
         ds = Dataset(points=np.array([[0.0], [80.0]]),
                      labels=np.array([1.0, 0.0]))
