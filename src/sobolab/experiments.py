@@ -20,10 +20,13 @@ zero tolerance; statistical contracts (fitted slopes, plateau ratios,
 subset-size frequencies) are evaluated on per-n medians, never on single
 trials.  ``morrey`` draws random bump sums instead of datasets and has its
 own runner, :func:`_run_morrey`.  Its exact variant (d = k = 1) draws
-``MORREY_BLOCK`` trials at a time and runs each block's quadrature ladders
-together, one refinement level at a time, with one ``bump_partial`` call
-per level for the whole block (:func:`morrey_exact_batch`); every trial
-still gets the bits of a ladder run on its own.
+``MORREY_BLOCK`` trials at a time and checks each block as one batch
+(:func:`morrey_exact_batch`).  Disjoint supports split each trial's
+integral of |u'|^p into one integral per bump, which the bump scaling law
+turns into a profile integral over the part of the band 1/2 <= |x - c| / r
+<= 1 in the trial's interval; those pieces share one Gauss-Legendre
+halving ladder, and each stops at its own level, so every trial gets the
+same bits alone as in any batch.
 """
 
 from __future__ import annotations
@@ -39,8 +42,6 @@ import numpy as np
 
 from . import geometry, interpolant, model, quadrature, rkhs, risk
 from .bump import (
-    PLATEAU_END,
-    SUPPORT_END,
     BumpSum,
     SobolevParams,
     _sum_over_pairs,
@@ -72,12 +73,12 @@ DELTA_SLOPE_TOL = 0.2
 GAMMA_SLOPE_SLACK = 0.75
 SUBSET_FREQUENCY = 0.95
 
-# Trials per block of the exact Morrey ladder.  It bounds the flat node
-# arrays of a block: at most 26 panels per trial, halved six times, with 16
-# nodes each, so some 430k nodes (3.4 MB per array) at the deepest level.
-# Blocks of this size already share out nearly all of the per-call overhead.
+# Trials that morrey_check draws and checks at once; it bounds the node
+# arrays of the exact Morrey ladder.  Its band pieces mostly stop after four
+# halvings (16 panels of 16 nodes), so a block of 16 trials peaks near 24k
+# nodes; 5000 draws at once peak at 3.4M nodes (27 MB per array).
 MORREY_BLOCK = 16
-# Halvings of every panel before the Morrey ladder gives up.
+# Halvings of each band piece before the Morrey ladder gives up.
 _MORREY_HALVINGS = 6
 
 
@@ -128,6 +129,9 @@ class SweepConfig:
         if self.kind == "risk_vs_gamma":
             if not all(0.0 < s <= 1.0 for s in self.shrink_grid):
                 raise ConfigInvalid("sweep.shrink_grid: entries must lie in (0, 1]")
+            if len(set(self.shrink_grid)) < 2:
+                raise ConfigInvalid("sweep.shrink_grid: need at least two "
+                                    "distinct entries to fit a slope")
             if self.predictor != "bump":
                 raise ConfigInvalid(
                     f"sweep.predictor: risk_vs_gamma sweeps the bump "
@@ -546,53 +550,23 @@ def morrey_exact_batch(sums, x0, x1, delta, p, rel_tol=1e-10):
         |u(x1) - u(x0)|^p <= (2 delta)^(p-1) integral_{B(x0, 2 delta)} |u'|^p,
 
     the Hoelder route through the fundamental theorem of calculus.  The
-    integral is a panel quadrature with breakpoints at the support and
-    plateau edges, halving every panel until two levels agree to
-    ``rel_tol``.  The trials run in blocks of ``MORREY_BLOCK``, which bounds
-    the node arrays (see :func:`_morrey_block`).  Raises
-    :class:`QuadratureNotConverged`, naming the interval of the first such
-    trial, if six halvings do not get a trial there.
+    supports are disjoint and u' vanishes off the bands, so by the bump
+    scaling law bump i adds |w_i|^p r_i^(1-p) integral |2 s phi'(s^2)|^p ds
+    over the part of its band 1/2 <= s = |x - c_i| / r_i <= 1 inside
+    [x0 - 2 delta, x0 + 2 delta]: at most one piece [lo, hi] per side.
+    Every piece runs its own Gauss-Legendre halving ladder, so a trial gets
+    the same bits alone as in any batch; memory grows with the batch.
+    Raises :class:`QuadratureNotConverged`, naming the interval of the
+    first such trial, if six halvings do not get a piece there.
     """
     x0, x1, delta, p = _morrey_inputs(sums, x0, x1, delta, p)
-    out = []
-    for s in range(0, len(sums), MORREY_BLOCK):
-        block = slice(s, s + MORREY_BLOCK)
-        out.extend(_morrey_block(sums[block], x0[block], x1[block],
-                                 delta[block], p, rel_tol))
-    return out
-
-
-def morrey_exact_trial(u, x0, x1, delta, p, rel_tol=1e-10):
-    """(lhs, rhs) of one exact-variant check, as a batch of one trial.
-
-    The same code as :func:`morrey_exact_batch`, so a trial checked alone
-    gets the bits it gets in any block; alone, it pays the per-level
-    overhead that a block of ``MORREY_BLOCK`` trials shares.
-    """
-    (lhs, rhs), = morrey_exact_batch([u], [x0], [x1], [delta], p, rel_tol)
-    return lhs, rhs
-
-
-def _morrey_block(sums, x0, x1, delta, p, rel_tol):
-    """One block of :func:`morrey_exact_batch`, one level at a time.
-
-    Each trial's breakpoints hold the ends of [x0 - 2 delta, x0 + 2 delta]
-    and every edge c +- r, c +- r/2 and centre c inside it, so a panel lies
-    in at most one bump's support.  At each level the panels of the trials
-    that have not converged sit in flat arrays, trial by trial.  Only the
-    nodes of band panels (r/2 < |x - c| < r) go through one per-point
-    :func:`bump_partial` call; every other node holds an exact 0.  Each
-    trial's level sum is one ``np.sum`` over its own segment, zeros
-    included, in the node order of a one-trial ladder, so no trial's bits
-    depend on the others in its block.  u(x0) and u(x1) of the whole block
-    take one :func:`_sum_over_pairs` call, the evaluator of ``BumpSum``.
-    """
     m = len(sums)
-    sizes = [u.n for u in sums]
+    if not m:
+        return []
     centers = np.concatenate([u.centers for u in sums])
     radii = np.concatenate([u.radii for u in sums])
     weights = np.concatenate([u.weights for u in sums])
-    owner = np.repeat(np.arange(m), sizes)
+    owner = np.repeat(np.arange(m), [u.n for u in sums])
 
     def own_supports(pts):
         """(bump, point) pairs of point t and t + m with the bumps of trial
@@ -607,73 +581,50 @@ def _morrey_block(sums, x0, x1, delta, p, rel_tol):
                          np.concatenate([x1, x0])[:, None], own_supports)
     lhs = [abs(float(at[t]) - float(at[m + t])) ** p for t in range(m)]
 
-    # level 0: each trial's breakpoints
-    spans, breaks = [], []
-    for u, c0, d in zip(sums, x0.tolist(), delta.tolist()):
-        a, b = c0 - 2.0 * d, c0 + 2.0 * d
-        cuts = {a, b}
-        for c, r in zip(u.centers[:, 0], u.radii):
-            for edge in (c - r, c - r / 2.0, c, c + r / 2.0, c + r):
-                if a < edge < b:
-                    cuts.add(float(edge))
-        spans.append((a, b))
-        breaks.append(np.array(sorted(cuts)))
-    counts = np.array([len(br) - 1 for br in breaks])
-    lo = np.concatenate([br[:-1] for br in breaks])
-    hi = np.concatenate([br[1:] for br in breaks])
-    # the bump whose open support holds each panel (-1: none), and whether
-    # the panel lies on that bump's band
-    trial = np.repeat(np.arange(m), counts)
-    mid = (lo + hi) / 2.0
-    held = np.full(len(lo), -1)
-    band = np.zeros(len(lo), dtype=bool)
-    first = np.cumsum([0] + sizes[:-1])[trial]
-    for k in range(max(sizes)):
-        j = np.minimum(first + k, len(centers) - 1)
-        sq = ((mid - centers[j, 0]) / radii[j]) ** 2
-        hit = (owner[j] == trial) & (sq < SUPPORT_END)
-        held[hit] = j[hit]
-        band[hit] = sq[hit] > PLATEAU_END
-
-    order = quadrature.GL_ORDER
-    live = np.arange(m)  # the trials not yet converged, in trial order
-    prev, rhs = [0.0] * m, [None] * m
+    # each bump's band pieces in s = (c - x) / r on its left, then in
+    # s = (x - c) / r on its right, in trial order
+    a, b = x0 - 2.0 * delta, x0 + 2.0 * delta
+    near = (centers[:, 0] - b[owner]) / radii
+    far = (centers[:, 0] - a[owner]) / radii
+    lo = np.maximum(np.stack([near, -far], axis=1).ravel(), 0.5)
+    hi = np.minimum(np.stack([far, -near], axis=1).ravel(), 1.0)
+    keep = lo < hi
+    lo, hi, holder = lo[keep], hi[keep], owner.repeat(2)[keep]
+    # |w|^p r^(1-p), powered once so that no factor underflows alone
+    scale = ((np.abs(weights) * radii ** (1.0 / p - 1.0)) ** p).repeat(2)[keep]
+    # one halving ladder for all pieces: 2^level equal panels per live piece
+    integrals = np.zeros(len(lo))
+    live, prev = np.arange(len(lo)), None
     for level in range(_MORREY_HALVINGS + 1):
-        if level:  # each panel becomes its two halves, in panel order
-            mid = (lo + hi) / 2.0
-            lo, hi = (np.stack([lo, mid], axis=1).ravel(),
-                      np.stack([mid, hi], axis=1).ravel())
-            held, band, counts = held.repeat(2), band.repeat(2), 2 * counts
-        on = np.flatnonzero(band)
-        terms = np.zeros(len(lo) * order)
-        if on.size:
-            nodes, wts = quadrature.rule_from_panels(lo[on], hi[on], order)
-            j = held[on].repeat(order)
-            slope = bump_partial((1,), centers[j], radii[j], nodes[:, None])
-            slots = (on[:, None] * order + np.arange(order)).ravel()
-            terms[slots] = np.abs(weights[j] * slope) ** p * wts
-        stops = (np.cumsum(counts) * order).tolist()
-        done = np.zeros(len(live), dtype=bool)
-        for i, (t, n, stop) in enumerate(zip(live.tolist(), counts.tolist(),
-                                             stops)):
-            cur = float(np.sum(terms[stop - n * order:stop]))
-            if level and abs(cur - prev[t]) <= rel_tol * max(abs(cur), 1e-300):
-                rhs[t] = (2.0 * float(delta[t])) ** (p - 1.0) * cur
-                done[i] = True
-            prev[t] = cur
-        if done.any():
-            keep = np.repeat(~done, counts)
-            lo, hi, held, band = lo[keep], hi[keep], held[keep], band[keep]
-            live, counts = live[~done], counts[~done]
-            if not live.size:
-                break
+        if not live.size:
+            break
+        steps = np.linspace(0.0, 1.0, (1 << level) + 1)
+        edges = lo[live, None] + (hi - lo)[live, None] * steps
+        nodes, wts = quadrature.rule_from_panels(edges[:, :-1].ravel(),
+                                                 edges[:, 1:].ravel())
+        slope = bump_partial((1,), np.zeros(1), 1.0, nodes[:, None])
+        cur = (np.abs(slope) ** p * wts).reshape(len(live), -1).sum(axis=1)
+        if level:
+            done = np.abs(cur - prev) <= rel_tol * np.maximum(abs(cur), 1e-300)
+            integrals[live[done]] = cur[done]
+            live, cur = live[~done], cur[~done]
+        prev = cur
     if live.size:
-        a, b = spans[live[0]]
+        t = holder[live[0]]
         raise QuadratureNotConverged(
-            f"Morrey integral over [{a!r}, {b!r}] not converged to rel "
-            f"{rel_tol:g} after {counts[0]} panels"
+            f"Morrey integral over [{float(a[t])!r}, {float(b[t])!r}] not "
+            f"converged to rel {rel_tol:g} after {1 << _MORREY_HALVINGS} panels"
         )
-    return list(zip(lhs, rhs))
+    totals = np.bincount(holder, weights=scale * integrals, minlength=m)
+    return [(lhs[t], (2.0 * d) ** (p - 1.0) * float(totals[t]))
+            for t, d in enumerate(delta.tolist())]
+
+
+def morrey_exact_trial(u, x0, x1, delta, p, rel_tol=1e-10):
+    """(lhs, rhs) of one exact-variant check: :func:`morrey_exact_batch` on
+    a batch of one trial, so it gets the bits of any batch."""
+    (lhs, rhs), = morrey_exact_batch([u], [x0], [x1], [delta], p, rel_tol)
+    return lhs, rhs
 
 
 def _local_sobolev_norm_p(u, x0, delta, params, indices, panels=24):
@@ -714,7 +665,8 @@ def morrey_check(params, trials, seed, delta_range=(0.01, 0.75),
     diagnostic of the ratio |u(x1)-u(x0)|^p / (delta^(kp-d)
     ||u||^p_{local}) across a delta grid.
     """
-    if not (isinstance(trials, (int, np.integer)) and trials >= 1):
+    if (not isinstance(trials, (int, np.integer)) or isinstance(trials, bool)
+            or trials < 1):
         raise ConfigInvalid(f"trials: need at least 1, got {trials!r}")
     lo, hi = (float(v) for v in delta_range)
     if not (math.isfinite(lo) and math.isfinite(hi) and 0.0 < lo <= hi):
@@ -887,16 +839,16 @@ def run(config, out_dir, fmt="csv", threads=1, moduli=None):
     """
     from pathlib import Path
 
+    if fmt not in ("csv", "json-lines"):
+        raise ConfigInvalid(f"format: unknown output format {fmt!r}")
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     result = run_sweep(config, threads=threads, moduli=moduli)
     stem = out / f"{config.config_id}"
     if fmt == "csv":
         write_rows_csv(result.rows, f"{stem}_rows.csv")
-    elif fmt == "json-lines":
-        write_rows_jsonl(result.rows, f"{stem}_rows.jsonl")
     else:
-        raise ConfigInvalid(f"format: unknown output format {fmt!r}")
+        write_rows_jsonl(result.rows, f"{stem}_rows.jsonl")
     for metric in result.fits:
         if any(r["metric"] == metric for r in result.rows):
             write_fit_curve(result, metric, f"{stem}_{metric}.dat")

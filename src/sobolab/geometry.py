@@ -14,7 +14,8 @@ the point's nearest-neighbor distance, as with the dataset's own radii);
 :class:`~sobolab.bump.BumpSum` checks its supports with the same
 certificate.
 The oracles are :func:`nn_radii_brute_force`, :func:`nn_graph_brute_force`
-and :func:`check_packing_brute_force`; only tests call them.
+and :func:`check_packing_brute_force`; only tests call them.  They read a
+squared distance that overflows as inf, the true answer "far", unwarned.
 
 All functions are pure; `Dataset` arrays are frozen after construction.
 """
@@ -205,7 +206,8 @@ def nn_radii(dataset):
 
 def nn_radii_brute_force(dataset):
     """O(n^2) oracle for nn_radii; bit-identical to the indexed path."""
-    return np.sqrt(_nn_sq_dists_brute(dataset.points))
+    with np.errstate(over="ignore"):
+        return np.sqrt(_nn_sq_dists_brute(dataset.points))
 
 
 def nn_graph(dataset):
@@ -236,7 +238,8 @@ def nn_graph_brute_force(dataset):
     edges = []
     for start in range(0, n, _ORACLE_BLOCK):
         stop = min(start + _ORACLE_BLOCK, n)
-        d2 = _sq_norm(points[start:stop, None, :] - points[None, :, :])
+        with np.errstate(over="ignore"):
+            d2 = _sq_norm(points[start:stop, None, :] - points[None, :, :])
         for r in range(stop - start):
             d2[r, start + r] = np.inf
         rowmin = d2.min(axis=1)
@@ -345,8 +348,9 @@ def check_packing_brute_force(dataset, radii):
     violations = []
     for start in range(0, n, _ORACLE_BLOCK):
         stop = min(start + _ORACLE_BLOCK, n)
-        dist = np.sqrt(_sq_norm(points[start:stop, None, :]
-                                - points[None, :, :]))
+        with np.errstate(over="ignore"):
+            dist = np.sqrt(_sq_norm(points[start:stop, None, :]
+                                    - points[None, :, :]))
         limit = (radii[start:stop, None] + radii[None, :]) / 2.0
         bad = dist < limit
         for r in range(stop - start):

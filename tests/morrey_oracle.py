@@ -2,9 +2,11 @@
 
 The ladder below is the one-trial form that ``experiments`` ran before it
 batched trials: |u'|^p through :meth:`BumpSum.partial` on every node of
-every panel, one :func:`quadrature.integrate_1d` per level, halving every
-panel until two levels agree to ``rel_tol``.  The batched ladder must give
-the same (lhs, rhs) to the bit.
+every panel, with breakpoints at the support and plateau edges, one
+:func:`quadrature.integrate_1d` per level, halving every panel until two
+levels agree to ``rel_tol``.  ``experiments.morrey_exact_batch`` integrates
+the bump profile over each bump's band pieces instead, so it must give the
+same lhs to the bit and the rhs within 1e-9 relative.
 """
 
 import numpy as np

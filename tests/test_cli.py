@@ -239,6 +239,26 @@ class TestSweepCommand:
                      "json-lines"]) == 0
         assert (tmp_path / "jl" / "clidemo_rows.jsonl").exists()
 
+    @pytest.mark.parametrize("grid", ["0.5 0.5", "0.5", ""])
+    def test_degenerate_shrink_grid_usage_error(self, tmp_path, capsys,
+                                                grid):
+        bad = tmp_path / "gamma.ini"
+        bad.write_text(BASE_INI.replace(
+            "kind = norm_vs_n",
+            f"kind = risk_vs_gamma\nshrink_grid = {grid}"))
+        assert main(["sweep", "--config", str(bad), "--seed", "1",
+                     "--out", str(tmp_path / "out")]) == 2
+        assert "two distinct" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    def test_boolean_morrey_trials_usage_error(self, tmp_path, capsys):
+        bad = tmp_path / "morrey.ini"
+        bad.write_text(BASE_INI.replace("kind = norm_vs_n", "kind = morrey")
+                       .replace("trials = 5", "trials = true"))
+        assert main(["sweep", "--config", str(bad), "--seed", "4",
+                     "--out", str(tmp_path / "m")]) == 2
+        assert "sweep.trials" in capsys.readouterr().err
+
     def test_morrey_kind(self, tmp_path):
         ini = tmp_path / "morrey.ini"
         ini.write_text(BASE_INI.replace("kind = norm_vs_n", "kind = morrey")

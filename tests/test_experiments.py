@@ -159,6 +159,15 @@ class TestValidation:
         with pytest.raises(ConfigInvalid, match="shrink_grid"):
             cfg.validate()
 
+    @pytest.mark.parametrize("grid", [(0.5, 0.5), (0.5,), ()])
+    def test_degenerate_shrink_grid_rejected(self, params_d1, pure_noise_d1,
+                                             grid):
+        # one distinct shrink leaves no risk-against-gamma slope to fit
+        cfg = small_config(params_d1, pure_noise_d1, kind="risk_vs_gamma",
+                           shrink_grid=grid)
+        with pytest.raises(ConfigInvalid, match="two distinct"):
+            cfg.validate()
+
     @pytest.mark.parametrize("predictor", ["kernel", "bayes"])
     def test_gamma_sweep_non_bump_predictor_rejected(self, params_d1,
                                                      pure_noise_d1, predictor):
@@ -311,12 +320,39 @@ def _morrey_trial(draw):
     return u, x0, x1, delta
 
 
+def _assert_matches_oracle(got, want):
+    """The left-hand sides to the bit; the right-hand sides within 1e-9
+    relative or 1e-300 absolute.
+
+    The oracle integrates |u'|^p in x over breakpoint panels, the check the
+    profile in s = |x - c| / r over band pieces, so their right-hand sides
+    differ in the last bits.  The oracle's ladder tests sums below 1e-300
+    in absolute terms only: it stops within about 1e-310 of the integral
+    of a bump of tiny weight, which then differs from the check's in the
+    seventh digit."""
+    assert len(got) == len(want)
+    for (lhs, rhs), (lhs_want, rhs_want) in zip(got, want):
+        assert lhs == lhs_want
+        assert math.isclose(rhs, rhs_want, rel_tol=1e-9, abs_tol=1e-300), \
+            (rhs, rhs_want)
+
+
+def _meets_no_band(u, x0, delta):
+    """True when [x0 - 2 delta, x0 + 2 delta] meets the band of no bump of
+    nonzero weight in more than a point: u' = 0 there, and the right-hand
+    side is an exact 0."""
+    a, b = x0 - 2.0 * delta, x0 + 2.0 * delta
+    return all(w == 0.0 or ((b <= c - r or a >= c - r / 2.0)
+                            and (b <= c + r / 2.0 or a >= c + r))
+               for c, r, w in zip(u.centers[:, 0], u.radii, u.weights))
+
+
 class TestMorrey:
     def test_constant_function_trivial(self, params_d1):
         u = bump.BumpSum(centers=[[0.0]], radii=[0.3], weights=[0.0])
         lhs, rhs = morrey_exact_trial(u, 0.1, 0.2, 0.3, params_d1.p)
         assert lhs == 0.0
-        assert rhs >= 0.0
+        assert rhs == 0.0
 
     def test_single_unit_bump_hand_case(self):
         # u = psi with support radius 1; x1 = 0.8 sits off the plateau so
@@ -335,15 +371,12 @@ class TestMorrey:
 
     def test_unconverged_batch_names_first_trial(self):
         # both trials miss a negative tolerance; the error names the
-        # interval of the first, in the one-trial ladder's words
+        # interval of the first
         u = bump.BumpSum(centers=[[0.0]], radii=[1.0], weights=[1.0])
         v = bump.BumpSum(centers=[[0.5]], radii=[0.25], weights=[-2.0])
         with pytest.raises(QuadratureNotConverged) as caught:
             morrey_exact_batch([u, v], [0.0, 0.4], [0.8, 0.5], [0.9, 0.1],
                                2.0, rel_tol=-1.0)
-        with pytest.raises(QuadratureNotConverged) as alone:
-            morrey_trial_oracle(u, 0.0, 0.8, 0.9, 2.0, rel_tol=-1.0)
-        assert str(caught.value) == str(alone.value)
         assert re.search(r"over \[-1\.8, 1\.8\] not converged to rel -1 "
                          r"after \d+ panels", str(caught.value))
 
@@ -355,18 +388,33 @@ class TestMorrey:
     def test_edge_intervals_match_oracle(self, x0, delta):
         u = bump.BumpSum(centers=[[0.0]], radii=[0.4], weights=[1.5])
         got = morrey_exact_trial(u, x0, x0 + 0.5 * delta, delta, 1.25)
-        assert got == morrey_trial_oracle(u, x0, x0 + 0.5 * delta, delta, 1.25)
+        want = morrey_trial_oracle(u, x0, x0 + 0.5 * delta, delta, 1.25)
+        _assert_matches_oracle([got], [want])
+        assert (got[1] == 0.0) == _meets_no_band(u, x0, delta)
+
+    @pytest.mark.parametrize("weight, radius", [(1.0, 1.0), (-2.5, 0.3)])
+    def test_rhs_at_p_one_is_the_total_variation(self, weight, radius):
+        # p = 1: each side of a bump inside the interval adds |w|, the
+        # variation of w psi from 1 to 0, whatever its radius
+        u = bump.BumpSum(centers=[[0.2]], radii=[radius], weights=[weight])
+        _, rhs = morrey_exact_trial(u, 0.2, 0.3, radius, 1.0)
+        assert rhs == pytest.approx(2.0 * abs(weight), rel=1e-12)
 
     @given(st.sampled_from([1.0, 1.25, 2.0, 3.5]),
            st.sampled_from([1, MORREY_BLOCK - 1, MORREY_BLOCK,
                             MORREY_BLOCK + 1]).flatmap(
                lambda size: st.lists(_morrey_trial(), min_size=size,
                                      max_size=size)))
-    def test_batch_matches_oracle_bitwise(self, p, trials):
+    def test_batch_matches_oracle(self, p, trials):
         sums, x0, x1, delta = zip(*trials)
         got = morrey_exact_batch(sums, x0, x1, delta, p)
         want = [morrey_trial_oracle(*trial, p) for trial in trials]
-        assert got == want
+        _assert_matches_oracle(got, want)
+        for (u, x0, _, d), (_, rhs), (_, rhs_want) in zip(trials, got, want):
+            if _meets_no_band(u, x0, d):
+                assert rhs == rhs_want == 0.0
+        # each trial gets the same bits alone as in the batch
+        assert [morrey_exact_trial(*trial, p) for trial in trials] == got
 
     @pytest.mark.parametrize("seed", [0x5EE9, 781508])
     def test_check_matches_oracle_loop(self, params_d1, seed):
@@ -386,8 +434,10 @@ class TestMorrey:
                 violations.append({"trial": t, "lhs": lhs, "rhs": rhs,
                                    "x0": x0, "x1": x1, "delta": delta})
         rep = morrey_check(params_d1, trials=trials, seed=seed)
-        assert rep.violations == violations
-        assert morrey_exact_batch(*zip(*draws), params_d1.p) == checked
+        assert ([v["trial"] for v in rep.violations]
+                == [v["trial"] for v in violations])
+        _assert_matches_oracle(morrey_exact_batch(*zip(*draws), params_d1.p),
+                               checked)
 
     @pytest.mark.parametrize("x0, x1, delta, p, error", [
         (0.1, 0.2, -0.3, 1.25, NonpositiveRadius),
@@ -423,6 +473,7 @@ class TestMorrey:
         dict(delta_range=(math.nan, 0.2)),
         dict(trials=0),
         dict(trials=2.5),
+        dict(trials=True),
     ])
     @pytest.mark.parametrize("variant", ["exact", "diagnostic"])
     def test_bad_check_inputs_rejected(self, params_d1, kwargs, variant):
@@ -447,6 +498,18 @@ class TestMorrey:
 
 
 class TestRunAndPersistence:
+    def test_unknown_format_rejected_before_the_sweep(self, tmp_path,
+                                                      monkeypatch, params_d1,
+                                                      pure_noise_d1):
+        calls = []
+        monkeypatch.setattr(experiments, "run_sweep",
+                            lambda *args, **kw: calls.append(args))
+        cfg = small_config(params_d1, pure_noise_d1)
+        with pytest.raises(ConfigInvalid, match="format"):
+            experiments.run(cfg, tmp_path / "out", fmt="xml")
+        assert calls == []
+        assert not (tmp_path / "out").exists()
+
     def test_minimal_config_files(self, tmp_path, moduli_d1):
         ini = tmp_path / "cfg.ini"
         ini.write_text(MINIMAL_INI)

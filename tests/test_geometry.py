@@ -320,6 +320,19 @@ class TestOracles:
             assert (geometry.check_packing(ds, radii)
                     == geometry.check_packing_brute_force(ds, radii))
 
+    def test_far_clusters_answered_without_overflow(self):
+        # the squared distances between the clusters overflow: the oracles
+        # read them as inf, "far", where the trees must refuse
+        ds = line_dataset(0.0, 1.0, 1e160, 1e160 + 1e145)
+        radii = geometry.nn_radii(ds)
+        assert radii.tobytes() == geometry.nn_radii_brute_force(ds).tobytes()
+        assert geometry.check_packing(ds, radii) == []
+        assert geometry.check_packing_brute_force(ds, radii) == []
+        assert geometry.check_packing_brute_force(ds, 3.0 * radii) == [
+            (0, 1), (2, 3)]
+        assert geometry.nn_graph_brute_force(ds).edges == {
+            (0, 1), (1, 0), (2, 3), (3, 2)}
+
 
 class TestPerturbation:
     def test_move_far_point(self):
