@@ -45,7 +45,6 @@ from functools import lru_cache
 from itertools import product
 
 import numpy as np
-from scipy.spatial import cKDTree
 
 from . import quadrature
 from .errors import (
@@ -59,7 +58,6 @@ from .errors import (
     UnsupportedOrder,
 )
 from .geometry import (
-    _ball_pairs,
     _certified_violations,
     _check_squared_spread,
     _nn_sq_dists,
@@ -289,7 +287,8 @@ def bump_partial(alpha, center, delta, x):
 def _sum_over_pairs(alpha, centers, radii, weights, x, shortlist):
     """D^alpha sum_i w_i psi_{r_i}(x - c_i) over the ``(bump, point)`` pairs
     that ``shortlist(pts)`` finds in open supports; pairs in bump order give
-    each point the bits of the per-bump sum."""
+    each point the bits of the per-bump sum.  Always float64, also where no
+    pair is found."""
     x = np.asarray(x, dtype=float)
     d = centers.shape[1]
     if x.shape[-1:] != (d,):
@@ -299,20 +298,194 @@ def _sum_over_pairs(alpha, centers, radii, weights, x, shortlist):
     bump, point = shortlist(pts)
     values = bump_partial(alpha, centers[bump], radii[bump], pts[point])
     out = np.bincount(point, weights=weights[bump] * values,
-                      minlength=len(pts)).reshape(x.shape[:-1])
+                      minlength=len(pts)).astype(float, copy=False)
+    out = out.reshape(x.shape[:-1])
     return float(out) if out.ndim == 0 else out
 
 
 # A sum of at most this many bumps pairs points with supports through one
-# mask per bump.  On 65 536 points in d = 2, 3 (one core of a 2-core x86
-# host) the masks take 7.7-7.8 ms at 8 bumps against 12.8-13.5 ms for a
-# k-d tree over the batch, break even near 12-20 bumps, and take 26-32 ms
-# at 32 bumps against 12.6-15.3 ms.
+# mask per bump, and builds no grid.  On one core of a 2-core x86 host, on
+# 65 536 points in d = 2, 3, the masks cost about 1.2-1.5 ms per bump and a
+# built grid 4-9 ms whatever the count, so they break even near 4-8 bumps;
+# on 1024 points the masks take 0.27-0.32 ms at 8 bumps against 0.50-0.53 ms
+# for a grid built and queried, and break even near 16.
 _MASK_MAX_BUMPS = 8
 
-# A k-d tree over points with coordinates of at most this magnitude never
-# overflows its squared distances: 3 (2e150)^2 is far below the double range.
-_TREE_MAX_COORD = 1e150
+# Support grid (see _SupportGrid).  A level holds the bumps with radii in
+# [m / _GRID_BELOW, m * _GRID_ABOVE], m the lower median radius of the bumps
+# that no earlier level holds, and its cells are _GRID_CELL * m wide.
+_GRID_BELOW = 8.0
+_GRID_ABOVE = 4.0
+_GRID_CELL = 2.0
+# A level's table has at most this many cells per (cell, bump) listing; a
+# box with more cells wraps around a torus of that size.
+_GRID_TABLE = 16
+# Cell coordinates are exact integers below this bound: a level whose box
+# spans more cells on some axis takes wider cells.
+_GRID_MAX_CELLS = 2.0 ** 50
+# Points per slice of a grid query, which bounds its candidate arrays.
+_GRID_SLICE = 16384
+
+
+def _cell_bound(radii, h, d):
+    """An upper bound on the cells of width h that supports of ``radii``
+    meet."""
+    with np.errstate(over="ignore"):
+        return float(np.sum((2.0 * radii / h + 2.0) ** d))
+
+
+def _grid_levels(radii, d):
+    """The bumps of each grid level, ascending, with the level's cell width.
+
+    A level takes the bumps within a factor of m, the lower median of the
+    radii left, so that a cell meets few supports and a support few cells.
+    It also takes the smaller bumps left when they number at most 2^-d of
+    its own (each lies in at most 2^d cells, so they add at most that many
+    to a cell), and the larger ones left when they meet no more cells than
+    its own bumps do.  Every level holds its median bump, so the loop ends.
+    """
+    rest = np.argsort(radii, kind="stable")
+    levels = []
+    while len(rest):
+        r = radii[rest]
+        m = float(r[(len(r) - 1) // 2])
+        h = _GRID_CELL * m
+        lo = int(np.searchsorted(r, m / _GRID_BELOW))
+        hi = int(np.searchsorted(r, m * _GRID_ABOVE, side="right"))
+        if lo * 2 ** d <= hi - lo:
+            lo = 0
+        if _cell_bound(r[hi:], h, d) <= _cell_bound(r[lo:hi], h, d):
+            hi = len(r)
+        levels.append((np.sort(rest[lo:hi]), h))
+        rest = np.concatenate([rest[:lo], rest[hi:]])
+    return levels
+
+
+class _SupportGrid:
+    """Cell grids over the supports of a sum of bumps, built once per sum
+    from its centers and radii alone.
+
+    Each level (:func:`_grid_levels`) cuts the box of its bumps' supports
+    into cells of width h, and lists each of its bumps in every cell that
+    the support's bounding box [c - r, c + r] meets.  A point takes the
+    bumps listed in its own cell, on each level, as candidates.  No pair
+    in an open support is lost: when _sq_norm((x - c) / r) < 1, the
+    rounded c_j - r <= x_j <= the rounded c_j + r on every axis (were x_j
+    above the rounded c_j + r, it would exceed c_j + r, and the rounded
+    (x_j - c_j) / r would be at least 1).  Rounding is monotone, so x's
+    cell index floor((x_j - lo_j) / h) lies between those of the support's
+    box, which the bump is listed in.  For the same reason a point outside
+    a level's box, a far or infinite one among them, lies in no support of
+    that level.
+
+    Cells and listings stay O(n) however far apart the centers are: a box
+    with more than ``_GRID_TABLE`` cells per listing wraps around a torus
+    of that many cells, wide enough on each axis that no bump meets one
+    torus cell twice.  Wrapped cells hold the bumps of every cell they
+    stand for, which only adds candidates.  A reach box whose squared
+    diagonal overflows raises :class:`MalformedInput`
+    (:func:`sobolab.geometry._check_squared_spread`).
+    """
+
+    def __init__(self, centers, radii):
+        with np.errstate(over="ignore"):
+            low = centers - radii[:, None]
+            high = centers + radii[:, None]
+        _check_squared_spread(low.min(axis=0), high.max(axis=0))
+        self.centers, self.radii = centers, radii
+        self.levels = [self._level(low[members], high[members], members, h)
+                       for members, h in _grid_levels(radii, centers.shape[1])]
+
+    @staticmethod
+    def _level(low, high, members, h):
+        """(lo, h, box, dims, starts, counts, listed) of one level: the box's
+        cells per axis, the table's shape, and its cells' bumps as CSR.
+
+        Table index 0 and box + 1 on each axis are empty border cells, which
+        take the points below and above the box.
+        """
+        lo = low.min(axis=0)
+        h = max(h, float(np.max(high.max(axis=0) - lo)) / _GRID_MAX_CELLS)
+        first = np.floor((low - lo) / h)
+        last = np.floor((high - lo) / h)
+        per_axis = (last - first).astype(np.int64) + 1
+        box = last.max(axis=0).astype(np.int64) + 1
+        per_bump = per_axis.prod(axis=1)
+        total = int(per_bump.sum())
+        widest = per_axis.max(axis=0)
+        dims = box + 2
+        budget = max(_GRID_TABLE * total, math.prod(widest.tolist()))
+        while math.prod(dims.tolist()) > budget:
+            j = max((j for j in range(len(dims)) if dims[j] > widest[j]),
+                    key=lambda j: dims[j])
+            dims[j] = max((dims[j] + 1) // 2, widest[j])
+        # every (bump, cell) listing, with k its index among the bump's cells
+        k = np.arange(total) - np.repeat(np.cumsum(per_bump) - per_bump,
+                                         per_bump)
+        key = np.zeros(total, dtype=np.intp)
+        for j in range(len(dims)):
+            k, step = np.divmod(k, np.repeat(per_axis[:, j], per_bump))
+            cell = np.repeat(first[:, j].astype(np.intp) + 1, per_bump) + step
+            if dims[j] < box[j] + 2:
+                cell %= dims[j]
+            key = key * dims[j] + cell
+        counts = np.bincount(key, minlength=math.prod(dims.tolist()))
+        starts = (np.cumsum(counts) - counts).astype(np.int32)
+        counts = counts.astype(np.int32)
+        # a stable sort keeps each cell's bumps ascending
+        listed = np.repeat(members, per_bump)[np.argsort(key, kind="stable")]
+        return lo, h, box, dims, starts, counts, listed
+
+    def pairs(self, pts):
+        """(bump, point) pairs of every point in an open support, each
+        point's in bump order."""
+        bumps, points = [], []
+        for offset in range(0, len(pts), _GRID_SLICE):
+            part = pts[offset:offset + _GRID_SLICE]
+            for level in self.levels:
+                bump, point = self._candidates(level, part)
+                with np.errstate(over="ignore"):  # inf is outside too
+                    inside = _sq_norm((part[point] - self.centers[bump])
+                                      / self.radii[bump][:, None]) < 1.0
+                bumps.append(bump[inside])
+                points.append(point[inside] + offset)
+        bump = np.concatenate(bumps) if bumps else np.zeros(0, np.intp)
+        point = np.concatenate(points) if points else np.zeros(0, np.intp)
+        # in rounded arithmetic a point may lie in touching supports of
+        # several levels, and the per-bump sum adds them in bump order
+        if len(self.levels) > 1:
+            order = np.argsort(bump, kind="stable")
+            bump, point = bump[order], point[order]
+        return bump, point
+
+    @staticmethod
+    def _candidates(level, pts):
+        """(bump, point) pairs of each point with the bumps of its cell.
+
+        A point's offset (x_j - lo_j) / h is clipped to [-1, box_j] and
+        truncated, which is its floor on the box and puts a point outside
+        it in a border cell, or in the box's first cell from just below:
+        a point outside the box lies in no support, so a wrong cell there
+        only adds candidates.
+        """
+        lo, h, box, dims, starts, counts, listed = level
+        key = np.zeros(len(pts), dtype=np.intp)
+        for j in range(pts.shape[1]):
+            with np.errstate(over="ignore"):  # an inf offset clips to box_j
+                t = (pts[:, j] - lo[j]) / h
+            cell = np.clip(t, -1.0, box[j], out=t).astype(np.intp)
+            cell += 1
+            if dims[j] < box[j] + 2:
+                cell %= dims[j]
+            key *= dims[j]
+            key += cell
+        count = counts[key]
+        point = np.flatnonzero(count)
+        count = count[point]
+        ends = np.cumsum(count)
+        slot = np.arange(ends[-1] if len(ends) else 0) + np.repeat(
+            starts[key[point]] - (ends - count), count)
+        return listed[slot], np.repeat(point, count)
 
 
 @dataclass(frozen=True)
@@ -338,6 +511,8 @@ class BumpSum:
     weights: np.ndarray
     _nn_sq: InitVar[np.ndarray | None] = None
     _certified: bool = field(init=False, repr=False, compare=False)
+    _grid: _SupportGrid | None = field(init=False, repr=False, compare=False,
+                                       default=None)
 
     def __post_init__(self, _nn_sq):
         centers = np.atleast_2d(np.array(self.centers, dtype=float))
@@ -391,27 +566,24 @@ class BumpSum:
     def _support_pairs(self, pts):
         """(bump, point) pairs that hold every point inside an open support.
 
-        Three shortlists, tried in this order:
+        A NaN point raises :class:`MalformedInput`; an infinite one lies in
+        no support.  Then three shortlists, tried in this order:
 
         - masks: a sum of at most ``_MASK_MAX_BUMPS`` bumps takes one mask
           per bump;
         - identity: a certified sum evaluated at exactly its own centers
-          (``np.array_equal``) pairs point i with bump i alone, with no
-          tree.  For j != i, ||c_i - c_j|| >= delta_j >= 2 r_j, so c_i lies
-          outside every other support;
-        - batch tree: any other batch takes one unbalanced k-d tree over its
-          points and one ball query per bump, in bump order.  A batch with a
-          coordinate beyond ``_TREE_MAX_COORD`` in magnitude first drops
-          every point whose offset from the centers' bounding box exceeds
-          the largest radius on some axis, so that the tree's squared
-          distances do not overflow: rounding is monotone, so such a point
-          has a scaled offset >= 1 from every center and lies in no
-          support.  Centers and remaining points whose squared distances
-          may still overflow (centers that span more than about 1e154, as
-          two far clusters do) raise :class:`MalformedInput`.
+          (``np.array_equal``) pairs point i with bump i alone.  For
+          j != i, ||c_i - c_j|| >= delta_j >= 2 r_j, so c_i lies outside
+          every other support;
+        - grid: any other batch takes the candidates of its cells in the
+          sum's :class:`_SupportGrid`, built on first use and kept, and
+          decides each by the masks' own test, in slices of
+          ``_GRID_SLICE`` points.
 
         Pairs outside a support add exact zeros to the per-bump sum.
         """
+        if np.isnan(pts).any():
+            raise MalformedInput("query points must not be NaN")
         if self.n <= _MASK_MAX_BUMPS:
             inside = [np.flatnonzero(_sq_norm((pts - c) / r) < 1.0)
                       for c, r in zip(self.centers, self.radii)]
@@ -420,21 +592,10 @@ class BumpSum:
         if self._certified and np.array_equal(pts, self.centers):
             own = np.arange(self.n)
             return own, own
-        tree_pts, near = pts, None
-        lo, hi = pts.min(initial=np.inf), pts.max(initial=-np.inf)
-        box_lo, box_hi = self.centers.min(axis=0), self.centers.max(axis=0)
-        if lo < -_TREE_MAX_COORD or hi > _TREE_MAX_COORD:
-            reach = np.max(self.radii)
-            with np.errstate(over="ignore"):  # an inf offset is far too
-                far = (box_lo - pts > reach) | (pts - box_hi > reach)
-            near = np.flatnonzero(~far.any(axis=1))
-            tree_pts = pts[near]
-            lo, hi = tree_pts.min(initial=np.inf), tree_pts.max(initial=-np.inf)
-        # the tree's points lie in [lo, hi] on every axis
-        _check_squared_spread(np.minimum(box_lo, lo), np.maximum(box_hi, hi))
-        tree = cKDTree(tree_pts, balanced_tree=False, compact_nodes=False)
-        bump, point = _ball_pairs(tree, self.centers, self.radii)
-        return bump, (point if near is None else near[point])
+        if self._grid is None:  # threads that race here build equal grids
+            object.__setattr__(self, "_grid",
+                               _SupportGrid(self.centers, self.radii))
+        return self._grid.pairs(pts)
 
 
 # -- reference moduli ---------------------------------------------------------

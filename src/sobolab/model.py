@@ -31,7 +31,7 @@ from .errors import (
     UnsupportedDimension,
     UnsupportedSpec,
 )
-from .geometry import Dataset
+from .geometry import Dataset, _sq_norm
 
 # Exact mislabel probability of the Gaussian model: P(eps^2 >= sigma_min^2)
 # is at least 2 Phi(-1) since sigma(x) >= sigma_min everywhere.
@@ -134,7 +134,7 @@ class DistributionSpec:
 
     def density_values(self, x):
         x = np.asarray(x, dtype=float)
-        r2 = np.sum(np.atleast_2d(x) ** 2, axis=-1)
+        r2 = _sq_norm(np.atleast_2d(x))
         w = 1.0 + self.tilt * (1.0 - r2 / self.radius ** 2)
         return w / self._normalizer
 
@@ -166,7 +166,7 @@ class DistributionSpec:
 
     def sigma_sq_values(self, x):
         x = np.asarray(x, dtype=float)
-        r2 = np.sum(np.atleast_2d(x) ** 2, axis=-1)
+        r2 = _sq_norm(np.atleast_2d(x))
         if self.sigma_kind == "constant":
             out = np.full(r2.shape, self.sigma_a ** 2)
         else:
@@ -201,7 +201,7 @@ def _require_in_domain(spec, x):
 def _uniform_ball(rng, m, d, radius, center=None):
     """Exact uniform sample of m points from B(center, radius)."""
     z = rng.standard_normal((m, d))
-    z /= np.linalg.norm(z, axis=1, keepdims=True)
+    z /= np.sqrt(_sq_norm(z))[:, None]
     r = radius * rng.random(m) ** (1.0 / d)
     pts = z * r[:, None]
     if center is not None:
@@ -226,7 +226,7 @@ def sample_points(spec, m, rng):
                 f"acceptance rate collapsed after {attempts} proposals"
             )
         cand = _uniform_ball(rng, want, spec.d, spec.radius)
-        w = 1.0 + spec.tilt * (1.0 - np.sum(cand ** 2, axis=1) / spec.radius ** 2)
+        w = 1.0 + spec.tilt * (1.0 - _sq_norm(cand) / spec.radius ** 2)
         keep = rng.random(want) <= w / (1.0 + spec.tilt)
         kept = cand[keep]
         take = min(len(kept), m - filled)

@@ -68,9 +68,13 @@ def random_dataset(rng, n, d, box=1.0):
     return Dataset(points=pts, labels=rng.standard_normal(n))
 
 
-def count_trees(monkeypatch, *modules):
-    """Wrap each module's ``cKDTree``; returns the list of the point counts
-    of the trees built through them, which grows as they are built."""
+def count_trees(monkeypatch):
+    """Wrap ``cKDTree`` in ``scipy.spatial`` and in every loaded sobolab
+    module that binds it; returns the list of the point counts of the trees
+    built through them, which grows as they are built."""
+    import sys
+
+    import scipy.spatial
     from scipy.spatial import cKDTree
 
     built = []
@@ -79,8 +83,10 @@ def count_trees(monkeypatch, *modules):
         built.append(len(data))
         return cKDTree(data, *args, **kwargs)
 
-    for module in modules:
-        monkeypatch.setattr(module, "cKDTree", counted)
+    monkeypatch.setattr(scipy.spatial, "cKDTree", counted)
+    for name, module in list(sys.modules.items()):
+        if name.startswith("sobolab") and hasattr(module, "cKDTree"):
+            monkeypatch.setattr(module, "cKDTree", counted)
     return built
 
 

@@ -20,7 +20,7 @@ from sobolab.errors import (
     UnsupportedOrder,
 )
 
-from conftest import support_probes
+from conftest import peak_traced_bytes, support_probes
 from fdiff import fd_partial
 
 
@@ -457,10 +457,9 @@ class TestBumpSum:
     @pytest.mark.parametrize("far", [(), (1e200,), (-1e308, 1.7e308)])
     @pytest.mark.parametrize("m", [1, 3, 40])
     def test_far_and_edge_points_in_the_batch_tree(self, m, far):
-        # a batch with a far point drops every point whose offset from the
-        # centers' box exceeds the largest radius before the tree, whose
-        # squared distances would overflow; m = 1 and 3 are batches no
-        # larger than the sum
+        # far points, whose offsets from the grid's box overflow, and points
+        # on and just past the outer supports' edges; m = 1 and 3 are
+        # batches no larger than the sum
         n = 2 * bump._MASK_MAX_BUMPS
         u = bump.BumpSum(centers=np.arange(n, dtype=float)[:, None] / 2.0,
                          radii=np.full(n, 0.25), weights=np.arange(1.0, n + 1))
@@ -481,8 +480,8 @@ class TestBumpSum:
     def test_far_clusters_in_the_batch_tree(self, base, near):
         # two clusters of bumps, base apart: every nearest-neighbor distance
         # is finite, so the sum certifies and evaluates at its centers with
-        # no tree, but at 1e160 the batch tree's squared distances between
-        # the clusters would overflow, whichever cluster the batch is near
+        # no grid, but at 1e160 the squared diagonal of the grid's reach box
+        # overflows, whichever cluster the batch is near
         n = bump._MASK_MAX_BUMPS
         step = base * 1e-15
         centers = np.append(np.arange(n), base + step * np.arange(n))[:, None]
@@ -535,7 +534,42 @@ class TestBumpSum:
     def test_empty_batch(self):
         f = bump.BumpSum(centers=[[0.0, 0.0]], radii=[1.0], weights=[1.0])
         assert f(np.zeros((0, 2))).shape == (0,)
-        assert f.partial((1, 0), np.zeros((2, 0, 2))).shape == (2, 0)
+        assert f(np.zeros((0, 2))).dtype == np.float64
+        got = f.partial((1, 0), np.zeros((2, 0, 2)))
+        assert got.shape == (2, 0)
+        assert got.dtype == np.float64
+
+    @pytest.mark.parametrize("n", [1, 2, 3 * bump._MASK_MAX_BUMPS])
+    def test_batch_in_no_support_is_float_zeros(self, n):
+        # np.bincount of no pairs counts in int64; a batch that meets no
+        # support still evaluates to float64 zeros, on every shortlist
+        u = bump.BumpSum(centers=np.arange(n, dtype=float)[:, None],
+                         radii=np.full(n, 0.25), weights=np.ones(n))
+        for x in ([[100.0]], [[n + 5.0], [n + 6.0]], np.full((n, 1), -3.0)):
+            got = u(np.array(x))
+            assert got.dtype == np.float64
+            assert got.tolist() == [0.0] * len(x)
+
+    @pytest.mark.parametrize("n, m", [
+        (3, 4),  # masks
+        (2 * bump._MASK_MAX_BUMPS, 2 * bump._MASK_MAX_BUMPS),  # identity's size
+        (2 * bump._MASK_MAX_BUMPS, 5),  # grid
+    ], ids=["masks", "identity", "grid"])
+    def test_nan_point_rejected_on_every_shortlist(self, n, m):
+        u = bump.BumpSum(centers=np.arange(n, dtype=float)[:, None],
+                         radii=np.full(n, 0.25), weights=np.ones(n))
+        x = np.resize(u.centers, (m, 1)).copy()
+        x[-1] = np.nan
+        with pytest.raises(MalformedInput, match="NaN"):
+            u(x)
+        with pytest.raises(MalformedInput, match="NaN"):
+            u.partial((1,), x)
+        # infinite points lie in no support, as documented
+        x[-1] = np.inf
+        x[0] = -np.inf
+        got = u(x)
+        assert got[0] == got[-1] == 0.0
+        assert got[1:-1].tolist() == [1.0] * (m - 2)
 
     @given(case=_bump_sums(), seed=st.integers(0, 2 ** 32 - 1))
     def test_property_equals_per_bump_sum(self, case, seed):
@@ -554,6 +588,7 @@ class TestBumpSum:
             for c, r, w in zip(u.centers, u.radii, u.weights):
                 want = want + w * bump.bump_partial(alpha, c, float(r), x)
             assert np.shape(got) == want.shape
+            assert np.asarray(got).dtype == np.float64
             assert np.asarray(got).tobytes() == want.tobytes()
 
     @given(case=_bump_sums(max_bumps=3 * bump._MASK_MAX_BUMPS),
@@ -566,7 +601,7 @@ class TestBumpSum:
     def test_property_every_shortlist_equals_per_bump_sum(self, case, seed,
                                                           side):
         # the shortlists of BumpSum._support_pairs: masks for a few bumps,
-        # the identity at a certified sum's own centers, else the batch tree
+        # the identity at a certified sum's own centers, else the grid
         u, alpha = case
         rng = np.random.default_rng(seed)
         lo = u.centers.min(axis=0) - u.radii.max()
@@ -577,11 +612,133 @@ class TestBumpSum:
              "more": int(rng.integers(u.n + 1, len(pool) + 1))}[side]
         x = pool[:m]
         got = u(x)
+        assert got.dtype == np.float64
         assert got.tobytes() == interpolant.evaluate_brute_force(u, x).tobytes()
         want = np.zeros(m)
         for c, r, w in zip(u.centers, u.radii, u.weights):
             want = want + w * bump.bump_partial(alpha, c, float(r), x)
-        assert u.partial(alpha, x).tobytes() == want.tobytes()
+        got = u.partial(alpha, x)
+        assert got.dtype == np.float64
+        assert got.tobytes() == want.tobytes()
+
+
+def _lattice(side, spacing, origin):
+    """side x side centers on a square lattice in the plane."""
+    steps = np.arange(side) * spacing
+    grid = np.stack(np.meshgrid(steps, steps, indexing="ij"), axis=-1)
+    return grid.reshape(-1, 2) + np.asarray(origin)
+
+
+def _per_bump_sum_near(u, x):
+    """The per-bump sum at ``x``, each bump evaluated at the points of its
+    support's box alone: everywhere else its term is an exact zero."""
+    want = np.zeros(len(x))
+    for c, r, w in zip(u.centers, u.radii, u.weights):
+        near = np.flatnonzero((np.abs(x - c) <= r).all(axis=1))
+        want[near] = want[near] + w * bump.bump_eval(c, float(r), x[near])
+    return want
+
+
+class TestSupportGrid:
+    """BumpSum's cell grid against the per-bump sum, where a grid with one
+    cell width, or a dense table, would be slow or large."""
+
+    POINTS = 65536
+
+    def _check(self, u, x):
+        want = _per_bump_sum_near(u, x)
+        assert np.count_nonzero(want) > len(x) // 8
+        fresh = bump.BumpSum(centers=u.centers, radii=u.radii,
+                             weights=u.weights)
+        peak = peak_traced_bytes(lambda: fresh(x))  # the grid's build too
+        assert peak < 6 * 2 ** 20
+        seconds = []
+        for _ in range(3):
+            start = time.perf_counter()
+            got = u(x)
+            seconds.append(time.perf_counter() - start)
+        assert min(seconds) < 0.1
+        assert got.dtype == np.float64
+        assert got.tobytes() == want.tobytes()
+        assert fresh(x).tobytes() == want.tobytes()
+
+    def test_two_far_clusters(self):
+        # 2 x 500 bumps of radius 1e-3, 1e6 apart: one level, whose box
+        # would hold about 1e18 cells; its table wraps instead
+        rng = np.random.default_rng(11)
+        near = _lattice(23, 4e-3, (0.0, 0.0))[:500]
+        centers = np.vstack([near, near + 1e6])
+        u = bump.BumpSum(centers=centers, radii=np.full(1000, 1e-3),
+                         weights=rng.uniform(-2.0, 2.0, 1000))
+        half = self.POINTS // 2
+        x = np.vstack([rng.uniform(-2e-3, 0.09, size=(half, 2)),
+                       1e6 + rng.uniform(-2e-3, 0.09, size=(half, 2))])
+        self._check(u, x)
+        assert len(u._grid.levels) == 1
+
+    def test_one_large_bump_among_many_tiny(self):
+        # a bump of radius 1 and 576 of radius 1e-3: cells as wide as the
+        # tiny radii would list the large bump about 4e6 times, and cells as
+        # wide as the large one would hold every tiny bump in one cell
+        rng = np.random.default_rng(12)
+        tiny = _lattice(24, 4e-3, (2.0, 0.0))
+        centers = np.vstack([[0.0, 0.0], tiny])
+        radii = np.append(1.0, np.full(len(tiny), 1e-3))
+        u = bump.BumpSum(centers=centers, radii=radii,
+                         weights=rng.uniform(-2.0, 2.0, len(centers)))
+        assert u._certified
+        half = self.POINTS // 2
+        x = np.vstack([rng.uniform(-1.0, 1.0, size=(half, 2)),
+                       rng.uniform(1.998, 2.094, size=(half, 2))])
+        self._check(u, x)
+        assert len(u._grid.levels) == 2
+
+    def test_level_wider_than_exact_cell_coordinates(self):
+        # two clusters 2^55 apart on both axes, where the spacing of doubles
+        # is 8: cells of twice the median radius would number 2^52 per axis,
+        # so the level takes cells 2^50 times narrower than its box, and
+        # cell coordinates stay exact integers
+        rng = np.random.default_rng(13)
+        near = _lattice(4, 8.0, (0.0, 0.0))
+        apart = np.array([2.0 ** 55, -2.0 ** 55])
+        u = bump.BumpSum(centers=np.vstack([near, near + apart]),
+                         radii=np.full(32, 4.0),
+                         weights=rng.uniform(-2.0, 2.0, 32))
+        x = np.vstack([support_probes(u.centers, u.radii),
+                       rng.uniform(-4.0, 28.0, size=(500, 2)),
+                       apart + rng.uniform(-4.0, 28.0, size=(500, 2))])
+        got = u(x)
+        assert got.dtype == np.float64
+        assert got.tobytes() == _per_bump_sum_near(u, x).tobytes()
+        (level,) = u._grid.levels
+        assert level[1] > 16.0  # the median radius is 4
+
+    @given(d=st.integers(1, 3), m=st.integers(bump._MASK_MAX_BUMPS + 1, 40),
+           seed=st.integers(0, 2 ** 32 - 1),
+           alpha_index=st.integers(0, 19))
+    def test_property_levels_equal_per_bump_sum(self, d, m, seed,
+                                                alpha_index):
+        # radii over 24 octaves along a chain of touching supports spread
+        # the bumps over several levels, with stray small and large ones
+        rng = np.random.default_rng(seed)
+        radii = 2.0 ** -rng.integers(0, 24, size=m)
+        gaps = rng.choice([0.0, 0.0, 1.0, 100.0], size=m - 1) * radii[1:]
+        centers = np.zeros((m, d))
+        centers[1:, 0] = np.cumsum(radii[:-1] + radii[1:] + gaps)
+        u = bump.BumpSum(centers=centers, radii=radii,
+                         weights=rng.uniform(-3.0, 3.0, m))
+        alphas = bump.multi_indices(d, bump.MAX_ORDER)
+        alpha = alphas[alpha_index % len(alphas)]
+        scale = radii[rng.integers(0, m, size=200)][:, None]
+        x = np.vstack([support_probes(u.centers, u.radii),
+                       u.centers[rng.integers(0, m, size=200)]
+                       + rng.uniform(-1.5, 1.5, size=(200, d)) * scale])
+        want = np.zeros(len(x))
+        for c, r, w in zip(u.centers, u.radii, u.weights):
+            want = want + w * bump.bump_partial(alpha, c, float(r), x)
+        got = u.partial(alpha, x)
+        assert got.dtype == np.float64
+        assert got.tobytes() == want.tobytes()
 
 
 class TestModuli:

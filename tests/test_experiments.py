@@ -203,7 +203,7 @@ class TestNormTrial:
         # the packing check and the interpolation residual are certified;
         # only the dataset's nearest-neighbor search needs a tree
         cfg = small_config(params_d3, pure_noise_d3, n_grid=(256,))
-        built = count_trees(monkeypatch, geometry, bump)
+        built = count_trees(monkeypatch)
         ds = model.sample(cfg.spec, 256, derive_seed(cfg.master_seed, 256, 0))
         radii = geometry.nn_radii(ds)
         metrics, checks = experiments._norm_trial(cfg, moduli_d3, ds, radii,
@@ -211,6 +211,25 @@ class TestNormTrial:
         assert built == [256]
         assert checks == {"packing": 0, "interpolation": 0, "norm_bound": 0}
         assert [name for name, _ in metrics] == ["norm_p", "norm_bound"]
+
+    def test_gamma_trial_builds_only_the_datasets_tree(self, params_d2,
+                                                       moduli_d2, monkeypatch):
+        # the Monte Carlo risk of every shrink pairs its points with the
+        # supports through the interpolant's cell grid, not a tree
+        spec = model.DistributionSpec(params=params_d2, density="parabolic",
+                                      tilt=0.5)
+        cfg = small_config(params_d2, spec, kind="risk_vs_gamma",
+                           n_grid=(256,),
+                           shrink_grid=(1.0, 0.7, 0.5, 0.35, 0.25),
+                           mc_samples=2000)
+        built = count_trees(monkeypatch)
+        ds = model.sample(cfg.spec, 256, derive_seed(cfg.master_seed, 256, 0))
+        radii = geometry.nn_radii(ds)
+        metrics, checks = experiments._gamma_trial(cfg, moduli_d2, ds, radii,
+                                                   256, 0)
+        assert built == [256]
+        assert checks["interpolation"] == 0
+        assert len(metrics) == 2 * len(cfg.shrink_grid)
 
 
 class TestGammaTrial:

@@ -275,7 +275,7 @@ def datasets(draw):
 class TestTreeCounts:
     def test_packing_with_own_radii_builds_no_tree(self, monkeypatch):
         ds = random_dataset(np.random.default_rng(3), 300, 3)
-        built = count_trees(monkeypatch, geometry)
+        built = count_trees(monkeypatch)
         assert geometry.check_packing(ds, geometry.nn_radii(ds)) == []
         assert built == []
         assert geometry.check_packing(ds, geometry.nn_radii(ds) * 3.0) != []

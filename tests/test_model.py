@@ -1,8 +1,10 @@
+import hashlib
 import math
 
 import numpy as np
 import pytest
 
+from conftest import CANONICAL
 from sobolab import bump, geometry, model
 from sobolab.errors import OutOfDomain, TooFewPoints, UnsupportedSpec
 from sobolab.geometry import Dataset
@@ -84,6 +86,52 @@ class TestSampling:
             se = math.sqrt(max(c, 1.0)) / (n * width)
             assert dens >= spec.density_lower - 4 * se
             assert dens <= spec.density_upper + 4 * se
+
+
+# sha256 prefixes of the bytes of _uniform_ball (500 points, radius 1.3,
+# center 0.25 on every axis), then sample_points (500 points, parabolic
+# tilt 0.5, radius 1.3), then density_values and sigma_sq_values (quadratic,
+# a = 0.25, b = 1) at those points, all from one default_rng(seed): the
+# outputs of np.linalg.norm and np.sum(x ** 2) before both became _sq_norm.
+_SAMPLER_DIGESTS = {
+    (1, 0): ("acd352aecca11e13", "c84cae31c0272b41", "b923f96f3aedb3c3",
+             "e8407a2412acb934"),
+    (1, 5): ("d8381fbfebe42076", "338e173eaeeca98a", "85ad236a431c91b7",
+             "8d2c8bc96230335c"),
+    (1, 781508): ("0235fc1c75d9dd9e", "2499b99e19dd1095", "748e763f9442e596",
+                  "18a4975aa7673b45"),
+    (2, 0): ("f3105579407a7758", "9cd21b85dca5354d", "0900740286833cee",
+             "e6fe6b94fe2493ae"),
+    (2, 5): ("b2fcfa41f3037ffd", "712a4040d78c1af9", "371824943376afe1",
+             "a0493830c563225e"),
+    (2, 781508): ("8ef414b7e17af228", "af489076aa0c24e0", "1185b9b95c08c569",
+                  "05c4aedfed8641d6"),
+    (3, 0): ("991a5c8d9b776deb", "b4267fa22fa103f9", "dc829aae8007d7aa",
+             "a4d99daf806393d5"),
+    (3, 5): ("4d9a863fa49c7ac0", "c1634b1e9341e298", "bbd7a7d571dc5ebf",
+             "08777e6d0762ab3a"),
+    (3, 781508): ("43ec14e8d8cc6d05", "450f465b7ee39c1f", "79dc00bd6c63be2d",
+                  "3e9daa9ad490bbb8"),
+}
+
+
+def _digest(a):
+    return hashlib.sha256(np.ascontiguousarray(a).tobytes()).hexdigest()[:16]
+
+
+class TestSamplerBits:
+    @pytest.mark.parametrize("d, seed", sorted(_SAMPLER_DIGESTS))
+    def test_pinned_outputs(self, d, seed):
+        params = bump.SobolevParams(**CANONICAL[d])
+        spec = DistributionSpec(params=params, radius=1.3, density="parabolic",
+                                tilt=0.5, sigma_kind="quadratic",
+                                sigma_a=0.25, sigma_b=1.0)
+        rng = np.random.default_rng(seed)
+        ball = model._uniform_ball(rng, 500, d, 1.3, center=np.full(d, 0.25))
+        pts = model.sample_points(spec, 500, rng)
+        got = tuple(_digest(a) for a in (ball, pts, spec.density_values(pts),
+                                         spec.sigma_sq_values(pts)))
+        assert got == _SAMPLER_DIGESTS[d, seed]
 
 
 class TestConditionalLoss:
