@@ -649,8 +649,7 @@ def _partial_power_box(alpha, p, delta):
     return integrand, [(0.0, delta)] * len(alpha)
 
 
-def integrate_partial_power(alpha, p, delta, rel_tol=1e-8, max_doublings=6,
-                            order=quadrature.GL_ORDER):
+def integrate_partial_power(alpha, p, delta, rel_tol=1e-8, max_doublings=6):
     """Adaptive quadrature of integral |D^alpha psi_delta|^p over R^d.
 
     Independent of the scaling shortcut: the integrand is evaluated at the
@@ -661,14 +660,13 @@ def integrate_partial_power(alpha, p, delta, rel_tol=1e-8, max_doublings=6,
     integrand, box = _partial_power_box(alpha, p, delta)
     value, panels, err = quadrature.adaptive_box(
         integrand, box, rel_tol=rel_tol,
-        start_panels=1, max_doublings=max_doublings, order=order,
+        start_panels=1, max_doublings=max_doublings,
     )
     scale = 2.0 ** len(box)
     return scale * value, panels, scale * err
 
 
-def integrate_partial_power_fixed(alpha, p, delta, panels,
-                                  order=quadrature.GL_ORDER):
+def integrate_partial_power_fixed(alpha, p, delta, panels):
     """Like :func:`integrate_partial_power` but at a fixed panel count.
 
     Useful when a converged panel count is already known (for example from
@@ -676,8 +674,7 @@ def integrate_partial_power_fixed(alpha, p, delta, panels,
     repeat work.
     """
     integrand, box = _partial_power_box(alpha, p, delta)
-    return 2.0 ** len(box) * quadrature.integrate_box(integrand, box, panels,
-                                                      order=order)
+    return 2.0 ** len(box) * quadrature.integrate_box(integrand, box, panels)
 
 
 # Levels of the even-p radial ladder agree to this relative tolerance, or
@@ -718,8 +715,7 @@ def _compositions(total, parts):
             yield (first,) + rest
 
 
-def _even_power_modulus(alpha, p, rel_tol=1e-8, max_doublings=6,
-                        order=quadrature.GL_ORDER):
+def _even_power_modulus(alpha, p, rel_tol=1e-8, max_doublings=6):
     """M_alpha = integral |D^alpha psi_1|^p for an even integer p.
 
     Returns ``(value, panels, est_error)`` like
@@ -777,7 +773,7 @@ def _even_power_modulus(alpha, p, rel_tol=1e-8, max_doublings=6,
     value, panels, err = quadrature.adaptive_box(
         radial, [(PLATEAU_END ** 0.5, SUPPORT_END)],
         rel_tol=min(rel_tol, _EXACT_REL_TOL), start_panels=4,
-        max_doublings=max_doublings, order=order,
+        max_doublings=max_doublings,
     )
     if not order_alpha:
         value += _sphere_moment((0,) * d) / (d * 2.0 ** d)
@@ -787,8 +783,7 @@ def _even_power_modulus(alpha, p, rel_tol=1e-8, max_doublings=6,
     return value, panels, err
 
 
-def reference_moduli(params, rel_tol=1e-8, max_doublings=6,
-                     order=quadrature.GL_ORDER):
+def reference_moduli(params, rel_tol=1e-8, max_doublings=6):
     """Compute the full M_alpha table for ``params`` deterministically.
 
     The path depends on ``params.p`` alone.  An even integer p takes the
@@ -813,13 +808,11 @@ def reference_moduli(params, rel_tol=1e-8, max_doublings=6,
             if params.p % 2 == 0:
                 by_class[rep] = _even_power_modulus(
                     alpha, params.p, rel_tol=rel_tol,
-                    max_doublings=max_doublings, order=order,
-                )
+                    max_doublings=max_doublings)
             else:
                 by_class[rep] = integrate_partial_power(
                     alpha, params.p, 1.0, rel_tol=rel_tol,
-                    max_doublings=max_doublings, order=order,
-                )
+                    max_doublings=max_doublings)
         value, n_panels, err = by_class[rep]
         table[alpha] = value
         panels[alpha] = n_panels

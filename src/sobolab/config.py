@@ -1,13 +1,14 @@
 """Structured text configs: sections [params], [distribution], [sweep].
 
-The exact field names below are the interchange contract of the CLI; see
-``sobolab --help`` for the same list.
+The keys below are the CLI's interchange contract and their only list
+(``_KEYS`` maps each to a dataclass field and parser).  A key left out takes
+the field's default; a key not listed raises ConfigInvalid.
 
 [params]
-    k, p, d                 Sobolev order, integrability, dimension.
+    k, p, d                 Sobolev order, integrability, dimension (required)
 
 [distribution]
-    radius                  domain ball radius (default 1.0)
+    radius                  domain ball radius
     density                 uniform | parabolic
     tilt                    parabolic tilt in [0, 1)
     sigma                   constant | quadratic
@@ -19,7 +20,7 @@ The exact field names below are the interchange contract of the CLI; see
 [sweep]
     id                      output file stem
     kind                    norm_vs_n | delta_subset | weighted_delta_sum |
-                            risk_vs_n | risk_vs_gamma | morrey
+                            risk_vs_n | risk_vs_gamma | morrey (required)
     n_grid                  whitespace-separated increasing sizes (>= 4)
     trials                  per-n repetitions (>= 5)
     seed                    master seed (CLI --seed overrides)
@@ -29,8 +30,8 @@ The exact field names below are the interchange contract of the CLI; see
     predictor               bump | kernel | bayes
     nu, lengthscale         kernel family parameters
     mc_samples              Monte Carlo budget per risk estimate
-    plateau_ratio           plateau contract ratio (default 0.2)
-    risk_floor              plateau contract floor (default 0.01)
+    plateau_ratio           plateau contract ratio
+    risk_floor              plateau contract floor
 """
 
 from __future__ import annotations
@@ -45,8 +46,52 @@ from .experiments import SweepConfig
 from .model import DistributionSpec
 
 
+def _float_tuple(raw):
+    return tuple(float(v) for v in raw.split())
+
+
+def _int_tuple(raw):
+    return tuple(int(v) for v in raw.split())
+
+
+# section -> ini key -> (field, parser).  The two ground-truth keys of
+# [distribution] together make DistributionSpec.ground_truth.
+_KEYS = {
+    "params": {"k": ("k", int), "p": ("p", float), "d": ("d", int)},
+    "distribution": {
+        "radius": ("radius", float),
+        "density": ("density", str.strip),
+        "tilt": ("tilt", float),
+        "sigma": ("sigma_kind", str.strip),
+        "sigma_a": ("sigma_a", float),
+        "sigma_b": ("sigma_b", float),
+        "ground_truth": ("ground_truth", str.strip),
+        "bumps": ("bumps", str),
+    },
+    "sweep": {
+        "id": ("config_id", str.strip),
+        "kind": ("kind", str.strip),
+        "n_grid": ("n_grid", _int_tuple),
+        "trials": ("trials", int),
+        "seed": ("master_seed", int),
+        "shrink": ("shrink", float),
+        "shrink_grid": ("shrink_grid", _float_tuple),
+        "beta": ("beta", float),
+        "predictor": ("predictor", str.strip),
+        "nu": ("kernel_nu", float),
+        "lengthscale": ("kernel_lengthscale", float),
+        "mc_samples": ("mc_samples", int),
+        "plateau_ratio": ("plateau_ratio", float),
+        "risk_floor": ("risk_floor", float),
+    },
+}
+
+
 def _read_ini(path):
-    parser = configparser.ConfigParser(inline_comment_prefixes=(";", "#"))
+    # values are literal: no key refers to another, and a '%' is a typo to
+    # report by key, not an interpolation error
+    parser = configparser.ConfigParser(inline_comment_prefixes=(";", "#"),
+                                       interpolation=None)
     try:
         with open(path, encoding="utf-8") as fh:
             parser.read_file(fh)
@@ -57,18 +102,27 @@ def _read_ini(path):
     return parser
 
 
-def _get(parser, section, key, cast, default=None, required=False):
-    if not parser.has_option(section, key):
-        if required:
+def _read_section(parser, section, required=()):
+    """{field: parsed value} for each key ``section`` sets; a key left out
+    has no entry, so its field keeps the dataclass default."""
+    if not parser.has_section(section):
+        raise ConfigInvalid(f"{section}: section missing")
+    table = _KEYS[section]
+    fields = {}
+    for key, raw in parser.items(section):
+        if key not in table:
+            raise ConfigInvalid(f"{section}.{key}: unknown key")
+        name, cast = table[key]
+        try:
+            fields[name] = cast(raw)
+        except (TypeError, ValueError):
+            raise ConfigInvalid(
+                f"{section}.{key}: cannot parse {raw!r}"
+            ) from None
+    for key in required:
+        if table[key][0] not in fields:
             raise ConfigInvalid(f"{section}.{key}: required field missing")
-        return default
-    raw = parser.get(section, key)
-    try:
-        return cast(raw)
-    except (TypeError, ValueError):
-        raise ConfigInvalid(
-            f"{section}.{key}: cannot parse {raw!r}"
-        ) from None
+    return fields
 
 
 def _parse_bumps(raw, d):
@@ -96,86 +150,36 @@ def _parse_bumps(raw, d):
 
 
 def parse_params(parser):
-    if not parser.has_section("params"):
-        raise ConfigInvalid("params: section missing")
-    k = _get(parser, "params", "k", int, required=True)
-    p = _get(parser, "params", "p", float, required=True)
-    d = _get(parser, "params", "d", int, required=True)
+    fields = _read_section(parser, "params", required=("k", "p", "d"))
     try:
-        return SobolevParams(k=k, p=p, d=d)
+        return SobolevParams(**fields)
     except SobolabError as exc:
         raise ConfigInvalid(f"params: {exc}") from None
 
 
 def parse_distribution(parser, params):
-    section = "distribution"
-    if not parser.has_section(section):
-        raise ConfigInvalid("distribution: section missing")
-    kind = _get(parser, section, "ground_truth", str, default="zero").strip()
-    if kind == "zero":
-        ground_truth = None
-    elif kind == "bumps":
-        raw = _get(parser, section, "bumps", str, required=True)
-        ground_truth = _parse_bumps(raw, params.d)
-    else:
+    fields = _read_section(parser, "distribution")
+    kind = fields.pop("ground_truth", "zero")
+    raw = fields.pop("bumps", None)
+    if kind == "bumps":
+        if raw is None:
+            raise ConfigInvalid("distribution.bumps: required field missing")
+        fields["ground_truth"] = _parse_bumps(raw, params.d)
+    elif kind != "zero":
         raise ConfigInvalid(
             f"distribution.ground_truth: expected zero|bumps, got {kind!r}"
         )
     try:
-        return DistributionSpec(
-            params=params,
-            radius=_get(parser, section, "radius", float, default=1.0),
-            density=_get(parser, section, "density", str,
-                         default="uniform").strip(),
-            tilt=_get(parser, section, "tilt", float, default=0.0),
-            ground_truth=ground_truth,
-            sigma_kind=_get(parser, section, "sigma", str,
-                            default="constant").strip(),
-            sigma_a=_get(parser, section, "sigma_a", float, default=1.0),
-            sigma_b=_get(parser, section, "sigma_b", float, default=0.0),
-        )
+        return DistributionSpec(params=params, **fields)
     except SobolabError as exc:
         raise ConfigInvalid(f"distribution: {exc}") from None
 
 
-def _float_tuple(raw):
-    return tuple(float(v) for v in raw.split())
-
-
-def _int_tuple(raw):
-    return tuple(int(v) for v in raw.split())
-
-
-def parse_sweep(parser, params, spec, seed_override=None):
-    section = "sweep"
-    if not parser.has_section(section):
-        raise ConfigInvalid("sweep: section missing")
-    seed = seed_override
-    if seed is None:
-        seed = _get(parser, section, "seed", int, default=None)
-    config = SweepConfig(
-        config_id=_get(parser, section, "id", str, default="sweep").strip(),
-        kind=_get(parser, section, "kind", str, required=True).strip(),
-        params=params,
-        spec=spec,
-        n_grid=_get(parser, section, "n_grid", _int_tuple, default=()),
-        trials=_get(parser, section, "trials", int, default=20),
-        master_seed=seed,
-        shrink=_get(parser, section, "shrink", float, default=1.0),
-        shrink_grid=_get(parser, section, "shrink_grid", _float_tuple,
-                         default=(1.0, 0.7, 0.5, 0.35, 0.25)),
-        beta=_get(parser, section, "beta", float, default=None),
-        predictor=_get(parser, section, "predictor", str,
-                       default="bump").strip(),
-        kernel_nu=_get(parser, section, "nu", float, default=None),
-        kernel_lengthscale=_get(parser, section, "lengthscale", float,
-                                default=1.0),
-        mc_samples=_get(parser, section, "mc_samples", int, default=200_000),
-        plateau_ratio=_get(parser, section, "plateau_ratio", float,
-                           default=0.2),
-        risk_floor=_get(parser, section, "risk_floor", float, default=0.01),
-    )
-    return config.validate()
+def parse_sweep(parser, spec, seed_override=None):
+    fields = _read_section(parser, "sweep", required=("kind",))
+    if seed_override is not None:
+        fields["master_seed"] = seed_override
+    return SweepConfig(spec=spec, **fields).validate()
 
 
 def load_distribution(path):
@@ -188,6 +192,5 @@ def load_distribution(path):
 def load_sweep(path, seed_override=None):
     """Full sweep config from a file with all three sections."""
     parser = _read_ini(path)
-    params = parse_params(parser)
-    spec = parse_distribution(parser, params)
-    return parse_sweep(parser, params, spec, seed_override=seed_override)
+    spec = parse_distribution(parser, parse_params(parser))
+    return parse_sweep(parser, spec, seed_override=seed_override)

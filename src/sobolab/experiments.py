@@ -43,7 +43,6 @@ import numpy as np
 from . import geometry, interpolant, model, quadrature, rkhs, risk
 from .bump import (
     BumpSum,
-    SobolevParams,
     _sum_over_pairs,
     bump_partial,
     multi_indices,
@@ -86,10 +85,9 @@ _MORREY_HALVINGS = 6
 class SweepConfig:
     """Everything a sweep needs; validated eagerly via :meth:`validate`."""
 
-    config_id: str
     kind: str
-    params: SobolevParams
     spec: model.DistributionSpec
+    config_id: str = "sweep"
     n_grid: tuple = ()
     trials: int = 20
     master_seed: int | None = None
@@ -149,6 +147,12 @@ class SweepConfig:
             raise ConfigInvalid(
                 f"sweep.mc_samples: need at least 100, got {self.mc_samples}"
             )
+        if not 0.0 < self.plateau_ratio < math.inf:
+            raise ConfigInvalid(f"sweep.plateau_ratio: must be finite and "
+                                f"positive, got {self.plateau_ratio}")
+        if not 0.0 <= self.risk_floor < math.inf:
+            raise ConfigInvalid(f"sweep.risk_floor: must be finite and "
+                                f"nonnegative, got {self.risk_floor}")
         if self.kind == "risk_vs_n" and self.predictor == "kernel":
             if max(self.n_grid) > rkhs.DENSE_SOLVE_MAX_N:
                 raise ConfigInvalid(
@@ -160,6 +164,11 @@ class SweepConfig:
             except UnsupportedNu as exc:
                 raise ConfigInvalid(f"sweep.nu, sweep.lengthscale: {exc}") from None
         return self
+
+    @property
+    def params(self):
+        """The sweep's (k, p, d): the distribution's own."""
+        return self.spec.params
 
     @property
     def kernel_spec(self):
@@ -627,7 +636,7 @@ def morrey_exact_trial(u, x0, x1, delta, p, rel_tol=1e-10):
     return lhs, rhs
 
 
-def _local_sobolev_norm_p(u, x0, delta, params, indices, panels=24):
+def _local_sobolev_norm_p(u, x0, delta, params, indices):
     """||u||^p_{W^{k,p}(B(x0, 2 delta))} by masked box quadrature.
 
     Diagnostic-grade: the ball indicator is discontinuous on the box, so
@@ -640,7 +649,7 @@ def _local_sobolev_norm_p(u, x0, delta, params, indices, panels=24):
         def f(pts, alpha=alpha):
             inside = np.linalg.norm(pts - x0, axis=1) <= 2.0 * delta
             return np.abs(u.partial(alpha, pts)) ** params.p * inside
-        total += integrate_box(f, bounds, panels, order=10) ** (1.0 / params.p)
+        total += integrate_box(f, bounds, panels=24, order=10) ** (1.0 / params.p)
     return total ** params.p
 
 

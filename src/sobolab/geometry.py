@@ -137,11 +137,11 @@ def _nn_sq_dists_brute(points):
     return d2.min(axis=1)
 
 
-def _nn_sq_dists_tree(points, candidates=4):
+def _nn_sq_dists_tree(points):
     n = len(points)
     tree = cKDTree(points)
-    _, idx = tree.query(points, k=min(candidates + 1, n))
-    # Recompute candidate distances with the shared arithmetic; the tree is
+    _, idx = tree.query(points, k=min(5, n))
+    # The point itself and four candidates.  Recompute candidate distances with the shared arithmetic; the tree is
     # only trusted to shortlist, never to produce the final number.  Where
     # its own squared distance overflows it finds no candidate: index n.
     missing = idx == n
@@ -265,7 +265,7 @@ def _checked_radii(dataset, radii):
             f"radii shape {radii.shape} does not match n={dataset.n}"
         )
     if not (np.isfinite(radii).all() and np.all(radii > 0.0)):
-        raise NonpositiveRadius("packing radii must be finite and positive")
+        raise NonpositiveRadius("radii must be finite and positive")
     return radii
 
 

@@ -33,6 +33,7 @@ from .errors import (
     NotInterpolating,
     ParamsMismatch,
 )
+from .geometry import _checked_radii
 
 INTERPOLATION_TOL = 1e-9
 
@@ -45,11 +46,7 @@ def build(dataset, radii, shrink, params):
     """
     if not (isinstance(shrink, (int, float)) and 0.0 < shrink <= 1.0):
         raise InvalidShrink(f"shrink must lie in (0, 1], got {shrink}")
-    radii = np.asarray(radii, dtype=float)
-    if radii.shape != (dataset.n,):
-        raise MismatchedLengths(
-            f"radii shape {radii.shape} does not match n={dataset.n}"
-        )
+    radii = _checked_radii(dataset, radii)
     if dataset.dim != params.d:
         raise ParamsMismatch(
             f"dataset dimension {dataset.dim} != params d={params.d}"
@@ -107,11 +104,7 @@ def min_norm_upper_bound(dataset, radii, moduli):
     at most a factor A^(p-1) by the power-mean inequality.
     """
     params = moduli.params
-    radii = np.asarray(radii, dtype=float)
-    if radii.shape != (dataset.n,):
-        raise MismatchedLengths(
-            f"radii shape {radii.shape} does not match n={dataset.n}"
-        )
+    radii = _checked_radii(dataset, radii)
     p, d, k = params.p, params.d, params.k
     a_count = len(moduli.table)
     r_max = float(np.max(radii)) / 2.0

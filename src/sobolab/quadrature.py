@@ -55,12 +55,12 @@ def rule_from_panels(lo, hi, order=GL_ORDER):
     return nodes, weights
 
 
-def integrate_1d(f, breaks, order=GL_ORDER):
-    nodes, weights = rule_from_breakpoints(breaks, order=order)
+def integrate_1d(f, breaks):
+    nodes, weights = rule_from_breakpoints(breaks)
     return float(np.sum(f(nodes) * weights))
 
 
-def integrate_box(f, bounds, panels, order=GL_ORDER, chunk=_CHUNK):
+def integrate_box(f, bounds, panels, order=GL_ORDER):
     """Integrate ``f`` over the box ``bounds`` = [(a_1, b_1), ...].
 
     ``f`` maps an (m, d) array of points to (m,) values.  The tensor grid is
@@ -71,8 +71,8 @@ def integrate_box(f, bounds, panels, order=GL_ORDER, chunk=_CHUNK):
     total = prod(sizes)
     d = len(bounds)
     acc = 0.0
-    for start in range(0, total, chunk):
-        flat = np.arange(start, min(start + chunk, total))
+    for start in range(0, total, _CHUNK):
+        flat = np.arange(start, min(start + _CHUNK, total))
         multi = np.unravel_index(flat, sizes)
         pts = np.stack([axes[j][0][multi[j]] for j in range(d)], axis=-1)
         wts = axes[0][1][multi[0]].copy()
@@ -82,8 +82,7 @@ def integrate_box(f, bounds, panels, order=GL_ORDER, chunk=_CHUNK):
     return acc
 
 
-def adaptive_box(f, bounds, rel_tol=1e-8, start_panels=1, max_doublings=6,
-                 order=GL_ORDER):
+def adaptive_box(f, bounds, rel_tol=1e-8, start_panels=1, max_doublings=6):
     """Panel-doubling tensor quadrature; returns (value, panels, est_error).
 
     Converged once two successive refinements agree to ``rel_tol`` in
@@ -96,7 +95,7 @@ def adaptive_box(f, bounds, rel_tol=1e-8, start_panels=1, max_doublings=6,
     prev = None
     for level in range(max_doublings + 1):
         panels = start_panels << level
-        cur = integrate_box(f, bounds, panels, order=order)
+        cur = integrate_box(f, bounds, panels)
         if not isfinite(cur):
             raise QuadratureNotConverged(
                 f"integral is {cur} at {panels} panels{per_axis}: the "

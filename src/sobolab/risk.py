@@ -38,7 +38,7 @@ class RiskEstimate:
         return abs(self.mean - other_value) <= k * self.stderr
 
 
-def _mc_moments(value_fn, spec, m, seed, threads=1, chunk=_CHUNK):
+def _mc_moments(value_fn, spec, m, seed, threads=1):
     """Chunked Monte Carlo first/second moments with fixed reduction order.
 
     Every chunk draws from its own substream keyed by (seed, chunk index),
@@ -47,11 +47,11 @@ def _mc_moments(value_fn, spec, m, seed, threads=1, chunk=_CHUNK):
     if m < 100:
         raise UnsupportedSpec(f"need at least 100 Monte Carlo samples, got {m}")
     m = int(m)
-    starts = list(range(0, m, chunk))
+    starts = list(range(0, m, _CHUNK))
 
     def one(job):
         index, start = job
-        size = min(chunk, m - start)
+        size = min(_CHUNK, m - start)
         rng = np.random.default_rng(np.random.SeedSequence([seed, index]))
         xs = sample_points(spec, size, rng)
         vals = value_fn(xs, rng)

@@ -105,7 +105,12 @@ def support_probes(centers, radii):
 
 def peak_traced_bytes(fn):
     """Peak bytes allocated through Python's allocators (numpy arrays
-    included) while ``fn()`` runs, above what was allocated before it."""
+    included) while ``fn()`` runs, above what was allocated before it.
+
+    Memory that C or C++ code allocates itself is not seen: a scipy
+    ``cKDTree``'s nodes and query buffers, for one, never show up here, so
+    a bound written with this function says nothing about them.
+    """
     import tracemalloc
 
     tracemalloc.start()

@@ -54,54 +54,54 @@ def geometry_datasets(params_d1, params_d2, params_d3):
 
 
 @pytest.fixture(scope="module")
-def norm_sweep_d1(params_d1, pure_noise_d1, moduli_d1):
+def norm_sweep_d1(pure_noise_d1, moduli_d1):
     cfg = SweepConfig(config_id="acc-norm-d1", kind="norm_vs_n",
-                      params=params_d1, spec=pure_noise_d1,
+                      spec=pure_noise_d1,
                       n_grid=(64, 128, 256, 512, 1024, 2048, 4096, 8192),
                       trials=20, master_seed=SEED)
     return experiments.run_sweep(cfg, moduli=moduli_d1, threads=4)
 
 
 @pytest.fixture(scope="module")
-def norm_sweep_d3(params_d3, pure_noise_d3, moduli_d3):
+def norm_sweep_d3(pure_noise_d3, moduli_d3):
     cfg = SweepConfig(config_id="acc-norm-d3", kind="norm_vs_n",
-                      params=params_d3, spec=pure_noise_d3,
+                      spec=pure_noise_d3,
                       n_grid=(64, 128, 256, 512, 1024, 2048, 4096, 8192),
                       trials=20, master_seed=SEED)
     return experiments.run_sweep(cfg, moduli=moduli_d3, threads=4)
 
 
 @pytest.fixture(scope="module")
-def delta_sweep_d1(params_d1, pure_noise_d1):
+def delta_sweep_d1(pure_noise_d1):
     cfg = SweepConfig(config_id="acc-delta-d1", kind="delta_subset",
-                      params=params_d1, spec=pure_noise_d1,
+                      spec=pure_noise_d1,
                       n_grid=(64, 128, 256, 512, 1024, 2048, 4096),
                       trials=50, master_seed=SEED)
     return experiments.run_sweep(cfg, threads=4)
 
 
 @pytest.fixture(scope="module")
-def delta_sweep_d3(params_d3, pure_noise_d3):
+def delta_sweep_d3(pure_noise_d3):
     cfg = SweepConfig(config_id="acc-delta-d3", kind="delta_subset",
-                      params=params_d3, spec=pure_noise_d3,
+                      spec=pure_noise_d3,
                       n_grid=(64, 128, 256, 512, 1024, 2048, 4096),
                       trials=50, master_seed=SEED)
     return experiments.run_sweep(cfg, threads=4)
 
 
 @pytest.fixture(scope="module")
-def risk_sweep_bump(params_d1, pure_noise_d1, moduli_d1):
+def risk_sweep_bump(pure_noise_d1, moduli_d1):
     cfg = SweepConfig(config_id="acc-risk-bump", kind="risk_vs_n",
-                      params=params_d1, spec=pure_noise_d1,
+                      spec=pure_noise_d1,
                       n_grid=(128, 256, 512, 1024, 2048, 4096, 8192),
                       trials=5, master_seed=SEED, mc_samples=200_000)
     return experiments.run_sweep(cfg, moduli=moduli_d1, threads=4)
 
 
 @pytest.fixture(scope="module")
-def gamma_sweep(params_d1, pure_noise_d1, moduli_d1):
+def gamma_sweep(pure_noise_d1, moduli_d1):
     cfg = SweepConfig(config_id="acc-gamma", kind="risk_vs_gamma",
-                      params=params_d1, spec=pure_noise_d1,
+                      spec=pure_noise_d1,
                       n_grid=(128, 256, 512, 1024), trials=10,
                       master_seed=SEED,
                       shrink_grid=(1.0, 0.7, 0.5, 0.35, 0.25))
@@ -250,7 +250,7 @@ def test_criterion_07_min_delta_and_subset(delta_sweep_d1, delta_sweep_d3):
 def test_criterion_08_weighted_delta_sum(params_d2):
     spec = DistributionSpec(params=params_d2)
     cfg = SweepConfig(config_id="acc-weighted", kind="weighted_delta_sum",
-                      params=params_d2, spec=spec, beta=0.8,
+                      spec=spec, beta=0.8,
                       n_grid=(64, 128, 256, 512, 1024, 2048, 4096),
                       trials=20, master_seed=SEED)
     with _Timer() as t:
@@ -303,9 +303,9 @@ def test_criterion_10_bump_risk_plateau(risk_sweep_bump):
             f"clean [{t.elapsed:.1f}s]")
 
 
-def test_criterion_11_kernel_risk_plateau(params_d3, pure_noise_d3):
+def test_criterion_11_kernel_risk_plateau(pure_noise_d3):
     cfg = SweepConfig(config_id="acc-risk-kernel", kind="risk_vs_n",
-                      params=params_d3, spec=pure_noise_d3,
+                      spec=pure_noise_d3,
                       predictor="kernel", kernel_nu=0.5,
                       n_grid=(64, 128, 256, 512, 1024, 2048),
                       trials=10, master_seed=SEED, mc_samples=50_000,
@@ -360,10 +360,9 @@ def test_criterion_14_domain_ball_fraction(params_d1, params_d2, params_d3):
             "; ".join(details) + f" [{t.elapsed:.1f}s]")
 
 
-def test_criterion_15_determinism(tmp_path, params_d1, pure_noise_d1,
-                                  moduli_d1):
+def test_criterion_15_determinism(tmp_path, pure_noise_d1, moduli_d1):
     cfg = SweepConfig(config_id="acc-det", kind="risk_vs_n",
-                      params=params_d1, spec=pure_noise_d1,
+                      spec=pure_noise_d1,
                       n_grid=(64, 128, 256, 512), trials=5,
                       master_seed=SEED, mc_samples=20_000)
     with _Timer() as t:

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -58,6 +60,24 @@ class TestGen:
     def test_missing_seed_rejected(self, cfg, tmp_path, capsys):
         assert main(["gen", "--config", str(cfg), "-n", "16",
                      "--out", str(tmp_path)]) == 2
+
+    @pytest.mark.parametrize("line", [
+        "radius = 1e200", "radius = inf", "sigma_a = inf",
+        "sigma_b = nan", "sigma_b = inf"])
+    def test_nonfinite_or_overflowing_spec_usage_error(self, tmp_path, capsys,
+                                                       line):
+        quadratic = BASE_INI.replace(
+            "sigma = constant\nsigma_a = 1.0",
+            "sigma = quadratic\nsigma_a = 1.0\nsigma_b = 0.5")
+        bad = tmp_path / "bad.ini"
+        bad.write_text(re.sub(rf"^{line.split()[0]} = .*$", line, quadratic,
+                              flags=re.M))
+        assert main(["gen", "--config", str(bad), "-n", "16", "--seed", "1",
+                     "--out", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: distribution: ")
+        assert err.count("\n") == 1
+        assert not (tmp_path / "out").exists()
 
 
 class TestInterpNorm:
@@ -223,6 +243,41 @@ class TestSweepCommand:
             "kind = risk_vs_n\nmc_samples = 2000\nrisk_floor = 1e9"))
         assert main(["sweep", "--config", str(bad), "--seed", "1",
                      "--out", str(tmp_path / "out")]) == 1
+
+    @pytest.mark.parametrize("section, line", [
+        ("params", "q = 2"), ("distribution", "tilts = 0.5"),
+        ("sweep", "mc_sampels = 100")])
+    def test_unknown_key_usage_error(self, tmp_path, capsys, section, line):
+        bad = tmp_path / "bad.ini"
+        bad.write_text(BASE_INI.replace(f"[{section}]",
+                                        f"[{section}]\n{line}"))
+        key = line.split()[0]
+        assert main(["sweep", "--config", str(bad), "--seed", "1",
+                     "--out", str(tmp_path / "out")]) == 2
+        assert capsys.readouterr().err == (
+            f"error: {section}.{key}: unknown key\n")
+        assert not (tmp_path / "out").exists()
+
+    def test_percent_sign_usage_error(self, tmp_path, capsys):
+        bad = tmp_path / "pct.ini"
+        bad.write_text(BASE_INI.replace("trials = 5", "trials = 5%"))
+        assert main(["sweep", "--config", str(bad), "--seed", "1",
+                     "--out", str(tmp_path / "out")]) == 2
+        assert capsys.readouterr().err == (
+            "error: sweep.trials: cannot parse '5%'\n")
+
+    @pytest.mark.parametrize("line", ["plateau_ratio = nan",
+                                      "risk_floor = -1"])
+    def test_plateau_threshold_usage_error(self, tmp_path, capsys, line):
+        bad = tmp_path / "plateau.ini"
+        bad.write_text(BASE_INI.replace(
+            "kind = norm_vs_n", f"kind = risk_vs_n\nmc_samples = 2000\n{line}"))
+        assert main(["sweep", "--config", str(bad), "--seed", "1",
+                     "--out", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: sweep.{line.split()[0]}: ")
+        assert err.count("\n") == 1
+        assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("threads", ["0", "-1"])
     def test_threads_below_one_usage_error(self, cfg, tmp_path, capsys,

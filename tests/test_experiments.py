@@ -53,8 +53,8 @@ seed = 4242
 """
 
 
-def small_config(params, spec, **overrides):
-    base = dict(config_id="t", kind="norm_vs_n", params=params, spec=spec,
+def small_config(spec, **overrides):
+    base = dict(config_id="t", kind="norm_vs_n", spec=spec,
                 n_grid=(32, 64, 128, 256), trials=5, master_seed=7)
     base.update(overrides)
     return SweepConfig(**base)
@@ -81,97 +81,105 @@ class TestFit:
 class TestValidation:
     def test_config_annotations_resolve(self):
         hints = typing.get_type_hints(experiments.SweepConfig)
-        assert hints["params"] is bump.SobolevParams
+        assert hints["spec"] is model.DistributionSpec
 
     def test_beta_boundary_rejected(self, params_d2):
         spec = model.DistributionSpec(params=params_d2)
-        cfg = small_config(params_d2, spec, kind="weighted_delta_sum",
+        cfg = small_config(spec, kind="weighted_delta_sum",
                            beta=1.0)  # = d/2
         with pytest.raises(ConfigInvalid, match="beta"):
             cfg.validate()
 
     def test_beta_runtime_guard(self, params_d2):
         spec = model.DistributionSpec(params=params_d2)
-        cfg = small_config(params_d2, spec, kind="weighted_delta_sum",
+        cfg = small_config(spec, kind="weighted_delta_sum",
                            beta=0.8)
         object.__setattr__(cfg, "beta", 1.0)
         with pytest.raises(ConfigInvalid, match="beta"):
             experiments.run_sweep(cfg)
 
-    def test_short_grid_rejected(self, params_d1, pure_noise_d1):
-        cfg = small_config(params_d1, pure_noise_d1, n_grid=(8, 16, 32))
+    def test_short_grid_rejected(self, pure_noise_d1):
+        cfg = small_config(pure_noise_d1, n_grid=(8, 16, 32))
         with pytest.raises(ConfigInvalid, match="n_grid"):
             cfg.validate()
 
-    def test_missing_seed(self, params_d1, pure_noise_d1):
-        cfg = small_config(params_d1, pure_noise_d1, master_seed=None)
+    def test_missing_seed(self, pure_noise_d1):
+        cfg = small_config(pure_noise_d1, master_seed=None)
         with pytest.raises(ConfigInvalid, match="seed"):
             cfg.validate()
 
     def test_norm_sweep_needs_strict_range(self, pure_noise_d1):
         loose = bump.SobolevParams(k=1, p=3.0, d=1)
         spec = model.DistributionSpec(params=loose)
-        cfg = small_config(loose, spec)
+        cfg = small_config(spec)
         with pytest.raises(InvalidRange):
             experiments.run_sweep(cfg)
 
     @pytest.mark.parametrize("kind", ["risk_vs_n", "risk_vs_gamma"])
-    def test_mc_samples_rejected(self, params_d1, pure_noise_d1, kind):
-        cfg = small_config(params_d1, pure_noise_d1, kind=kind, mc_samples=99)
+    def test_mc_samples_rejected(self, pure_noise_d1, kind):
+        cfg = small_config(pure_noise_d1, kind=kind, mc_samples=99)
         with pytest.raises(ConfigInvalid, match="mc_samples"):
             cfg.validate()
 
-    def test_kernel_n_above_dense_cap_rejected(self, params_d1, pure_noise_d1):
+    @pytest.mark.parametrize("field, value", [
+        ("plateau_ratio", math.nan), ("plateau_ratio", 0.0),
+        ("plateau_ratio", math.inf), ("risk_floor", math.nan),
+        ("risk_floor", -0.01), ("risk_floor", math.inf),
+    ])
+    def test_plateau_thresholds_rejected(self, pure_noise_d1, field, value):
+        cfg = small_config(pure_noise_d1, kind="risk_vs_n", **{field: value})
+        with pytest.raises(ConfigInvalid, match=f"sweep.{field}"):
+            cfg.validate()
+
+    def test_kernel_n_above_dense_cap_rejected(self, pure_noise_d1):
         top = rkhs.DENSE_SOLVE_MAX_N + 1
-        cfg = small_config(params_d1, pure_noise_d1, kind="risk_vs_n",
+        cfg = small_config(pure_noise_d1, kind="risk_vs_n",
                            predictor="kernel", kernel_nu=0.5,
                            n_grid=(64, 128, 256, top))
         with pytest.raises(ConfigInvalid, match="n_grid"):
             cfg.validate()
 
-    def test_kernel_unsupported_nu_rejected(self, params_d1, params_d3,
-                                            pure_noise_d1, pure_noise_d3):
+    def test_kernel_unsupported_nu_rejected(self, pure_noise_d1,
+                                            pure_noise_d3):
         # the default nu = k - d/2 is 0.5 for (k, d) = (2, 3), -0.5 for (1, 3)
-        cfg = small_config(params_d3, pure_noise_d3, kind="risk_vs_n",
+        cfg = small_config(pure_noise_d3, kind="risk_vs_n",
                            predictor="kernel")
         assert cfg.validate().kernel_spec.nu == 0.5
         loose = bump.SobolevParams(k=1, p=4.0, d=3)
-        cfg = small_config(loose, model.DistributionSpec(params=loose),
+        cfg = small_config(model.DistributionSpec(params=loose),
                            kind="risk_vs_n", predictor="kernel")
         with pytest.raises(ConfigInvalid, match="supported nu"):
             cfg.validate()
-        cfg = small_config(params_d1, pure_noise_d1, kind="risk_vs_n",
+        cfg = small_config(pure_noise_d1, kind="risk_vs_n",
                            predictor="kernel", kernel_nu=2.5)
         with pytest.raises(ConfigInvalid, match="supported nu"):
             cfg.validate()
 
-    def test_kernel_nonpositive_lengthscale_rejected(self, params_d1,
-                                                     pure_noise_d1):
-        cfg = small_config(params_d1, pure_noise_d1, kind="risk_vs_n",
+    def test_kernel_nonpositive_lengthscale_rejected(self, pure_noise_d1):
+        cfg = small_config(pure_noise_d1, kind="risk_vs_n",
                            predictor="kernel", kernel_nu=0.5,
                            kernel_lengthscale=0.0)
         with pytest.raises(ConfigInvalid, match="lengthscale must be positive"):
             cfg.validate()
 
-    def test_shrink_grid_rejected(self, params_d1, pure_noise_d1):
-        cfg = small_config(params_d1, pure_noise_d1, kind="risk_vs_gamma",
+    def test_shrink_grid_rejected(self, pure_noise_d1):
+        cfg = small_config(pure_noise_d1, kind="risk_vs_gamma",
                            shrink_grid=(1.0, 0.0))
         with pytest.raises(ConfigInvalid, match="shrink_grid"):
             cfg.validate()
 
     @pytest.mark.parametrize("grid", [(0.5, 0.5), (0.5,), ()])
-    def test_degenerate_shrink_grid_rejected(self, params_d1, pure_noise_d1,
-                                             grid):
+    def test_degenerate_shrink_grid_rejected(self, pure_noise_d1, grid):
         # one distinct shrink leaves no risk-against-gamma slope to fit
-        cfg = small_config(params_d1, pure_noise_d1, kind="risk_vs_gamma",
+        cfg = small_config(pure_noise_d1, kind="risk_vs_gamma",
                            shrink_grid=grid)
         with pytest.raises(ConfigInvalid, match="two distinct"):
             cfg.validate()
 
     @pytest.mark.parametrize("predictor", ["kernel", "bayes"])
-    def test_gamma_sweep_non_bump_predictor_rejected(self, params_d1,
-                                                     pure_noise_d1, predictor):
-        cfg = small_config(params_d1, pure_noise_d1, kind="risk_vs_gamma",
+    def test_gamma_sweep_non_bump_predictor_rejected(self, pure_noise_d1,
+                                                     predictor):
+        cfg = small_config(pure_noise_d1, kind="risk_vs_gamma",
                            predictor=predictor)
         with pytest.raises(ConfigInvalid, match="sweep.predictor"):
             cfg.validate()
@@ -198,11 +206,11 @@ class TestRunTrials:
 
 
 class TestNormTrial:
-    def test_builds_only_the_datasets_tree(self, params_d3, pure_noise_d3,
-                                           moduli_d3, monkeypatch):
+    def test_builds_only_the_datasets_tree(self, pure_noise_d3, moduli_d3,
+                                           monkeypatch):
         # the packing check and the interpolation residual are certified;
         # only the dataset's nearest-neighbor search needs a tree
-        cfg = small_config(params_d3, pure_noise_d3, n_grid=(256,))
+        cfg = small_config(pure_noise_d3, n_grid=(256,))
         built = count_trees(monkeypatch)
         ds = model.sample(cfg.spec, 256, derive_seed(cfg.master_seed, 256, 0))
         radii = geometry.nn_radii(ds)
@@ -218,7 +226,7 @@ class TestNormTrial:
         # supports through the interpolant's cell grid, not a tree
         spec = model.DistributionSpec(params=params_d2, density="parabolic",
                                       tilt=0.5)
-        cfg = small_config(params_d2, spec, kind="risk_vs_gamma",
+        cfg = small_config(spec, kind="risk_vs_gamma",
                            n_grid=(256,),
                            shrink_grid=(1.0, 0.7, 0.5, 0.35, 0.25),
                            mc_samples=2000)
@@ -240,7 +248,7 @@ class TestGammaTrial:
         # chunk adds one more per shrink
         spec = model.DistributionSpec(params=params_d2, density="parabolic",
                                       tilt=0.5)
-        cfg = small_config(params_d2, spec, kind="risk_vs_gamma",
+        cfg = small_config(spec, kind="risk_vs_gamma",
                            n_grid=(64,), shrink_grid=(1.0, 0.5, 0.25),
                            mc_samples=1000)
         ds = random_dataset(np.random.default_rng(5), 64, 2, box=0.6)
@@ -262,16 +270,15 @@ class TestGammaTrial:
 
 
 class TestSweeps:
-    def test_norm_sweep_contracts(self, params_d1, pure_noise_d1, moduli_d1):
-        cfg = small_config(params_d1, pure_noise_d1)
+    def test_norm_sweep_contracts(self, pure_noise_d1, moduli_d1):
+        cfg = small_config(pure_noise_d1)
         res = experiments.run_sweep(cfg, moduli=moduli_d1)
         assert res.all_passed
         assert res.fits["norm_p"].slope == pytest.approx(1.25, abs=0.3)
 
     def test_zero_labels_flat(self, params_d1, moduli_d1, monkeypatch):
         # doubling n with all labels zero keeps norm^p at zero
-        cfg = small_config(params_d1,
-                           model.DistributionSpec(params=params_d1),
+        cfg = small_config(model.DistributionSpec(params=params_d1),
                            kind="delta_subset")
         real_sample = model.sample
 
@@ -285,8 +292,8 @@ class TestSweeps:
         sizes = [r["value"] for r in res.rows if r["metric"] == "subset_size"]
         assert all(s == 0 for s in sizes)  # W never fires without noise
 
-    def test_delta_sweep_contracts(self, params_d1, pure_noise_d1):
-        cfg = small_config(params_d1, pure_noise_d1, kind="delta_subset",
+    def test_delta_sweep_contracts(self, pure_noise_d1):
+        cfg = small_config(pure_noise_d1, kind="delta_subset",
                            n_grid=(64, 128, 256, 512, 1024), trials=10)
         res = experiments.run_sweep(cfg)
         by_name = {c.name: c for c in res.contracts}
@@ -295,23 +302,22 @@ class TestSweeps:
 
     def test_weighted_sweep(self, params_d2):
         spec = model.DistributionSpec(params=params_d2)
-        cfg = small_config(params_d2, spec, kind="weighted_delta_sum",
+        cfg = small_config(spec, kind="weighted_delta_sum",
                            beta=0.8, n_grid=(64, 128, 256, 512), trials=8)
         res = experiments.run_sweep(cfg)
         assert res.all_passed
         assert res.fits["weighted_delta_sum"].slope == pytest.approx(
             1.4, abs=0.3)
 
-    def test_bayes_control(self, params_d1, pure_noise_d1):
-        cfg = small_config(params_d1, pure_noise_d1, kind="risk_vs_n",
+    def test_bayes_control(self, pure_noise_d1):
+        cfg = small_config(pure_noise_d1, kind="risk_vs_n",
                            predictor="bayes", mc_samples=1000)
         res = experiments.run_sweep(cfg)
         by_name = {c.name: c for c in res.contracts}
         assert by_name["risk_vs_n.bayes_control"].passed
 
-    def test_contract_failure_reported(self, params_d1, pure_noise_d1,
-                                       moduli_d1):
-        cfg = small_config(params_d1, pure_noise_d1, kind="risk_vs_n",
+    def test_contract_failure_reported(self, pure_noise_d1, moduli_d1):
+        cfg = small_config(pure_noise_d1, kind="risk_vs_n",
                            mc_samples=2000, risk_floor=1e9)
         res = experiments.run_sweep(cfg, moduli=moduli_d1)
         assert not res.all_passed
@@ -518,12 +524,12 @@ class TestMorrey:
 
 class TestRunAndPersistence:
     def test_unknown_format_rejected_before_the_sweep(self, tmp_path,
-                                                      monkeypatch, params_d1,
+                                                      monkeypatch,
                                                       pure_noise_d1):
         calls = []
         monkeypatch.setattr(experiments, "run_sweep",
                             lambda *args, **kw: calls.append(args))
-        cfg = small_config(params_d1, pure_noise_d1)
+        cfg = small_config(pure_noise_d1)
         with pytest.raises(ConfigInvalid, match="format"):
             experiments.run(cfg, tmp_path / "out", fmt="xml")
         assert calls == []

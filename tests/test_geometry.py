@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from sobolab import geometry
+from sobolab import geometry, interpolant, model
 from sobolab.errors import (
     DuplicatePoints,
     InvalidRange,
@@ -236,12 +236,21 @@ class TestPacking:
             geometry.check_packing(ds, np.ones(2))
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, 0.0, -1.0])
-    def test_nonfinite_or_nonpositive_radius_rejected(self, bad):
+    def test_nonfinite_or_nonpositive_radius_rejected(self, bad, params_d1,
+                                                      moduli_d1,
+                                                      pure_noise_d1):
         ds = line_dataset(0, 1, 3)
         radii = geometry.nn_radii(ds)
         radii[1] = bad
-        for check in (geometry.check_packing,
-                      geometry.check_packing_brute_force):
+        # every function that takes a dataset's radii checks them alike
+        for check in (
+                geometry.check_packing,
+                geometry.check_packing_brute_force,
+                lambda ds, r: interpolant.build(ds, r, 1.0, params_d1),
+                lambda ds, r: interpolant.min_norm_upper_bound(ds, r,
+                                                               moduli_d1),
+                lambda ds, r: model.noisy_separated_subset(ds, r,
+                                                           pure_noise_d1)):
             with pytest.raises(NonpositiveRadius):
                 check(ds, radii)
         with pytest.raises(NonpositiveRadius):

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from conftest import CANONICAL
-from sobolab import bump, geometry, model
+from sobolab import bump, geometry, model, quadrature
 from sobolab.errors import OutOfDomain, TooFewPoints, UnsupportedSpec
 from sobolab.geometry import Dataset
 from sobolab.model import DistributionSpec
@@ -46,6 +46,49 @@ class TestSpecValidation:
     def test_unknown_density(self, params_d1):
         with pytest.raises(UnsupportedSpec):
             DistributionSpec(params=params_d1, density="gaussian")
+
+    @pytest.mark.parametrize("d", [1, 3])
+    @pytest.mark.parametrize("kwargs", [
+        dict(radius=math.inf),
+        dict(radius=math.nan),
+        dict(radius=1e200),                   # R^2 overflows
+        dict(sigma_a=math.inf),
+        dict(sigma_a=1e200),                  # the variance sigma_a^2
+        dict(sigma_b=math.nan),
+        dict(sigma_b=math.inf),
+        dict(sigma_kind="quadratic", sigma_a=1e308, sigma_b=1e308),
+    ], ids=lambda kw: ",".join(f"{k}={v}" for k, v in kw.items()))
+    def test_nonfinite_or_overflowing_rejected(self, d, kwargs):
+        params = bump.SobolevParams(**CANONICAL[d])
+        # Python floats raise on overflow, numpy scalars warn and give inf
+        for cast in (float, np.float64):
+            with pytest.raises(UnsupportedSpec):
+                DistributionSpec(params=params, **{
+                    k: v if k == "sigma_kind" else cast(v)
+                    for k, v in kwargs.items()})
+
+    def test_volume_overflow_rejected(self, params_d3):
+        # R^2 = 1e240 is finite, the volume 4/3 pi R^3 is not
+        with pytest.raises(UnsupportedSpec, match="volume"):
+            DistributionSpec(params=params_d3, radius=1e120)
+
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    @pytest.mark.parametrize("density, tilt",
+                             [("uniform", 0.0), ("parabolic", 0.5)])
+    def test_density_integrates_to_one(self, d, density, tilt):
+        spec = DistributionSpec(params=bump.SobolevParams(**CANONICAL[d]),
+                                radius=1.7, density=density, tilt=tilt)
+        area = {1: 2.0, 2: 2.0 * math.pi, 3: 4.0 * math.pi}[d]  # |S^(d-1)|
+
+        def radial(r):
+            on_axis = np.zeros((len(r), d))
+            on_axis[:, 0] = r
+            return area * r ** (d - 1) * spec.density_values(on_axis)
+
+        # a polynomial of degree d + 1 in r, so Gauss-Legendre is exact
+        total = quadrature.integrate_1d(radial,
+                                        np.linspace(0.0, spec.radius, 9))
+        assert total == pytest.approx(1.0, abs=1e-12)
 
 
 class TestSampling:

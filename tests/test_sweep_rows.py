@@ -42,24 +42,24 @@ def _configs():
     grid = (32, 64, 128, 256)
     base = dict(n_grid=grid, trials=5, master_seed=SEED, mc_samples=2000)
     specs = [
-        ("norm_d1", "norm_vs_n", d1, noise_d1, {}),
-        ("delta_d1", "delta_subset", d1, noise_d1,
+        ("norm_d1", "norm_vs_n", noise_d1, {}),
+        ("delta_d1", "delta_subset", noise_d1,
          dict(n_grid=(64, 128, 256, 512))),
-        ("weighted_d2", "weighted_delta_sum", d2, noise_d2, dict(beta=0.8)),
-        ("risk_bump_d1", "risk_vs_n", d1, noise_d1, dict(shrink=0.7)),
-        ("risk_bump_d2_tilted", "risk_vs_n", d2, tilted_d2, {}),
-        ("norm_d3", "norm_vs_n", d3, noise_d3, {}),
-        ("risk_kernel_d3", "risk_vs_n", d3, noise_d3,
+        ("weighted_d2", "weighted_delta_sum", noise_d2, dict(beta=0.8)),
+        ("risk_bump_d1", "risk_vs_n", noise_d1, dict(shrink=0.7)),
+        ("risk_bump_d2_tilted", "risk_vs_n", tilted_d2, {}),
+        ("norm_d3", "norm_vs_n", noise_d3, {}),
+        ("risk_kernel_d3", "risk_vs_n", noise_d3,
          dict(predictor="kernel", kernel_nu=0.5, plateau_ratio=0.1)),
-        ("risk_bayes_d1", "risk_vs_n", d1, noise_d1, dict(predictor="bayes")),
-        ("gamma_d2_tilted", "risk_vs_gamma", d2, tilted_d2, {}),
-        ("morrey_exact_d1", "morrey", d1, noise_d1, dict(trials=50)),
-        ("morrey_diagnostic_d2", "morrey", d2, noise_d2, {}),
+        ("risk_bayes_d1", "risk_vs_n", noise_d1, dict(predictor="bayes")),
+        ("gamma_d2_tilted", "risk_vs_gamma", tilted_d2, {}),
+        ("morrey_exact_d1", "morrey", noise_d1, dict(trials=50)),
+        ("morrey_diagnostic_d2", "morrey", noise_d2, {}),
     ]
     return {
-        cid: experiments.SweepConfig(config_id=cid, kind=kind, params=params,
-                                     spec=spec, **{**base, **extra})
-        for cid, kind, params, spec, extra in specs
+        cid: experiments.SweepConfig(config_id=cid, kind=kind, spec=spec,
+                                     **{**base, **extra})
+        for cid, kind, spec, extra in specs
     }
 
 
