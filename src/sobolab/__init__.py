@@ -14,6 +14,7 @@ from . import (  # noqa: F401
     geometry,
     interpolant,
     model,
+    morrey,
     quadrature,
     risk,
     rkhs,

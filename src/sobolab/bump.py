@@ -308,7 +308,11 @@ def _sum_over_pairs(alpha, centers, radii, weights, x, shortlist):
 # 65 536 points in d = 2, 3, the masks cost about 1.2-1.5 ms per bump and a
 # built grid 4-9 ms whatever the count, so they break even near 4-8 bumps;
 # on 1024 points the masks take 0.27-0.32 ms at 8 bumps against 0.50-0.53 ms
-# for a grid built and queried, and break even near 16.
+# for a grid built and queried, and break even near 16.  So the masks stay
+# beside the grid: on the same host, `gamma_d2_tilted` (run_sweep with
+# threads=2, seed 781508, BLAS at 1 thread), whose ground truth is a 3-bump
+# sum, took a median of 0.415 s with the masks and 0.489 s with that sum on
+# the grid, slower in 8 of 8 alternating pairs, with identical rows.
 _MASK_MAX_BUMPS = 8
 
 # Support grid (see _SupportGrid).  A level holds the bumps with radii in

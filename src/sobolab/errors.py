@@ -81,9 +81,5 @@ class InvalidRange(SobolabError):
     """Sobolev parameters outside the strict range k in (d/p, 1.5 d/p)."""
 
 
-class UnsupportedExactVariant(SobolabError):
-    """Exact oscillation check only exists for d = 1, k = 1."""
-
-
 class ConfigInvalid(SobolabError):
     """Config file failed validation; message names the offending field."""

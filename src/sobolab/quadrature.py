@@ -32,18 +32,6 @@ def _gl_nodes(order):
     return x, w
 
 
-def composite_rule(a, b, panels, order=GL_ORDER):
-    """Nodes and weights for ``panels`` equal Gauss-Legendre panels on [a, b]."""
-    edges = np.linspace(a, b, panels + 1)
-    return rule_from_breakpoints(edges, order=order)
-
-
-def rule_from_breakpoints(breaks, order=GL_ORDER):
-    """One Gauss-Legendre panel between each pair of consecutive breakpoints."""
-    breaks = np.asarray(breaks, dtype=float)
-    return rule_from_panels(breaks[:-1], breaks[1:], order=order)
-
-
 def rule_from_panels(lo, hi, order=GL_ORDER):
     """One Gauss-Legendre panel on each [lo_i, hi_i]; ``order`` nodes per
     panel, panel by panel.  Each node depends on its own panel only."""
@@ -56,7 +44,10 @@ def rule_from_panels(lo, hi, order=GL_ORDER):
 
 
 def integrate_1d(f, breaks):
-    nodes, weights = rule_from_breakpoints(breaks)
+    """Integrate ``f`` with one Gauss-Legendre panel between each pair of
+    consecutive breakpoints."""
+    breaks = np.asarray(breaks, dtype=float)
+    nodes, weights = rule_from_panels(breaks[:-1], breaks[1:])
     return float(np.sum(f(nodes) * weights))
 
 
@@ -66,7 +57,8 @@ def integrate_box(f, bounds, panels, order=GL_ORDER):
     ``f`` maps an (m, d) array of points to (m,) values.  The tensor grid is
     consumed in fixed-size chunks in a fixed order.
     """
-    axes = [composite_rule(a, b, panels, order=order) for a, b in bounds]
+    edges = [np.linspace(a, b, panels + 1) for a, b in bounds]
+    axes = [rule_from_panels(e[:-1], e[1:], order=order) for e in edges]
     sizes = [len(x) for x, _ in axes]
     total = prod(sizes)
     d = len(bounds)

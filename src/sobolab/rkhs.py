@@ -55,8 +55,9 @@ class KernelSpec:
     def __post_init__(self):
         if self.nu not in (0.5, 1.5):
             raise UnsupportedNu(f"supported nu values are 1/2 and 3/2, got {self.nu}")
-        if not self.lengthscale > 0.0:
-            raise UnsupportedNu(f"lengthscale must be positive, got {self.lengthscale}")
+        if not 0.0 < self.lengthscale < math.inf:
+            raise UnsupportedNu(f"lengthscale must be positive and finite, "
+                                f"got {self.lengthscale}")
 
 
 def _kernel_inplace(spec, r, scratch):

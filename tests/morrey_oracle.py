@@ -1,12 +1,13 @@
 """Per-trial oracle for the exact Morrey check in d = k = 1.
 
-The ladder below is the one-trial form that ``experiments`` ran before it
-batched trials: |u'|^p through :meth:`BumpSum.partial` on every node of
-every panel, with breakpoints at the support and plateau edges, one
+The ladder below is the one-trial form that the check ran before it batched
+trials: |u'|^p through :meth:`BumpSum.partial` on every node of every
+panel, with breakpoints at the support and plateau edges, one
 :func:`quadrature.integrate_1d` per level, halving every panel until two
-levels agree to ``rel_tol``.  ``experiments.morrey_exact_batch`` integrates
-the bump profile over each bump's band pieces instead, so it must give the
-same lhs to the bit and the rhs within 1e-9 relative.
+levels agree to ``rel_tol``, the check's own 1e-10 by default.
+``morrey.morrey_exact_batch`` integrates the bump profile over each bump's
+band pieces instead, so it must give the same lhs to the bit and the rhs
+within 1e-9 relative.  ``tests/test_morrey.py`` runs both.
 """
 
 import numpy as np

@@ -12,7 +12,7 @@ import time
 import numpy as np
 import pytest
 
-from sobolab import bump, experiments, geometry, interpolant, model, risk
+from sobolab import bump, experiments, geometry, interpolant, model, morrey, risk
 from sobolab.experiments import SweepConfig
 from sobolab.model import DistributionSpec
 
@@ -335,7 +335,7 @@ def test_criterion_13_morrey_exact(params_d1):
         bad = 0
         for p in (1.25, 2.0):
             params = bump.SobolevParams(k=1, p=p, d=1)
-            rep = experiments.morrey_check(params, trials=5000, seed=SEED)
+            rep = morrey.morrey_check(params, trials=5000, seed=SEED)
             total += rep.trials
             bad += len(rep.violations)
     _report(13, "Morrey exact variant", bad == 0,

@@ -3,7 +3,7 @@ import re
 import numpy as np
 import pytest
 
-from sobolab import geometry, interpolant
+from sobolab import geometry, interpolant, model
 from sobolab.cli import main
 
 BASE_INI = """
@@ -277,6 +277,22 @@ class TestSweepCommand:
         err = capsys.readouterr().err
         assert err.startswith(f"error: sweep.{line.split()[0]}: ")
         assert err.count("\n") == 1
+        assert not (tmp_path / "out").exists()
+
+    def test_infinite_lengthscale_usage_error(self, tmp_path, capsys,
+                                             monkeypatch):
+        sampled = []
+        monkeypatch.setattr(model, "sample",
+                            lambda *args, **kw: sampled.append(args))
+        bad = tmp_path / "kernel.ini"
+        bad.write_text(BASE_INI.replace(
+            "kind = norm_vs_n", "kind = risk_vs_n\npredictor = kernel\n"
+            "nu = 0.5\nlengthscale = inf\nmc_samples = 2000"))
+        assert main(["sweep", "--config", str(bad), "--seed", "1",
+                     "--out", str(tmp_path / "out")]) == 2
+        assert capsys.readouterr().err.startswith(
+            "error: sweep.nu, sweep.lengthscale: ")
+        assert sampled == []
         assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("threads", ["0", "-1"])

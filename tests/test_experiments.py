@@ -1,35 +1,14 @@
 import math
-import re
 import threading
 import typing
-import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
 
 from conftest import count_trees, random_dataset
-from morrey_oracle import morrey_trial_oracle
 from sobolab import bump, config, experiments, geometry, model, rkhs
-from sobolab.errors import (
-    ConfigInvalid,
-    InvalidRange,
-    MalformedInput,
-    MismatchedLengths,
-    NonpositiveRadius,
-    QuadratureNotConverged,
-    SobolabError,
-    UnsupportedExactVariant,
-)
-from sobolab.experiments import (
-    MORREY_BLOCK,
-    SweepConfig,
-    derive_seed,
-    fit_loglog,
-    morrey_check,
-    morrey_exact_batch,
-    morrey_exact_trial,
-)
+from sobolab.errors import ConfigInvalid, InvalidRange
+from sobolab.experiments import SweepConfig, derive_seed, fit_loglog
 
 
 MINIMAL_INI = """
@@ -160,6 +139,18 @@ class TestValidation:
                            predictor="kernel", kernel_nu=0.5,
                            kernel_lengthscale=0.0)
         with pytest.raises(ConfigInvalid, match="lengthscale must be positive"):
+            cfg.validate()
+
+    @pytest.mark.parametrize("lengthscale", [math.inf, math.nan])
+    def test_kernel_nonfinite_lengthscale_rejected(self, pure_noise_d1,
+                                                   lengthscale):
+        # an infinite lengthscale makes every kernel matrix all ones, which
+        # no jitter rung can solve
+        cfg = small_config(pure_noise_d1, kind="risk_vs_n",
+                           predictor="kernel", kernel_nu=0.5,
+                           kernel_lengthscale=lengthscale)
+        with pytest.raises(ConfigInvalid,
+                           match=r"sweep\.nu, sweep\.lengthscale: .*finite"):
             cfg.validate()
 
     def test_shrink_grid_rejected(self, pure_noise_d1):
@@ -321,205 +312,6 @@ class TestSweeps:
                            mc_samples=2000, risk_floor=1e9)
         res = experiments.run_sweep(cfg, moduli=moduli_d1)
         assert not res.all_passed
-
-
-@st.composite
-def _morrey_trial(draw):
-    """One Morrey trial: 1-5 bumps in a row, some with exactly touching
-    supports (dyadic centres and radii, so the touching is exact), and an
-    interval [x0 - 2 delta, x0 + 2 delta] anywhere from inside one support
-    to clear of every bump."""
-    m = draw(st.integers(1, 5))
-    radii = draw(st.lists(st.integers(16, 512), min_size=m, max_size=m))
-    gaps = draw(st.lists(st.one_of(st.just(0), st.integers(1, 400)),
-                         min_size=m - 1, max_size=m - 1))
-    centers = [draw(st.integers(-1536, 0)) + radii[0]]
-    for gap, r0, r1 in zip(gaps, radii, radii[1:]):
-        centers.append(centers[-1] + r0 + gap + r1)
-    weights = draw(st.lists(st.floats(-5.0, 5.0), min_size=m, max_size=m))
-    u = bump.BumpSum(centers=np.array(centers)[:, None] / 1024.0,
-                     radii=np.array(radii) / 1024.0, weights=weights)
-    x0 = draw(st.floats(-3.0, 3.0))
-    delta = draw(st.floats(0.005, 1.0))
-    x1 = x0 + draw(st.floats(-1.0, 1.0)) * delta
-    return u, x0, x1, delta
-
-
-def _assert_matches_oracle(got, want):
-    """The left-hand sides to the bit; the right-hand sides within 1e-9
-    relative or 1e-300 absolute.
-
-    The oracle integrates |u'|^p in x over breakpoint panels, the check the
-    profile in s = |x - c| / r over band pieces, so their right-hand sides
-    differ in the last bits.  The oracle's ladder tests sums below 1e-300
-    in absolute terms only: it stops within about 1e-310 of the integral
-    of a bump of tiny weight, which then differs from the check's in the
-    seventh digit."""
-    assert len(got) == len(want)
-    for (lhs, rhs), (lhs_want, rhs_want) in zip(got, want):
-        assert lhs == lhs_want
-        assert math.isclose(rhs, rhs_want, rel_tol=1e-9, abs_tol=1e-300), \
-            (rhs, rhs_want)
-
-
-def _meets_no_band(u, x0, delta):
-    """True when [x0 - 2 delta, x0 + 2 delta] meets the band of no bump of
-    nonzero weight in more than a point: u' = 0 there, and the right-hand
-    side is an exact 0."""
-    a, b = x0 - 2.0 * delta, x0 + 2.0 * delta
-    return all(w == 0.0 or ((b <= c - r or a >= c - r / 2.0)
-                            and (b <= c + r / 2.0 or a >= c + r))
-               for c, r, w in zip(u.centers[:, 0], u.radii, u.weights))
-
-
-class TestMorrey:
-    def test_constant_function_trivial(self, params_d1):
-        u = bump.BumpSum(centers=[[0.0]], radii=[0.3], weights=[0.0])
-        lhs, rhs = morrey_exact_trial(u, 0.1, 0.2, 0.3, params_d1.p)
-        assert lhs == 0.0
-        assert rhs == 0.0
-
-    def test_single_unit_bump_hand_case(self):
-        # u = psi with support radius 1; x1 = 0.8 sits off the plateau so
-        # the oscillation is genuinely positive
-        u = bump.BumpSum(centers=[[0.0]], radii=[1.0], weights=[1.0])
-        lhs, rhs = morrey_exact_trial(u, 0.0, 0.8, 0.9, 2.0)
-        assert lhs <= rhs + 1e-9
-        assert lhs > 0.0
-
-    def test_unconverged_integral_raises(self):
-        # the smooth integrand settles to the last bit within six halvings,
-        # so only a negative tolerance is out of reach
-        u = bump.BumpSum(centers=[[0.0]], radii=[1.0], weights=[1.0])
-        with pytest.raises(QuadratureNotConverged, match="not converged"):
-            morrey_exact_trial(u, 0.0, 0.8, 0.9, 2.0, rel_tol=-1.0)
-
-    def test_unconverged_batch_names_first_trial(self):
-        # both trials miss a negative tolerance; the error names the
-        # interval of the first
-        u = bump.BumpSum(centers=[[0.0]], radii=[1.0], weights=[1.0])
-        v = bump.BumpSum(centers=[[0.5]], radii=[0.25], weights=[-2.0])
-        with pytest.raises(QuadratureNotConverged) as caught:
-            morrey_exact_batch([u, v], [0.0, 0.4], [0.8, 0.5], [0.9, 0.1],
-                               2.0, rel_tol=-1.0)
-        assert re.search(r"over \[-1\.8, 1\.8\] not converged to rel -1 "
-                         r"after \d+ panels", str(caught.value))
-
-    @pytest.mark.parametrize("x0, delta", [
-        (2.0, 0.1),      # [a, b] meets no bump: the integral is exactly 0
-        (0.35, 0.05),    # [a, b] covers the outer half of the band only
-        (0.1, 0.05),     # inside the plateau: u' = 0 on all of [a, b]
-    ])
-    def test_edge_intervals_match_oracle(self, x0, delta):
-        u = bump.BumpSum(centers=[[0.0]], radii=[0.4], weights=[1.5])
-        got = morrey_exact_trial(u, x0, x0 + 0.5 * delta, delta, 1.25)
-        want = morrey_trial_oracle(u, x0, x0 + 0.5 * delta, delta, 1.25)
-        _assert_matches_oracle([got], [want])
-        assert (got[1] == 0.0) == _meets_no_band(u, x0, delta)
-
-    @pytest.mark.parametrize("weight, radius", [(1.0, 1.0), (-2.5, 0.3)])
-    def test_rhs_at_p_one_is_the_total_variation(self, weight, radius):
-        # p = 1: each side of a bump inside the interval adds |w|, the
-        # variation of w psi from 1 to 0, whatever its radius
-        u = bump.BumpSum(centers=[[0.2]], radii=[radius], weights=[weight])
-        _, rhs = morrey_exact_trial(u, 0.2, 0.3, radius, 1.0)
-        assert rhs == pytest.approx(2.0 * abs(weight), rel=1e-12)
-
-    @given(st.sampled_from([1.0, 1.25, 2.0, 3.5]),
-           st.sampled_from([1, MORREY_BLOCK - 1, MORREY_BLOCK,
-                            MORREY_BLOCK + 1]).flatmap(
-               lambda size: st.lists(_morrey_trial(), min_size=size,
-                                     max_size=size)))
-    def test_batch_matches_oracle(self, p, trials):
-        sums, x0, x1, delta = zip(*trials)
-        got = morrey_exact_batch(sums, x0, x1, delta, p)
-        want = [morrey_trial_oracle(*trial, p) for trial in trials]
-        _assert_matches_oracle(got, want)
-        for (u, x0, _, d), (_, rhs), (_, rhs_want) in zip(trials, got, want):
-            if _meets_no_band(u, x0, d):
-                assert rhs == rhs_want == 0.0
-        # each trial gets the same bits alone as in the batch
-        assert [morrey_exact_trial(*trial, p) for trial in trials] == got
-
-    @pytest.mark.parametrize("seed", [0x5EE9, 781508])
-    def test_check_matches_oracle_loop(self, params_d1, seed):
-        trials = 3 * MORREY_BLOCK + 5
-        # the draws of morrey_check, trial after trial, through the oracle
-        rng = np.random.default_rng(np.random.SeedSequence([seed, 0x30]))
-        draws, checked, violations = [], [], []
-        for t in range(trials):
-            u = experiments._random_bump_sum(rng, 1)
-            x0 = float(rng.uniform(-1.5, 1.5))
-            delta = float(rng.uniform(0.01, 0.75))
-            x1 = x0 + float(rng.uniform(-1.0, 1.0)) * delta
-            lhs, rhs = morrey_trial_oracle(u, x0, x1, delta, params_d1.p)
-            draws.append((u, x0, x1, delta))
-            checked.append((lhs, rhs))
-            if lhs > rhs + 1e-9:
-                violations.append({"trial": t, "lhs": lhs, "rhs": rhs,
-                                   "x0": x0, "x1": x1, "delta": delta})
-        rep = morrey_check(params_d1, trials=trials, seed=seed)
-        assert ([v["trial"] for v in rep.violations]
-                == [v["trial"] for v in violations])
-        _assert_matches_oracle(morrey_exact_batch(*zip(*draws), params_d1.p),
-                               checked)
-
-    @pytest.mark.parametrize("x0, x1, delta, p, error", [
-        (0.1, 0.2, -0.3, 1.25, NonpositiveRadius),
-        (0.1, 0.2, 0.0, 1.25, NonpositiveRadius),
-        (math.nan, 0.2, 0.3, 1.25, MalformedInput),
-        (0.1, math.inf, 0.3, 1.25, MalformedInput),
-        (0.1, 0.2, math.nan, 1.25, MalformedInput),
-        (0.1, 0.2, 0.3, 0.5, InvalidRange),
-        (0.1, 0.2, 0.3, math.nan, InvalidRange),
-        (0.1, 0.2, 0.3, math.inf, InvalidRange),
-    ])
-    def test_bad_trial_inputs_rejected(self, x0, x1, delta, p, error):
-        u = bump.BumpSum(centers=[[0.0]], radii=[1.0], weights=[1.0])
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")  # rejected before any arithmetic
-            with pytest.raises(error):
-                morrey_exact_trial(u, x0, x1, delta, p)
-
-    def test_batch_shape_checks(self):
-        u = bump.BumpSum(centers=[[0.0]], radii=[1.0], weights=[1.0])
-        flat = bump.BumpSum(centers=[[0.0, 0.0]], radii=[1.0], weights=[1.0])
-        with pytest.raises(MismatchedLengths):
-            morrey_exact_trial(flat, 0.1, 0.2, 0.3, 2.0)
-        with pytest.raises(MismatchedLengths):
-            morrey_exact_batch([u, u], [0.1], [0.2, 0.2], [0.3, 0.3], 2.0)
-        assert morrey_exact_batch([], [], [], [], 2.0) == []
-
-    @pytest.mark.parametrize("kwargs", [
-        dict(delta_range=(-0.1, 0.2)),
-        dict(delta_range=(0.0, 0.2)),
-        dict(delta_range=(0.5, 0.2)),
-        dict(delta_range=(0.1, math.inf)),
-        dict(delta_range=(math.nan, 0.2)),
-        dict(trials=0),
-        dict(trials=2.5),
-        dict(trials=True),
-    ])
-    @pytest.mark.parametrize("variant", ["exact", "diagnostic"])
-    def test_bad_check_inputs_rejected(self, params_d1, kwargs, variant):
-        args = {"trials": 5, "seed": 1, "variant": variant, **kwargs}
-        with pytest.raises(SobolabError):
-            morrey_check(params_d1, **args)
-
-    def test_exact_variant_randomized(self, params_d1):
-        rep = morrey_check(params_d1, trials=500, seed=11)
-        assert rep.variant == "exact"
-        assert rep.violations == []
-
-    def test_diagnostic_variant(self, params_d2):
-        rep = morrey_check(params_d2, trials=2, seed=13)
-        assert rep.variant == "diagnostic"
-        assert rep.passed
-        assert rep.ratio_fine_max > 0.0
-
-    def test_exact_variant_unavailable(self, params_d3):
-        with pytest.raises(UnsupportedExactVariant):
-            morrey_check(params_d3, trials=5, seed=1, variant="exact")
 
 
 class TestRunAndPersistence:
