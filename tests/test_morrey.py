@@ -201,11 +201,14 @@ class TestMorrey:
         assert morrey_exact_batch([], [], [], [], 2.0) == []
 
     @pytest.mark.parametrize("trials", [0, 2.5, True])
-    def test_bad_check_inputs_rejected(self, params_d1, params_d2, trials):
-        # the exact and the diagnostic route check the count alike
-        for params in (params_d1, params_d2):
-            with pytest.raises(ConfigInvalid, match="trials"):
-                morrey_check(params, trials=trials, seed=1)
+    @pytest.mark.parametrize("variant", ["exact", "diagnostic"])
+    def test_bad_check_inputs_rejected(self, request, variant, trials):
+        # the exact (d = 1) and the diagnostic (d = 2) route check the
+        # count alike
+        params = request.getfixturevalue(
+            {"exact": "params_d1", "diagnostic": "params_d2"}[variant])
+        with pytest.raises(ConfigInvalid, match="trials"):
+            morrey_check(params, trials=trials, seed=1)
 
     def test_exact_variant_randomized(self, params_d1):
         rep = morrey_check(params_d1, trials=500, seed=11)
