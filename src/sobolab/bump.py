@@ -604,6 +604,9 @@ class BumpSum:
 
 # -- reference moduli ---------------------------------------------------------
 
+_REL_TOL = 1e-8     # where the box path of a moduli table stops
+_MAX_DOUBLINGS = 6  # after which either path of a moduli table raises
+
 
 @dataclass(frozen=True)
 class ReferenceModuli:
@@ -621,7 +624,7 @@ class ReferenceModuli:
     table: dict
     panels: dict = field(default_factory=dict)
     est_error: dict = field(default_factory=dict)
-    rel_tol: float = 1e-8
+    rel_tol: float = _REL_TOL
 
     def modulus(self, alpha):
         alpha = tuple(int(a) for a in alpha)
@@ -681,9 +684,9 @@ def integrate_partial_power_fixed(alpha, p, delta, panels):
     return 2.0 ** len(box) * quadrature.integrate_box(integrand, box, panels)
 
 
-# Levels of the even-p radial ladder agree to this relative tolerance, or
-# to a tighter caller's one.  Tighter stalls in rounding: at (k, p, d) =
-# (3, 32, 3), alpha = (0, 0, 3), successive levels keep differing near 1e-15.
+# Levels of the even-p radial ladder agree to this relative tolerance;
+# tighter stalls in rounding: at (k, p, d) = (3, 32, 3), alpha = (0, 0, 3),
+# successive levels keep differing near 1e-15.
 _EXACT_REL_TOL = 1e-13
 _LOG_DBL_MAX = math.log(sys.float_info.max)
 _LOG_DBL_MIN = math.log(sys.float_info.min)
@@ -719,7 +722,7 @@ def _compositions(total, parts):
             yield (first,) + rest
 
 
-def _even_power_modulus(alpha, p, rel_tol=1e-8, max_doublings=6):
+def _even_power_modulus(alpha, p):
     """M_alpha = integral |D^alpha psi_1|^p for an even integer p.
 
     Returns ``(value, panels, est_error)`` like
@@ -735,9 +738,8 @@ def _even_power_modulus(alpha, p, rel_tol=1e-8, max_doublings=6):
     (:func:`_sphere_moment`).  What remains is one integral in r of
     r^(d-1) times that sum over the band 1/2 <= r <= 1, where every
     derivative of phi lives.  It runs on a Gauss-Legendre panel-doubling
-    ladder from 4 panels until two levels agree to 1e-13 relative, or to
-    ``rel_tol`` if that is tighter.  alpha = 0 adds the plateau r < 1/2,
-    where psi_1 = 1: |S^(d-1)| / (d 2^d).
+    ladder from 4 panels until two levels agree to 1e-13 relative.
+    alpha = 0 adds the plateau r < 1/2, where psi_1 = 1: |S^(d-1)| / (d 2^d).
 
     An integrand that overflows, or a modulus that is not finite and
     positive, raises :class:`QuadratureNotConverged`.  M_(e_d) overflows
@@ -776,8 +778,7 @@ def _even_power_modulus(alpha, p, rel_tol=1e-8, max_doublings=6):
 
     value, panels, err = quadrature.adaptive_box(
         radial, [(PLATEAU_END ** 0.5, SUPPORT_END)],
-        rel_tol=min(rel_tol, _EXACT_REL_TOL), start_panels=4,
-        max_doublings=max_doublings,
+        rel_tol=_EXACT_REL_TOL, start_panels=4, max_doublings=_MAX_DOUBLINGS,
     )
     if not order_alpha:
         value += _sphere_moment((0,) * d) / (d * 2.0 ** d)
@@ -787,18 +788,18 @@ def _even_power_modulus(alpha, p, rel_tol=1e-8, max_doublings=6):
     return value, panels, err
 
 
-def reference_moduli(params, rel_tol=1e-8, max_doublings=6):
+def reference_moduli(params):
     """Compute the full M_alpha table for ``params`` deterministically.
 
     The path depends on ``params.p`` alone.  An even integer p takes the
     exact path of :func:`_even_power_modulus`: closed-form sphere moments
     (Folland) and one radial Gauss-Legendre ladder from 4 panels, stopped
-    when two levels agree to 1e-13 relative or to ``rel_tol`` if tighter.
-    Every other p takes the adaptive box quadrature of
-    :func:`integrate_partial_power` over [0, 1]^d from 1 panel per axis,
-    stopped at ``rel_tol``.  Either ladder raises
-    :class:`QuadratureNotConverged` after ``max_doublings`` doublings, or
-    at the first level whose integrand overflows.
+    when two levels agree to 1e-13 relative.  Every other p takes the
+    adaptive box quadrature of :func:`integrate_partial_power` over [0, 1]^d
+    from 1 panel per axis, stopped at 1e-8 relative (``_REL_TOL``, recorded
+    as the table's ``rel_tol``).  Either ladder raises
+    :class:`QuadratureNotConverged` after 6 doublings (``_MAX_DOUBLINGS``),
+    or at the first level whose integrand overflows.
 
     psi_1 is radial, so M_alpha is exactly invariant under permutations of
     alpha; only one representative per permutation class is integrated and
@@ -810,19 +811,17 @@ def reference_moduli(params, rel_tol=1e-8, max_doublings=6):
         rep = tuple(sorted(alpha))
         if rep not in by_class:
             if params.p % 2 == 0:
-                by_class[rep] = _even_power_modulus(
-                    alpha, params.p, rel_tol=rel_tol,
-                    max_doublings=max_doublings)
+                by_class[rep] = _even_power_modulus(alpha, params.p)
             else:
                 by_class[rep] = integrate_partial_power(
-                    alpha, params.p, 1.0, rel_tol=rel_tol,
-                    max_doublings=max_doublings)
+                    alpha, params.p, 1.0, rel_tol=_REL_TOL,
+                    max_doublings=_MAX_DOUBLINGS)
         value, n_panels, err = by_class[rep]
         table[alpha] = value
         panels[alpha] = n_panels
         errs[alpha] = err
     return ReferenceModuli(params=params, table=table, panels=panels,
-                           est_error=errs, rel_tol=rel_tol)
+                           est_error=errs, rel_tol=_REL_TOL)
 
 
 def scaled_seminorm(alpha, delta, moduli):
@@ -888,10 +887,14 @@ def save_moduli(moduli, path):
 _HEADER_FIELDS = {"k": int, "p": float, "d": int, "rel_tol": float}
 
 
-def _multi_index(cells):
+def _multi_index(cells, seen, lineno):
     if not cells:
         raise ValueError("no multi-index")
-    return tuple(int(v) for v in cells)
+    alpha = tuple(int(v) for v in cells)
+    if alpha in seen:
+        raise ValueError(f"multi-index {alpha} repeats line {seen[alpha]}")
+    seen[alpha] = lineno
+    return alpha
 
 
 def _keyed(token, key):
@@ -907,10 +910,11 @@ def load_moduli(path):
     A malformed header value, ``# meta`` record or table row raises
     :class:`MalformedInput` naming the file and line, as does a table that
     misses a multi-index |alpha| <= k or holds one that does not fit the
-    header's (k, d), or a modulus that is negative or not finite.
+    header's (k, d), a modulus that is negative or not finite, or a
+    repeated row or ``# meta`` record, which names both lines.
     """
     header = {}
-    meta_panels, meta_err, table, row_line = {}, {}, {}, {}
+    meta_panels, meta_err, meta_line, table, row_line = {}, {}, {}, {}, {}
     with open(path, encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
             line = line.strip()
@@ -919,7 +923,7 @@ def load_moduli(path):
             try:
                 if line.startswith("# meta "):
                     *cells, panels, err = line[len("# meta "):].split()
-                    alpha = _multi_index(cells)
+                    alpha = _multi_index(cells, meta_line, lineno)
                     meta_panels[alpha] = int(_keyed(panels, "panels"))
                     meta_err[alpha] = float.fromhex(_keyed(err, "err"))
                 elif line.startswith("#"):
@@ -929,12 +933,11 @@ def load_moduli(path):
                             header[key] = _HEADER_FIELDS[key](val)
                 else:
                     *cells, cell = line.split()
-                    alpha = _multi_index(cells)
+                    alpha = _multi_index(cells, row_line, lineno)
                     value = float.fromhex(cell)
                     if not (math.isfinite(value) and value >= 0.0):
                         raise ValueError(f"modulus {value} is not finite and >= 0")
                     table[alpha] = value
-                    row_line[alpha] = lineno
             except ValueError as exc:
                 raise MalformedInput(
                     f"{path}: line {lineno}: malformed record {line!r} ({exc})"
@@ -956,4 +959,4 @@ def load_moduli(path):
         )
     return ReferenceModuli(params=params, table=table, panels=meta_panels,
                            est_error=meta_err,
-                           rel_tol=header.get("rel_tol", 1e-8))
+                           rel_tol=header.get("rel_tol", _REL_TOL))

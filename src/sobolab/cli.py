@@ -10,9 +10,12 @@ Subcommands (one verb per library capability):
   sweep    run a config-driven experiment sweep            -> CSV + summary
   moduli   build and cache the reference-moduli table
 
+Every verb but norm takes --config (norm reads (k, p, d) from its
+interpolant file); only risk and sweep take --threads (default: CPU count).
+
 Exit codes: 0 success, 1 at least one contract failed, 2 invalid usage or
 config.  Commands that sample require an explicit --seed; reruns with the
-same seed and config are byte-identical.
+same seed and config are byte-identical, whatever the thread count.
 """
 
 from __future__ import annotations
@@ -48,7 +51,7 @@ def _threads_type(raw):
     return value
 
 
-def _add_common(sub, seed=False, out=False, fmt=False):
+def _add_common(sub, seed=False, out=False, threads=False):
     sub.add_argument("--config", required=True, metavar="PATH",
                      help="config file (sections [params], [distribution], [sweep])")
     if seed:
@@ -57,12 +60,10 @@ def _add_common(sub, seed=False, out=False, fmt=False):
     if out:
         sub.add_argument("--out", required=True, metavar="DIR",
                          help="output directory (created if absent)")
-    sub.add_argument("--threads", type=_threads_type,
-                     default=os.cpu_count() or 1, metavar="N",
-                     help="worker threads (results independent of N)")
-    if fmt:
-        sub.add_argument("--format", choices=("csv", "json-lines"),
-                         default="csv", help="row output format")
+    if threads:
+        sub.add_argument("--threads", type=_threads_type,
+                         default=os.cpu_count() or 1, metavar="N",
+                         help="worker threads (results independent of N)")
 
 
 def _outdir(args):
@@ -207,7 +208,6 @@ def build_parser():
     s.set_defaults(handler=cmd_interp)
 
     s = sub.add_parser("norm", help="exact Sobolev norm of an interpolant")
-    _add_common(s)
     s.add_argument("--interp", required=True, metavar="CSV",
                    help="interpolant file")
     s.add_argument("--moduli", metavar="PATH", help="moduli cache to reuse")
@@ -220,14 +220,16 @@ def build_parser():
     s.set_defaults(handler=cmd_check)
 
     s = sub.add_parser("risk", help="excess-risk estimates")
-    _add_common(s, seed=True)
+    _add_common(s, seed=True, threads=True)
     s.add_argument("--data", required=True, metavar="CSV", help="dataset file")
     s.add_argument("--shrink", type=float, default=1.0)
     s.add_argument("--mc-samples", type=int, default=200_000)
     s.set_defaults(handler=cmd_risk)
 
     s = sub.add_parser("sweep", help="run a config-driven sweep")
-    _add_common(s, seed=True, out=True, fmt=True)
+    _add_common(s, seed=True, out=True, threads=True)
+    s.add_argument("--format", choices=("csv", "json-lines"), default="csv",
+                   help="row output format")
     s.set_defaults(handler=cmd_sweep)
 
     s = sub.add_parser("moduli", help="build the reference-moduli cache")

@@ -21,7 +21,7 @@ the field's default; a key not listed raises ConfigInvalid.
     id                      output file stem
     kind                    norm_vs_n | delta_subset | weighted_delta_sum |
                             risk_vs_n | risk_vs_gamma | morrey (required)
-    n_grid                  whitespace-separated increasing sizes (>= 4)
+    n_grid                  at least 4 increasing sizes, each >= 2
     trials                  per-n repetitions (>= 5)
     seed                    master seed (CLI --seed overrides)
     shrink                  fixed shrink for risk_vs_n bumps

@@ -83,8 +83,9 @@ class SweepConfig:
             grid = tuple(int(n) for n in self.n_grid)
             if len(grid) < 4:
                 raise ConfigInvalid("sweep.n_grid: need at least 4 levels")
-            if any(b <= a for a, b in zip(grid, grid[1:])):
-                raise ConfigInvalid("sweep.n_grid: must be strictly increasing")
+            if grid[0] < 2 or any(b <= a for a, b in zip(grid, grid[1:])):
+                raise ConfigInvalid(f"sweep.n_grid: need strictly increasing "
+                                    f"sizes of at least 2, got {grid}")
         if self.kind == "weighted_delta_sum":
             if self.beta is None:
                 raise ConfigInvalid("sweep.beta: required for weighted_delta_sum")
@@ -308,7 +309,7 @@ def _delta_contracts(config, result):
     top_n = max(config.n_grid)
     sizes = [row["value"] for row in result.rows
              if row["metric"] == "subset_size" and row["n"] == top_n]
-    need = model.noise_constants(config.spec, verify=False).rho * top_n / 8.0
+    need = model.noise_constants(config.spec).rho * top_n / 8.0
     freq = float(np.mean([s >= need for s in sizes]))
     return [
         _slope_contract("delta_subset.min_delta_slope", fit,
@@ -414,13 +415,12 @@ def _gamma_trial(config, moduli, ds, radii, n, trial):
     metrics = []
     for si, s in enumerate(config.shrink_grid):
         f = interpolant.build(ds, radii, s, config.params)
-        residual = interpolant.interpolation_residual(f, ds)
-        checks["interpolation"] += _interpolation_violations(residual)
-        report = interpolant._gamma_report(f, moduli, residual, bound)
+        checks["interpolation"] += _interpolation_violations(
+            interpolant.interpolation_residual(f, ds))
         mc_seed = derive_seed(config.master_seed, n, trial, si, 2)
         est = _risk_of_bump(f, config.spec, config.mc_samples, mc_seed)
         metrics.append((f"gamma_lower_bound[s={s!r}]",
-                        report.gamma_lower_bound))
+                        interpolant.sobolev_norm(f, moduli) / bound))
         metrics.append((f"excess_risk[s={s!r}]", est.mean, est.stderr))
     return metrics, checks
 

@@ -248,11 +248,9 @@ def nn_graph_brute_force(dataset):
     return NnGraph(edges=frozenset(edges), n=n)
 
 
-def in_degrees(graph, n=None):
+def in_degrees(graph):
     """In-degree of every node of the nearest-neighbor graph."""
-    if n is None:
-        n = graph.n
-    deg = np.zeros(n, dtype=int)
+    deg = np.zeros(graph.n, dtype=int)
     for _, j in graph.edges:
         deg[j] += 1
     return deg

@@ -138,20 +138,16 @@ def interpolation_residual(f, dataset):
 
 
 def gamma_report(f, dataset, radii, moduli):
-    residual = interpolation_residual(f, dataset)
-    reference = build(dataset, radii, 1.0, moduli.params)
-    return _gamma_report(f, moduli, residual, sobolev_norm(reference, moduli))
-
-
-def _gamma_report(f, moduli, residual, bound):
-    """:func:`gamma_report` with ``interpolation_residual(f, dataset)`` and
-    ``bound``, the norm of the dataset's s = 1 interpolant, already known."""
-    worst = float(np.max(residual))
+    """The :class:`GammaReport` of ``f`` against the s = 1 interpolant of
+    ``dataset`` at ``radii``; an ``f`` that misses a label by more than
+    ``INTERPOLATION_TOL`` raises :class:`NotInterpolating`."""
+    worst = float(np.max(interpolation_residual(f, dataset)))
     if worst > INTERPOLATION_TOL:
         raise NotInterpolating(
             f"max |f(x_i) - y_i| = {worst:.3e} exceeds {INTERPOLATION_TOL:g}"
         )
     norm_f = sobolev_norm(f, moduli)
+    bound = sobolev_norm(build(dataset, radii, 1.0, moduli.params), moduli)
     return GammaReport(
         norm_f=norm_f,
         bump_upper_bound_norm=bound,

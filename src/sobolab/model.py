@@ -35,9 +35,6 @@ from .geometry import Dataset, _checked_radii, _sq_norm
 # Exact mislabel probability of the Gaussian model: P(eps^2 >= sigma_min^2)
 # is at least 2 Phi(-1) since sigma(x) >= sigma_min everywhere.
 RHO_EXACT = float(erfc(1.0 / math.sqrt(2.0)))
-# The conservative constant the squared-loss instantiation is usually
-# quoted with; kept for reference, always <= RHO_EXACT.
-RHO_CONSERVATIVE = 0.1
 
 _UNIT_BALL_VOLUME = {1: 2.0, 2: math.pi, 3: 4.0 * math.pi / 3.0}
 
@@ -269,26 +266,28 @@ class NoiseConstants:
 
     sigma_floor: float      # additive loss margin, = sigma_min^2
     rho: float              # exact mislabel probability bound, 2 Phi(-1)
-    rho_conservative: float  # the 0.1 the model is usually quoted with
     c_y: float              # sub-Gaussian scale sqrt(2) (sup|g| + sigma_max)
 
 
-def noise_constants(spec, verify=True, probes=20, draws=100_000, seed=0):
-    """Derive (sigma, rho, C_y); optionally Monte Carlo check them.
-
-    The checks are statistical: empirical mislabel frequency at each probe
-    point must not fall more than 3 standard errors below rho, and the
-    empirical tail of |y| must not exceed the sub-Gaussian bound by more
-    than 3 standard errors at t in {1, 2, 3}.
-    """
-    constants = NoiseConstants(
+def noise_constants(spec):
+    """The closed forms of (sigma, rho, C_y)."""
+    return NoiseConstants(
         sigma_floor=spec.sigma_min ** 2,
         rho=RHO_EXACT,
-        rho_conservative=RHO_CONSERVATIVE,
         c_y=math.sqrt(2.0) * (spec.g_sup_abs + spec.sigma_max),
     )
-    if not verify:
-        return constants
+
+
+def check_noise_constants(spec, seed):
+    """:func:`noise_constants` of ``spec``, checked by Monte Carlo.
+
+    At each of 20 probe points, 100 000 noise draws give a mislabel
+    frequency that must not fall more than 3 standard errors below rho, and
+    a tail of |y| that must not exceed the sub-Gaussian bound by more than 3
+    standard errors at t in {1, 2, 3}; else :class:`UnsupportedSpec`.
+    """
+    constants = noise_constants(spec)
+    probes, draws = 20, 100_000
     rng = np.random.default_rng(np.random.SeedSequence([seed, 0x5eed]))
     xs = sample_points(spec, probes, rng)
     sigma_sq = spec.sigma_sq_values(xs)
@@ -345,7 +344,7 @@ def noisy_separated_subset(dataset, radii, spec):
          value by the noise margin).
     """
     radii = _checked_radii(dataset, radii)
-    constants = noise_constants(spec, verify=False)
+    constants = noise_constants(spec)
     c1 = spec.density_upper * unit_ball_volume(spec.d)
     threshold = (2.0 * c1 * dataset.n) ** (-1.0 / spec.d)
     cap = constants.c_y * math.sqrt(math.log(4.0 / constants.rho))

@@ -33,9 +33,9 @@ class RiskEstimate:
     samples: int
     method: str
 
-    def within(self, other_value, k=3.0):
-        """|mean - other_value| <= k * stderr (stderr 0 means exact)."""
-        return abs(self.mean - other_value) <= k * self.stderr
+    def within(self, other_value):
+        """|mean - other_value| <= 3 stderr (stderr 0 means exact)."""
+        return abs(self.mean - other_value) <= 3.0 * self.stderr
 
 
 def _mc_moments(value_fn, spec, m, seed, threads=1):

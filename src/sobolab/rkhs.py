@@ -129,7 +129,6 @@ class KernelInterpolant:
 
     centers: np.ndarray
     coefficients: np.ndarray
-    labels: np.ndarray
     kernel: KernelSpec
     jitter_used: float
 
@@ -193,7 +192,7 @@ def min_norm_interpolant(dataset, spec):
             last = exc
             continue
         u = KernelInterpolant(centers=dataset.points, coefficients=coef,
-                              labels=y, kernel=spec, jitter_used=jitter)
+                              kernel=spec, jitter_used=jitter)
         residual = float(np.max(np.abs(u(dataset.points) - y)))
         if residual <= RESIDUAL_TOL:
             return u

@@ -279,9 +279,10 @@ def test_criterion_09_conditional_loss(params_d2):
             gap = abs(float(vals.mean())
                       - model.conditional_loss(spec, y_hat, x))
             worst_z = max(worst_z, gap / se)
-        # noise_constants raises if the rho / sub-Gaussian tail checks fail
-        nc = model.noise_constants(spec, probes=20, draws=100_000, seed=SEED)
-        rho_ok = nc.rho_conservative <= nc.rho
+        # check_noise_constants raises if the rho / sub-Gaussian tail
+        # checks fail
+        nc = model.check_noise_constants(spec, seed=SEED)
+        rho_ok = 0.1 <= nc.rho
     _report(9, "conditional-loss closed form", worst_z <= 3.0 and rho_ok,
             f"max |MC - formula| = {worst_z:.2f} stderr over 10 probes; "
             f"rho = {nc.rho:.5f} >= 0.1; tail checks passed "

@@ -770,9 +770,11 @@ class TestModuli:
         with pytest.raises(UnknownMultiIndex):
             moduli_d1.modulus((5,))
 
-    def test_not_converged_raises(self, params_d1):
+    def test_not_converged_raises(self, params_d1, monkeypatch):
+        monkeypatch.setattr(bump, "_REL_TOL", 1e-15)
+        monkeypatch.setattr(bump, "_MAX_DOUBLINGS", 1)
         with pytest.raises(QuadratureNotConverged):
-            bump.reference_moduli(params_d1, rel_tol=1e-15, max_doublings=1)
+            bump.reference_moduli(params_d1)
 
     def test_cache_roundtrip_exact(self, moduli_d1, tmp_path):
         path = tmp_path / "moduli.txt"
@@ -804,6 +806,12 @@ class TestModuli:
                      "header lacks k=", id="header-missing"),
         pytest.param(lambda ls: ls[:-1],
                      "no modulus for multi-index \\(1,\\)", id="missing-row"),
+        pytest.param(lambda ls: ls + ["1 0x1.0p+0"],
+                     "line 7: .*multi-index \\(1,\\) repeats line 6",
+                     id="repeated-row"),
+        pytest.param(lambda ls: ls[:3] + [ls[2]] + ls[3:],
+                     "line 4: .*multi-index \\(0,\\) repeats line 3",
+                     id="repeated-meta"),
     ])
     def test_malformed_cache_names_file_and_line(self, moduli_d1, tmp_path,
                                                  edit, where):
@@ -977,10 +985,10 @@ class TestExactModuli:
             quadrature.adaptive_box(lambda pts: pts[:, 0], [(0, 1), (0, 1)],
                                     max_doublings=0)
 
-    def test_no_doublings_raises(self):
+    def test_no_doublings_raises(self, monkeypatch):
+        monkeypatch.setattr(bump, "_MAX_DOUBLINGS", 0)
         with pytest.raises(QuadratureNotConverged):
-            bump.reference_moduli(bump.SobolevParams(1, 4.0, 3),
-                                  max_doublings=0)
+            bump.reference_moduli(bump.SobolevParams(1, 4.0, 3))
 
 
 class TestScaledSeminorm:

@@ -1,9 +1,10 @@
+import argparse
 import re
 
 import numpy as np
 import pytest
 
-from sobolab import geometry, interpolant, model
+from sobolab import cli, geometry, interpolant, model
 from sobolab.cli import main
 
 BASE_INI = """
@@ -91,24 +92,21 @@ class TestInterpNorm:
         ds = geometry.load_dataset(dataset_csv)
         assert np.max(np.abs(interpolant.evaluate(f, ds.points)
                              - ds.labels)) <= 1e-12
-        assert main(["norm", "--config", str(cfg), "--interp",
-                     str(interp_csv)]) == 0
+        assert main(["norm", "--interp", str(interp_csv)]) == 0
 
-    def test_header_missing_key_usage_error(self, cfg, tmp_path):
+    def test_header_missing_key_usage_error(self, tmp_path, capsys):
         bad = tmp_path / "interp.csv"
         bad.write_text("# k=1 d=1 shrink=1.0\nc_1,radius,weight\n"
                        "0.0,0.25,1.0\n")
-        assert main(["norm", "--config", str(cfg), "--interp",
-                     str(bad)]) == 2
+        assert main(["norm", "--interp", str(bad)]) == 2
+        assert "line 1: header record lacks p=" in capsys.readouterr().err
 
 
-    def test_header_dimension_disagrees_with_columns(self, cfg, tmp_path,
-                                                      capsys):
+    def test_header_dimension_disagrees_with_columns(self, tmp_path, capsys):
         bad = tmp_path / "interp.csv"
         bad.write_text("# k=1 p=2.5 d=2 shrink=1.0\nc_1,radius,weight\n"
                        "0.0,0.25,1.0\n")
-        assert main(["norm", "--config", str(cfg), "--interp",
-                     str(bad)]) == 2
+        assert main(["norm", "--interp", str(bad)]) == 2
         err = capsys.readouterr().err
         assert "interp.csv: line 1: header says d=2" in err
         assert "Traceback" not in err
@@ -149,7 +147,7 @@ class TestModuliCache:
         interp = tmp_path / "interp.csv"
         interp.write_text("# k=1 p=1.25 d=1 shrink=1.0\nc_1,radius,weight\n"
                           "0.0,0.25,1.0\n")
-        assert main(["norm", "--config", str(cfg), "--interp", str(interp),
+        assert main(["norm", "--interp", str(interp),
                      "--moduli", str(cache)]) == 2
         assert f"moduli_k1_p1.25_d1.txt: line {line}" in capsys.readouterr().err
 
@@ -310,6 +308,18 @@ class TestSweepCommand:
                      "json-lines"]) == 0
         assert (tmp_path / "jl" / "clidemo_rows.jsonl").exists()
 
+    @pytest.mark.parametrize("low", ["-4", "0", "1"])
+    def test_size_below_two_usage_error(self, tmp_path, capsys, low):
+        bad = tmp_path / "grid.ini"
+        bad.write_text(BASE_INI.replace("n_grid = 32 64 128 256",
+                                        f"n_grid = {low} 8 16 32"))
+        assert main(["sweep", "--config", str(bad), "--seed", "1",
+                     "--out", str(tmp_path / "out")]) == 2
+        assert capsys.readouterr().err == (
+            f"error: sweep.n_grid: need strictly increasing sizes of at "
+            f"least 2, got ({low}, 8, 16, 32)\n")
+        assert not (tmp_path / "out").exists()
+
     @pytest.mark.parametrize("grid", ["0.5 0.5", "0.5", ""])
     def test_degenerate_shrink_grid_usage_error(self, tmp_path, capsys,
                                                 grid):
@@ -337,3 +347,56 @@ class TestSweepCommand:
         assert main(["sweep", "--config", str(ini), "--seed", "4",
                      "--out", str(tmp_path / "m")]) == 0
         assert (tmp_path / "m" / "clidemo_summary.json").exists()
+
+
+class TestEveryOptionIsRead:
+    """Each verb's handler reads every option its parser defines, so no
+    option is accepted and then ignored."""
+
+    ARGV = {
+        "gen": ["--config", "CFG", "-n", "16", "--seed", "1", "--out", "OUT"],
+        "interp": ["--config", "CFG", "--data", "DATA", "--out", "OUT"],
+        "norm": ["--interp", "INTERP"],
+        "check": ["--config", "CFG", "--data", "DATA"],
+        "risk": ["--config", "CFG", "--data", "DATA", "--seed", "1",
+                 "--mc-samples", "1000", "--threads", "1"],
+        "sweep": ["--config", "CFG", "--seed", "1", "--out", "OUT",
+                  "--threads", "1"],
+        "moduli": ["--config", "CFG", "--out", "OUT"],
+    }
+
+    @pytest.mark.parametrize("command", sorted(ARGV))
+    def test_handler_reads_every_option(self, cfg, dataset_csv, tmp_path,
+                                        monkeypatch, command):
+        interp = tmp_path / "interp.csv"
+        interp.write_text("# k=1 p=1.25 d=1 shrink=1.0\nc_1,radius,weight\n"
+                          "0.0,0.25,1.0\n")
+        paths = {"CFG": cfg, "DATA": dataset_csv, "INTERP": interp,
+                 "OUT": tmp_path / "out"}
+        argv = [command] + [str(paths.get(a, a)) for a in self.ARGV[command]]
+        reads = []
+
+        class Recording(argparse.Namespace):
+            def __getattribute__(self, name):
+                reads.append(name)
+                return super().__getattribute__(name)
+
+        namespace = Recording()
+        build_parser = cli.build_parser
+
+        def recording_parser():
+            parser = build_parser()
+            parse_args = parser.parse_args
+
+            def parse(args):
+                parse_args(args, namespace=namespace)
+                reads.clear()  # argparse's own reads while parsing
+                return namespace
+
+            parser.parse_args = parse
+            return parser
+
+        monkeypatch.setattr(cli, "build_parser", recording_parser)
+        assert main(argv) == 0
+        options = set(vars(namespace)) - {"command", "handler"}
+        assert options - set(reads) == set()

@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 
 from conftest import count_trees, random_dataset
-from sobolab import bump, config, experiments, geometry, model, rkhs
+from sobolab import (bump, config, experiments, geometry, interpolant,
+                     model, rkhs)
 from sobolab.errors import ConfigInvalid, InvalidRange
 from sobolab.experiments import SweepConfig, derive_seed, fit_loglog
 
@@ -234,9 +235,8 @@ class TestNormTrial:
 class TestGammaTrial:
     def test_evaluates_each_shrink_at_the_data_once(self, params_d2,
                                                      moduli_d2, monkeypatch):
-        # one evaluation at the data points feeds both the interpolation
-        # count and gamma_report's check; a budget below one Monte Carlo
-        # chunk adds one more per shrink
+        # one evaluation at the data points feeds the interpolation count;
+        # a budget below one Monte Carlo chunk adds one more per shrink
         spec = model.DistributionSpec(params=params_d2, density="parabolic",
                                       tilt=0.5)
         cfg = small_config(spec, kind="risk_vs_gamma",
@@ -258,6 +258,19 @@ class TestGammaTrial:
         assert calls.count(ds.points.shape) == len(cfg.shrink_grid)
         assert checks["interpolation"] == 0
         assert len(metrics) == 2 * len(cfg.shrink_grid)
+
+    def test_interpolation_miss_fails_its_contract(self, params_d2,
+                                                   moduli_d2, monkeypatch):
+        # a miss is a failed contract, as in the other sweeps, not an error
+        monkeypatch.setattr(interpolant, "INTERPOLATION_TOL", -1.0)
+        cfg = small_config(model.DistributionSpec(params=params_d2),
+                           kind="risk_vs_gamma", n_grid=(16, 32, 48, 64),
+                           shrink_grid=(1.0, 0.5), mc_samples=1000)
+        res = experiments.run_sweep(cfg, moduli=moduli_d2)
+        by_name = {c.name: c for c in res.contracts}
+        miss = by_name["risk_vs_gamma.interpolation_violations"]
+        assert not miss.passed
+        assert miss.observed == 64 * len(cfg.shrink_grid) * cfg.trials
 
 
 class TestSweeps:

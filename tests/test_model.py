@@ -238,19 +238,19 @@ class TestConditionalLoss:
 
 class TestNoiseConstants:
     def test_exact_rho(self, pure_noise_d1):
-        nc = model.noise_constants(pure_noise_d1, verify=False)
+        nc = model.noise_constants(pure_noise_d1)
         assert nc.rho == pytest.approx(0.3173105078629141, abs=1e-15)
-        assert nc.rho_conservative == 0.1 <= nc.rho
+        assert 0.1 <= nc.rho  # the constant the model is usually quoted with
         assert nc.sigma_floor == 1.0
         assert nc.c_y == pytest.approx(math.sqrt(2.0))
 
     def test_verification_passes(self, bumpy_spec):
-        nc = model.noise_constants(bumpy_spec, probes=10, draws=50_000, seed=1)
+        nc = model.check_noise_constants(bumpy_spec, seed=1)
         assert nc.sigma_floor == 0.25
         assert nc.c_y == pytest.approx(math.sqrt(2.0) * (1.0 + math.sqrt(1.25)))
 
     def test_mislabel_probability_frequency(self, pure_noise_d1):
-        nc = model.noise_constants(pure_noise_d1, verify=False)
+        nc = model.noise_constants(pure_noise_d1)
         rng = np.random.default_rng(61)
         draws = rng.standard_normal(200_000)
         freq = float(np.mean(draws ** 2 >= nc.sigma_floor))
@@ -269,7 +269,7 @@ class TestSubset:
 
     def test_hand_built_singleton(self, params_d1):
         spec = DistributionSpec(params=params_d1)
-        nc = model.noise_constants(spec, verify=False)
+        nc = model.noise_constants(spec)
         # thresholds: delta >= 1/6 (C_1 = 1, n = 3), |y| <= C_y sqrt(log(4/rho))
         cap = nc.c_y * math.sqrt(math.log(4.0 / nc.rho))
         ds = Dataset(points=np.array([[-0.9], [0.0], [0.8]]),
