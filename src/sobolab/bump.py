@@ -21,14 +21,17 @@ variables
 
     integral |D^alpha psi_delta|^p = delta^(d - |alpha| p) * M_alpha.
 
-The path depends on p alone.  For an even integer p, |D^alpha psi_1|^p is a
-polynomial in the direction theta = x/|x| with coefficients in r = |x|; its
-theta-monomials integrate over the sphere in closed form (G. B. Folland,
-"How to integrate a polynomial over a sphere", Amer. Math. Monthly 108
-(2001) 446-448), which leaves one integral in r over the band
-1/2 <= r <= 1 (see :func:`_even_power_modulus`).  Every other p takes the
-tensor Gauss-Legendre box quadrature of :func:`integrate_partial_power`,
-which also serves as the oracle for the even-p path.
+The path depends on p and |alpha|.  For an even integer p, |D^alpha psi_1|^p
+is a polynomial in the direction theta = x/|x| with coefficients in
+r = |x|; its theta-monomials integrate over the sphere in closed form
+(G. B. Folland, "How to integrate a polynomial over a sphere", Amer. Math.
+Monthly 108 (2001) 446-448), which leaves one integral in r over the band
+1/2 <= r <= 1 (see :func:`_radial_modulus`).  For |alpha| <= 1 and any p,
+D^alpha psi_1 is one radial factor times theta^alpha, so |D^alpha psi_1|^p
+splits the same way, with Folland's moment of |theta^alpha|^p.  Only a class
+of order >= 2 at a p that is not an even integer takes the tensor
+Gauss-Legendre box quadrature of :func:`integrate_partial_power`, which
+also serves as the oracle for both radial cases.
 
 A finite sum of disjointly supported bumps is one type, :class:`BumpSum`:
 ground truths, the random sums of the Morrey check and the interpolants of
@@ -613,11 +616,12 @@ class ReferenceModuli:
     """Table of M_alpha = integral |D^alpha psi_1|^p over |alpha| <= k.
 
     ``panels`` and ``est_error`` describe the quadrature that produced each
-    entry.  For the box path (p not an even integer) they are the panel
-    count per axis of the d-dimensional box and the difference between its
-    last two refinements; for the exact even-p path they are the panel
-    count of the radial integral over 1/2 <= r <= 1 and the difference
-    between its last two levels.
+    entry.  For the radial path (every class at an even integer p, and
+    every class with |alpha| <= 1 at any p) they are the panel count of the
+    radial integral over 1/2 <= r <= 1 and the difference between its last
+    two levels; for the box path (|alpha| >= 2 at any other p) they are the
+    panel count per axis of the d-dimensional box and the difference
+    between its last two refinements.
     """
 
     params: SobolevParams
@@ -692,16 +696,19 @@ _LOG_DBL_MAX = math.log(sys.float_info.max)
 _LOG_DBL_MIN = math.log(sys.float_info.min)
 
 
-def _sphere_moment(beta, log_scale=0.0):
+def _sphere_moment(beta, log_scale=0.0, absolute=False):
     """e^log_scale times integral_{S^(d-1)} theta^beta, d = len(beta).
 
     Folland's closed form: 2 prod_j Gamma((beta_j + 1)/2) /
-    Gamma((|beta| + d)/2) when every beta_j is even, and 0 otherwise.  It is
-    formed from log-gamma, so exponents of any size stay finite; a value
+    Gamma((|beta| + d)/2) when every beta_j is even, and 0 otherwise.  With
+    ``absolute`` it is the moment of |theta^beta| instead, for real
+    beta_j >= 0: the same closed form with no parity rule, so an odd
+    exponent gives no 0 (at p = 3 the moment of |theta_j|^3 is not 0).  It
+    is formed from log-gamma, so exponents of any size stay finite; a value
     that leaves the normal double range raises
     :class:`QuadratureNotConverged` instead of overflowing or flushing to 0.
     """
-    if any(b % 2 for b in beta):
+    if not absolute and any(b % 2 for b in beta):
         return 0.0
     halves = [(b + 1) / 2 for b in beta]
     log_m = (sum(map(math.lgamma, halves)) - math.lgamma(sum(halves))
@@ -722,24 +729,31 @@ def _compositions(total, parts):
             yield (first,) + rest
 
 
-def _even_power_modulus(alpha, p):
-    """M_alpha = integral |D^alpha psi_1|^p for an even integer p.
+def _radial_modulus(alpha, p):
+    """M_alpha = integral |D^alpha psi_1|^p for an even integer p, or for
+    |alpha| <= 1 at any p.
 
     Returns ``(value, panels, est_error)`` like
     :func:`integrate_partial_power`.  At x = r theta the terms of
     :func:`_bell_terms` give
 
         D^alpha psi_1 = sum_t g_t(r) theta^(w_t),
-        g_t(r) = c_t (2r)^|w_t| phi^(m_t)(r^2),
+        g_t(r) = c_t (2r)^|w_t| phi^(m_t)(r^2).
 
-    so the multinomial expansion of the p-th power is a sum over the
-    compositions n of p of (p; n) prod_t g_t^(n_t) theta^(sum_t n_t w_t),
-    and each theta-monomial integrates over the sphere in closed form
-    (:func:`_sphere_moment`).  What remains is one integral in r of
-    r^(d-1) times that sum over the band 1/2 <= r <= 1, where every
-    derivative of phi lives.  It runs on a Gauss-Legendre panel-doubling
-    ladder from 4 panels until two levels agree to 1e-13 relative.
-    alpha = 0 adds the plateau r < 1/2, where psi_1 = 1: |S^(d-1)| / (d 2^d).
+    For an even integer p, the multinomial expansion of the p-th power is a
+    sum over the compositions n of p of (p; n) prod_t g_t^(n_t)
+    theta^(sum_t n_t w_t), and each theta-monomial integrates over the
+    sphere in closed form (:func:`_sphere_moment`).  For |alpha| <= 1 there
+    is one term, so |D^alpha psi_1|^p = |g(r)|^p |theta^w|^p at any p: the
+    absolute sphere moment of |theta^w|^p times an integral of |g|^p.  Both
+    absolute values matter: phi' < 0 on the band, and a negative base to a
+    non-integer power is NaN; and an odd exponent must not zero the moment.
+
+    What remains is one integral in r of r^(d-1) times that sum over the
+    band 1/2 <= r <= 1, where every derivative of phi lives.  It runs on a
+    Gauss-Legendre panel-doubling ladder from 4 panels until two levels
+    agree to 1e-13 relative.  alpha = 0 adds the plateau r < 1/2, where
+    psi_1 = 1: |S^(d-1)| / (d 2^d).
 
     An integrand that overflows, or a modulus that is not finite and
     positive, raises :class:`QuadratureNotConverged`.  M_(e_d) overflows
@@ -749,23 +763,31 @@ def _even_power_modulus(alpha, p):
     loop long.
     """
     alpha = tuple(int(a) for a in alpha)
-    d, p, order_alpha = len(alpha), int(p), sum(alpha)
+    d, order_alpha = len(alpha), sum(alpha)
     terms = _bell_terms(alpha)
-    expansion = []
-    for n in _compositions(p, len(terms)):
-        beta = [sum(nt * w[j] for nt, (_, _, w) in zip(n, terms))
-                for j in range(d)]
-        log_multinomial = math.lgamma(p + 1) - sum(math.lgamma(nt + 1)
-                                                   for nt in n)
-        weight = _sphere_moment(beta, log_multinomial)
-        if weight:
-            expansion.append((weight, n))
+    even = p % 2 == 0
+    if even:
+        p = int(p)
+        expansion = []
+        for n in _compositions(p, len(terms)):
+            beta = [sum(nt * w[j] for nt, (_, _, w) in zip(n, terms))
+                    for j in range(d)]
+            log_multinomial = math.lgamma(p + 1) - sum(math.lgamma(nt + 1)
+                                                       for nt in n)
+            weight = _sphere_moment(beta, log_multinomial)
+            if weight:
+                expansion.append((weight, n))
+    else:
+        (_, _, w), = terms
+        expansion = [(_sphere_moment([p * b for b in w], absolute=True), (p,))]
 
     def radial(pts):
         r = pts[:, 0]
         u = r * r
         g = [c * (2.0 * r) ** sum(w) * profile_eval(u, m)
              for m, c, w in terms]
+        if not even:
+            g = [np.abs(gt) for gt in g]
         acc = 0.0
         with np.errstate(over="ignore", invalid="ignore"):  # ladder raises
             for weight, n in expansion:
@@ -791,15 +813,18 @@ def _even_power_modulus(alpha, p):
 def reference_moduli(params):
     """Compute the full M_alpha table for ``params`` deterministically.
 
-    The path depends on ``params.p`` alone.  An even integer p takes the
-    exact path of :func:`_even_power_modulus`: closed-form sphere moments
+    The path depends on ``params.p`` and |alpha|.  At an even integer p
+    every class, and at any p every class with |alpha| <= 1, takes the
+    radial path of :func:`_radial_modulus`: closed-form sphere moments
     (Folland) and one radial Gauss-Legendre ladder from 4 panels, stopped
-    when two levels agree to 1e-13 relative.  Every other p takes the
-    adaptive box quadrature of :func:`integrate_partial_power` over [0, 1]^d
-    from 1 panel per axis, stopped at 1e-8 relative (``_REL_TOL``, recorded
-    as the table's ``rel_tol``).  Either ladder raises
-    :class:`QuadratureNotConverged` after 6 doublings (``_MAX_DOUBLINGS``),
-    or at the first level whose integrand overflows.
+    when two levels agree to 1e-13 relative.  So a k = 1 table never runs
+    the box.  A class with |alpha| >= 2 at any other p, where phi'' and
+    phi''' change sign on the band, takes the adaptive box quadrature of
+    :func:`integrate_partial_power` over [0, 1]^d from 1 panel per axis,
+    stopped at 1e-8 relative (``_REL_TOL``, recorded as the table's
+    ``rel_tol``).  Either ladder raises :class:`QuadratureNotConverged`
+    after 6 doublings (``_MAX_DOUBLINGS``), or at the first level whose
+    integrand overflows.
 
     psi_1 is radial, so M_alpha is exactly invariant under permutations of
     alpha; only one representative per permutation class is integrated and
@@ -810,8 +835,8 @@ def reference_moduli(params):
     for alpha in multi_indices(params.d, params.k):
         rep = tuple(sorted(alpha))
         if rep not in by_class:
-            if params.p % 2 == 0:
-                by_class[rep] = _even_power_modulus(alpha, params.p)
+            if params.p % 2 == 0 or sum(alpha) <= 1:
+                by_class[rep] = _radial_modulus(alpha, params.p)
             else:
                 by_class[rep] = integrate_partial_power(
                     alpha, params.p, 1.0, rel_tol=_REL_TOL,
@@ -857,7 +882,7 @@ def moduli_constant(moduli):
 @lru_cache(maxsize=None)
 def l2_modulus(d):
     """integral psi_1^2 over R^d (the alpha = 0, p = 2 modulus)."""
-    return _even_power_modulus((0,) * d, 2)[0]
+    return _radial_modulus((0,) * d, 2)[0]
 
 
 # -- cache file --------------------------------------------------------------

@@ -184,13 +184,21 @@ def load_interpolant(path):
     """Read a :func:`save_interpolant` file back as ``(f, params, shrink)``.
 
     A malformed header or row raises :class:`MalformedInput` or
-    :class:`MismatchedLengths` naming the file and line.
+    :class:`MismatchedLengths` naming the file and line, as does a header
+    that repeats a key.
     """
     with open(path, newline="", encoding="utf-8") as fh:
         first = fh.readline().strip()
         if not first.startswith("#"):
             raise MismatchedLengths(f"{path}: missing parameter header record")
-        fields = dict(tok.split("=", 1) for tok in first[1:].split() if "=" in tok)
+        fields = {}
+        for key, eq, value in (tok.partition("=") for tok in first[1:].split()):
+            if not eq:
+                continue
+            if key in fields:
+                raise MalformedInput(
+                    f"{path}: line 1: header record repeats {key}=")
+            fields[key] = value
         try:
             params = SobolevParams(k=int(fields["k"]), p=float(fields["p"]),
                                    d=int(fields["d"]))

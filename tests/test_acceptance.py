@@ -204,7 +204,7 @@ def test_criterion_05_bump_scaling_identity(moduli_d1, moduli_d2, moduli_d3):
                 for delta in (0.25, 0.5, 2.0, 4.0):
                     if (rep, delta) not in by_class:
                         # a fixed box rule, independent of how the table
-                        # was built (the even-p moduli count radial panels)
+                        # was built (its radial entries count radial panels)
                         by_class[rep, delta] = \
                             bump.integrate_partial_power_fixed(
                                 rep, p, delta, panels=8)

@@ -757,10 +757,11 @@ class TestModuli:
         assert all(v > 0 for v in moduli_d2.table.values())
 
     def test_panel_doubling_self_consistency(self, moduli_d1):
+        # a fixed box rule, independent of how the table was built (its
+        # order <= 1 entries count radial panels)
         for alpha, m in moduli_d1.table.items():
             refined = bump.integrate_partial_power_fixed(
-                alpha, moduli_d1.params.p, 1.0,
-                panels=2 * moduli_d1.panels[alpha])
+                alpha, moduli_d1.params.p, 1.0, panels=32)
             assert refined == pytest.approx(m, rel=1e-8)
 
     def test_permutation_symmetry(self, moduli_d2):
@@ -775,6 +776,24 @@ class TestModuli:
         monkeypatch.setattr(bump, "_MAX_DOUBLINGS", 1)
         with pytest.raises(QuadratureNotConverged):
             bump.reference_moduli(params_d1)
+
+    @pytest.mark.parametrize("kpd, rel_tol, match", [
+        pytest.param((2, 1.25, 1), 1e-15, r"after 64 panels$",
+                     id="not-converged"),
+        pytest.param((2, 301.0, 1), bump._REL_TOL,
+                     r"at 1 panels: the integrand overflows", id="overflow"),
+    ])
+    def test_order_two_box_path_raises(self, kpd, rel_tol, match,
+                                       monkeypatch):
+        # the order <= 1 classes converge on the radial ladder, which starts
+        # at 4 panels and could stop at 256; only the box starts at 1 panel
+        # and stops at 64, and |phi''|^301 overflows where |2 r phi'|^301
+        # does not
+        monkeypatch.setattr(bump, "_REL_TOL", rel_tol)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            with pytest.raises(QuadratureNotConverged, match=match):
+                bump.reference_moduli(bump.SobolevParams(*kpd))
 
     def test_cache_roundtrip_exact(self, moduli_d1, tmp_path):
         path = tmp_path / "moduli.txt"
@@ -847,7 +866,7 @@ def _radial_oracle(alpha, p, d):
 
 
 class TestExactModuli:
-    """The even-p path: Folland's sphere moments and one radial ladder."""
+    """The radial path: Folland's sphere moments and one radial ladder."""
 
     @pytest.mark.parametrize("beta, want", [
         ((0,), 2.0),
@@ -864,6 +883,17 @@ class TestExactModuli:
     def test_sphere_moment_odd_exponent_is_zero(self, beta):
         assert bump._sphere_moment(beta) == 0.0
 
+    @pytest.mark.parametrize("beta, want", [
+        ((1,), 2.0),
+        ((0, 1), 4.0),                     # integral of |sin t| over a turn
+        ((0, 0, 3), math.pi),              # 2 pi integral of |x|^3 on [-1, 1]
+        ((0, 2.5), float(4 * mpmath.quad(lambda t: mpmath.sin(t) ** 2.5,
+                                          [0, mpmath.pi / 2]))),
+    ], ids=["1", "0-1", "0-0-3", "0-2.5"])
+    def test_absolute_sphere_moment_has_no_parity_rule(self, beta, want):
+        assert bump._sphere_moment(beta, absolute=True) == pytest.approx(
+            want, rel=1e-14)
+
     @pytest.mark.parametrize("beta, log_scale", [
         ((1000, 1000, 1000), 0.0),  # 1e-719: would flush to 0
         ((0,), 710.0),              # 2 e^710: would overflow
@@ -879,7 +909,7 @@ class TestExactModuli:
         monkeypatch.setattr(quadrature, "adaptive_box",
                             lambda *args, **kw: (value, 8, value))
         with pytest.raises(QuadratureNotConverged, match="double range"):
-            bump._even_power_modulus((0, 1), 4.0)
+            bump._radial_modulus((0, 1), 4.0)
 
     @pytest.mark.parametrize("kpd", [(1, 4.0, 1), (2, 2.0, 2), (1, 4.0, 3)])
     def test_matches_box_quadrature_every_class(self, kpd):
@@ -910,18 +940,50 @@ class TestExactModuli:
         else:
             moduli = request.getfixturevalue(f"moduli_{table}")
         p, d = moduli.params.p, moduli.params.d
-        rel = 1e-11 if p % 2 == 0 else moduli.rel_tol
         for alpha in [(0,) * d, (0,) * (d - 1) + (1,)]:
             assert moduli.modulus(alpha) == pytest.approx(
-                _radial_oracle(alpha, p, d), rel=rel), alpha
+                _radial_oracle(alpha, p, d), rel=1e-11), alpha
+
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    @pytest.mark.parametrize("p", [1.01, 1.25, 2.5, 3.0, 3.05, 3.5, 5.0, 7.3])
+    def test_order_one_classes_match_radial_oracle(self, p, d):
+        # kp > d does not hold for every (1, p, d) here, so the classes are
+        # integrated one by one, as a table of any order takes them
+        for alpha in bump.multi_indices(d, 1):
+            value, _, _ = bump._radial_modulus(alpha, p)
+            assert value == pytest.approx(
+                _radial_oracle(tuple(sorted(alpha)), p, d), rel=1e-11), alpha
+
+    @pytest.mark.parametrize("d", [1, 2])
+    @pytest.mark.parametrize("p", [2.5, 3.0, 3.05, 3.5, 5.0, 7.3])
+    def test_order_one_classes_match_box_quadrature(self, p, d):
+        # below p = 2.5 the box stalls short of 1e-12 in d = 2: |x_j|^p is
+        # not smooth at x_j = 0, an edge of the box
+        for rep in [(0,) * d, (0,) * (d - 1) + (1,)]:
+            box, _, _ = bump.integrate_partial_power(rep, p, 1.0,
+                                                     rel_tol=1e-12)
+            value, _, _ = bump._radial_modulus(rep, p)
+            assert value == pytest.approx(box, rel=1e-12), rep
+
+    @pytest.mark.parametrize("kpd", [(1, 1.25, 1), (1, 2.5, 2), (1, 3.0, 2),
+                                     (1, 3.05, 3), (1, 7.3, 2), (1, 4.0, 3)])
+    def test_order_one_tables_never_run_the_box(self, kpd, monkeypatch):
+        def box(*args, **kwargs):
+            raise AssertionError("box quadrature in an order-1 table")
+
+        monkeypatch.setattr(bump, "integrate_partial_power", box)
+        moduli = bump.reference_moduli(bump.SobolevParams(*kpd))
+        assert set(moduli.panels.values()) <= {8, 16, 32, 64, 128, 256}
+        for alpha, m in moduli.table.items():
+            assert 0.0 <= moduli.est_error[alpha] <= 1e-13 * m
 
     def test_non_even_tables_keep_their_bits(self, moduli_d1, moduli_d2):
-        assert moduli_d1.modulus((0,)) == float.fromhex("0x1.8b0c8dc1efb3ep+0")
-        assert moduli_d1.modulus((1,)) == float.fromhex("0x1.585339f46d04ap+1")
+        assert moduli_d1.modulus((0,)) == float.fromhex("0x1.8b0c8dc1ee18ep+0")
+        assert moduli_d1.modulus((1,)) == float.fromhex("0x1.585339f46e2dep+1")
         assert moduli_d2.modulus((0, 0)) == \
-            float.fromhex("0x1.ada089b371bc9p+0")
+            float.fromhex("0x1.ada089b3640c1p+0")
         assert moduli_d2.modulus((0, 1)) == \
-            float.fromhex("0x1.e302d2683a6d4p+3")
+            float.fromhex("0x1.e302d2683a3adp+3")
 
     def test_panels_and_error_are_the_radial_ladder(self, moduli_d3):
         assert set(moduli_d3.panels.values()) <= {8, 16, 32, 64, 128, 256}
@@ -1007,8 +1069,7 @@ class TestScaledSeminorm:
             for alpha in {tuple(sorted(a)) for a in moduli.indices}:
                 for delta in (0.5, 2.0):
                     direct = bump.integrate_partial_power_fixed(
-                        alpha, p, delta,
-                        panels=max(moduli.panels[alpha], 2))
+                        alpha, p, delta, panels=16)
                     formula = bump.scaled_seminorm(alpha, delta, moduli)
                     assert direct == pytest.approx(formula, rel=1e-6)
 

@@ -4,7 +4,7 @@ import re
 import numpy as np
 import pytest
 
-from sobolab import cli, geometry, interpolant, model
+from sobolab import bump, cli, geometry, interpolant, model
 from sobolab.cli import main
 
 BASE_INI = """
@@ -101,6 +101,15 @@ class TestInterpNorm:
         assert main(["norm", "--interp", str(bad)]) == 2
         assert "line 1: header record lacks p=" in capsys.readouterr().err
 
+    def test_header_repeated_key_usage_error(self, tmp_path, capsys):
+        bad = tmp_path / "interp.csv"
+        bad.write_text("# k=1 p=2.5 d=2 shrink=0.5 p=3\nc_1,c_2,radius,weight\n"
+                       "0.0,0.0,0.25,1.0\n")
+        assert main(["norm", "--interp", str(bad)]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == f"error: {bad}: line 1: header record repeats p=\n"
+
 
     def test_header_dimension_disagrees_with_columns(self, tmp_path, capsys):
         bad = tmp_path / "interp.csv"
@@ -133,6 +142,36 @@ class TestModuliCache:
         assert main(["check", "--config", str(cfg), "--data", str(ds),
                      "--moduli", str(cache)]) == 2
 
+
+    def test_order_one_table_round_trips_through_the_cli(self, tmp_path,
+                                                         capsys):
+        cfg = tmp_path / "cfg.ini"
+        cfg.write_text(BASE_INI.replace("p = 1.25", "p = 3.05")
+                       .replace("d = 1", "d = 3"))
+        assert main(["moduli", "--config", str(cfg),
+                     "--out", str(tmp_path)]) == 0
+        cache = tmp_path / "moduli_k1_p3.05_d3.txt"
+        fresh = bump.reference_moduli(bump.SobolevParams(1, 3.05, 3))
+        back = bump.load_moduli(cache)
+        assert back.params == fresh.params
+        assert back.table == fresh.table  # hex floats: bit-exact
+        assert back.panels == fresh.panels
+        assert back.est_error == fresh.est_error
+        for alpha, m in back.table.items():
+            assert 0.0 <= back.est_error[alpha] <= 1e-13 * m
+
+        assert main(["gen", "--config", str(cfg), "-n", "64", "--seed", "3",
+                     "--out", str(tmp_path)]) == 0
+        assert main(["interp", "--config", str(cfg), "--data",
+                     str(tmp_path / "dataset_n64_seed3.csv"),
+                     "--out", str(tmp_path)]) == 0
+        interp = str(tmp_path / "interpolant_shrink1.0.csv")
+        capsys.readouterr()
+        assert main(["norm", "--interp", interp, "--moduli", str(cache)]) == 0
+        cached = capsys.readouterr().out
+        assert main(["norm", "--interp", interp]) == 0
+        assert cached == capsys.readouterr().out
+        assert cached.startswith("W^{1,3.05} norm: ")
 
     @pytest.mark.parametrize("bad_row, line", [("0 xyz", 5), ("0", 5)])
     def test_malformed_cache_usage_error(self, cfg, tmp_path, capsys,
