@@ -63,6 +63,7 @@ from .errors import (
 from .geometry import (
     _certified_violations,
     _check_squared_spread,
+    _header_record,
     _nn_sq_dists,
     _sq_norm,
 )
@@ -368,6 +369,13 @@ def _grid_levels(radii, d):
     return levels
 
 
+# The grid and the identity shortlist stay for speed (2 cores).  On a
+# `gamma_d2_tilted` interpolant (n = 1024) and 50 000 tilted samples at
+# s = 1, 0.5, 0.25, the grid's build and pairs took 6.7, 3.4, 4.4 ms, and a
+# cKDTree(centers).query(k=1) nearest-centre shortlist 32, 30, 46 ms (27,
+# 24, 20 ms with distance_upper_bound = r_max), for identical pairs.  At the
+# `norm_d3` spec's data points, n = 256, 1024, 4096, the identity shortlist
+# took 0.07, 0.11, 0.26 ms, and a freshly built grid 0.59, 1.63, 6.38 ms.
 class _SupportGrid:
     """Cell grids over the supports of a sum of bumps, built once per sum
     from its centers and radii alone.
@@ -592,8 +600,9 @@ class BumpSum:
         if np.isnan(pts).any():
             raise MalformedInput("query points must not be NaN")
         if self.n <= _MASK_MAX_BUMPS:
-            inside = [np.flatnonzero(_sq_norm((pts - c) / r) < 1.0)
-                      for c, r in zip(self.centers, self.radii)]
+            with np.errstate(over="ignore"):  # inf is outside too
+                inside = [np.flatnonzero(_sq_norm((pts - c) / r) < 1.0)
+                          for c, r in zip(self.centers, self.radii)]
             bump = np.repeat(np.arange(self.n), [len(i) for i in inside])
             return bump, np.concatenate(inside)
         if self._certified and np.array_equal(pts, self.centers):
@@ -824,7 +833,7 @@ def reference_moduli(params):
     stopped at 1e-8 relative (``_REL_TOL``, recorded as the table's
     ``rel_tol``).  Either ladder raises :class:`QuadratureNotConverged`
     after 6 doublings (``_MAX_DOUBLINGS``), or at the first level whose
-    integrand overflows.
+    integrand overflows, naming the class and the table's (k, p, d).
 
     psi_1 is radial, so M_alpha is exactly invariant under permutations of
     alpha; only one representative per permutation class is integrated and
@@ -835,12 +844,17 @@ def reference_moduli(params):
     for alpha in multi_indices(params.d, params.k):
         rep = tuple(sorted(alpha))
         if rep not in by_class:
-            if params.p % 2 == 0 or sum(alpha) <= 1:
-                by_class[rep] = _radial_modulus(alpha, params.p)
-            else:
-                by_class[rep] = integrate_partial_power(
-                    alpha, params.p, 1.0, rel_tol=_REL_TOL,
-                    max_doublings=_MAX_DOUBLINGS)
+            try:
+                if params.p % 2 == 0 or sum(alpha) <= 1:
+                    by_class[rep] = _radial_modulus(alpha, params.p)
+                else:
+                    by_class[rep] = integrate_partial_power(
+                        alpha, params.p, 1.0, rel_tol=_REL_TOL,
+                        max_doublings=_MAX_DOUBLINGS)
+            except QuadratureNotConverged as exc:
+                raise QuadratureNotConverged(
+                    f"class {rep} of the (k, p, d) = ({params.k}, "
+                    f"{params.p!r}, {params.d}) table: {exc}") from None
         value, n_panels, err = by_class[rep]
         table[alpha] = value
         panels[alpha] = n_panels
@@ -910,11 +924,10 @@ def save_moduli(moduli, path):
 
 
 _HEADER_FIELDS = {"k": int, "p": float, "d": int, "rel_tol": float}
+_META_FIELDS = {"panels": int, "err": float.fromhex}
 
 
 def _multi_index(cells, seen, lineno):
-    if not cells:
-        raise ValueError("no multi-index")
     alpha = tuple(int(v) for v in cells)
     if alpha in seen:
         raise ValueError(f"multi-index {alpha} repeats line {seen[alpha]}")
@@ -922,24 +935,16 @@ def _multi_index(cells, seen, lineno):
     return alpha
 
 
-def _keyed(token, key):
-    name, eq, value = token.partition("=")
-    if name != key or not eq:
-        raise ValueError(f"expected {key}=..., got {token!r}")
-    return value
-
-
 def load_moduli(path):
     """Read a :func:`save_moduli` file back bit-exactly.
 
-    A malformed header value, ``# meta`` record or table row raises
-    :class:`MalformedInput` naming the file and line, as does a table that
-    misses a multi-index |alpha| <= k or holds one that does not fit the
-    header's (k, d), a modulus that is negative or not finite, or a
-    repeated row or ``# meta`` record, which names both lines.
+    Its comment lines make one header record and each ``# meta`` line its
+    own (:func:`sobolab.geometry._header_record`).  A malformed record or
+    row, a missing or repeated multi-index (naming both lines), one outside
+    the header's (k, d), or a negative or non-finite modulus raises
+    :class:`MalformedInput` naming the file and line.
     """
-    header = {}
-    meta_panels, meta_err, meta_line, table, row_line = {}, {}, {}, {}, {}
+    header, meta, meta_line, table, row_line = {}, {}, {}, {}, {}
     with open(path, encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
             line = line.strip()
@@ -947,15 +952,14 @@ def load_moduli(path):
                 continue
             try:
                 if line.startswith("# meta "):
-                    *cells, panels, err = line[len("# meta "):].split()
-                    alpha = _multi_index(cells, meta_line, lineno)
-                    meta_panels[alpha] = int(_keyed(panels, "panels"))
-                    meta_err[alpha] = float.fromhex(_keyed(err, "err"))
+                    tokens = line[len("# meta "):].split()
+                    alpha = _multi_index([t for t in tokens if "=" not in t],
+                                         meta_line, lineno)
+                    meta[alpha] = _header_record(path, lineno, tokens,
+                                                 _META_FIELDS)
                 elif line.startswith("#"):
-                    for tok in line[1:].split():
-                        key, eq, val = tok.partition("=")
-                        if eq and key in _HEADER_FIELDS:
-                            header[key] = _HEADER_FIELDS[key](val)
+                    _header_record(path, lineno, line[1:].split(),
+                                   _HEADER_FIELDS, required=(), record=header)
                 else:
                     *cells, cell = line.split()
                     alpha = _multi_index(cells, row_line, lineno)
@@ -963,16 +967,16 @@ def load_moduli(path):
                     if not (math.isfinite(value) and value >= 0.0):
                         raise ValueError(f"modulus {value} is not finite and >= 0")
                     table[alpha] = value
-            except ValueError as exc:
+            except (ValueError, OverflowError) as exc:
                 raise MalformedInput(
                     f"{path}: line {lineno}: malformed record {line!r} ({exc})"
                 ) from None
-    try:
-        params = SobolevParams(k=header["k"], p=header["p"], d=header["d"])
-    except KeyError as exc:
-        raise MalformedInput(f"{path}: header lacks {exc.args[0]}=") from None
+    for key in ("k", "p", "d"):
+        if key not in header:
+            raise MalformedInput(f"{path}: header lacks {key}=")
+    params = header["params"]
     want = set(multi_indices(params.d, params.k))
-    for alpha, lineno in row_line.items():
+    for alpha, lineno in [*meta_line.items(), *row_line.items()]:
         if alpha not in want:
             raise MalformedInput(
                 f"{path}: line {lineno}: multi-index {alpha} does not fit "
@@ -982,6 +986,8 @@ def load_moduli(path):
         raise MalformedInput(
             f"{path}: no modulus for multi-index {min(want - set(table))}"
         )
-    return ReferenceModuli(params=params, table=table, panels=meta_panels,
-                           est_error=meta_err,
-                           rel_tol=header.get("rel_tol", _REL_TOL))
+    return ReferenceModuli(
+        params=params, table=table,
+        panels={alpha: m["panels"] for alpha, m in meta.items()},
+        est_error={alpha: m["err"] for alpha, m in meta.items()},
+        rel_tol=header.get("rel_tol", _REL_TOL))

@@ -38,11 +38,10 @@ from __future__ import annotations
 
 import configparser
 
-import numpy as np
-
 from .bump import BumpSum, SobolevParams
 from .errors import ConfigInvalid, SobolabError
 from .experiments import SweepConfig
+from .geometry import _float_rows
 from .model import DistributionSpec
 
 
@@ -126,27 +125,17 @@ def _read_section(parser, section, required=()):
 
 
 def _parse_bumps(raw, d):
-    centers, radii, weights = [], [], []
-    for lineno, line in enumerate(raw.strip().splitlines(), 1):
-        parts = line.split()
-        if len(parts) != d + 2:
-            raise ConfigInvalid(
-                f"distribution.bumps: line {lineno} needs {d + 2} numbers "
-                f"(center x{d}, radius, weight), got {len(parts)}"
-            )
-        try:
-            nums = [float(v) for v in parts]
-        except ValueError:
-            raise ConfigInvalid(
-                f"distribution.bumps: line {lineno} is not numeric"
-            ) from None
-        centers.append(nums[:d])
-        radii.append(nums[d])
-        weights.append(nums[d + 1])
-    if not centers:
-        raise ConfigInvalid("distribution.bumps: at least one bump required")
-    return BumpSum(centers=np.asarray(centers), radii=np.asarray(radii),
-                   weights=np.asarray(weights))
+    names = [f"c_{j + 1}" for j in range(d)] + ["radius", "weight"]
+    try:
+        rows = _float_rows("distribution.bumps", enumerate(
+            map(str.split, raw.strip().splitlines()), 1), names)
+    except SobolabError as exc:
+        raise ConfigInvalid(str(exc)) from None
+    try:
+        return BumpSum(centers=rows[:, :d], radii=rows[:, d],
+                       weights=rows[:, d + 1])
+    except SobolabError as exc:
+        raise ConfigInvalid(f"distribution.bumps: {exc}") from None
 
 
 def parse_params(parser):

@@ -17,6 +17,11 @@ The oracles are :func:`nn_radii_brute_force`, :func:`nn_graph_brute_force`
 and :func:`check_packing_brute_force`; only tests call them.  They read a
 squared distance that overflows as inf, the true answer "far", unwarned.
 
+The lab's text interchange has two rules: :func:`_header_record` for
+``key=value`` headers and :func:`_float_rows` for rows of finite floats
+under the writer's column names.  They serve the dataset and interpolant
+CSVs, the reference-moduli cache and the config's ``bumps`` key.
+
 All functions are pure; `Dataset` arrays are frozen after construction.
 """
 
@@ -36,6 +41,7 @@ from .errors import (
     MalformedInput,
     MismatchedLengths,
     NonpositiveRadius,
+    SobolabError,
     TooFewPoints,
     UnsupportedDimension,
 )
@@ -402,28 +408,69 @@ def save_dataset(dataset, path):
 def load_dataset(path):
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None or header[-1] != "y" or header[0] != "x_1":
-            raise MismatchedLengths(
-                f"{path}: expected header x_1,...,x_d,y, got {header}"
-            )
-        d = len(header) - 1
-        pts, ys = [], []
-        for row in reader:
-            if len(row) != d + 1:
-                raise MismatchedLengths(
-                    f"{path}: line {reader.line_num}: row width {len(row)} "
-                    f"!= {d + 1}"
-                )
-            try:
-                values = [float(v) for v in row]
-                if not all(map(math.isfinite, values)):
-                    raise ValueError
-            except ValueError:
-                raise MalformedInput(
-                    f"{path}: line {reader.line_num}: non-numeric or "
-                    f"non-finite cell in {row}"
-                ) from None
-            pts.append(values[:d])
-            ys.append(values[d])
-    return Dataset(points=np.asarray(pts), labels=np.asarray(ys))
+        columns = next(reader, [])
+        d = max(len(columns) - 1, 1)
+        names = [f"x_{j + 1}" for j in range(d)] + ["y"]
+        values = _float_rows(path, ((reader.line_num, row) for row in reader),
+                             names, columns=(1, columns))
+    return Dataset(points=values[:, :d], labels=values[:, d])
+
+
+def _header_record(path, lineno, tokens, casts, required=None, record=None):
+    """Cast into ``record`` (a new dict by default), and return, the
+    ``key=value`` tokens of line ``lineno`` whose keys ``casts`` declares;
+    other tokens are the caller's.  Once k, p and d are in, so is their
+    ``SobolevParams``, as ``params``.  A repeated key, a missing key of
+    ``required`` (by default, every declared key), a value its cast
+    rejects or that is not finite, or a (k, p, d) out of range raises
+    :class:`MalformedInput` naming the line.
+    """
+    from .bump import SobolevParams  # bump imports this module
+
+    record = {} if record is None else record
+    where = f"{path}: line {lineno}"
+    for key, eq, value in (token.partition("=") for token in tokens):
+        if not eq or key not in casts:
+            continue
+        if key in record:
+            raise MalformedInput(f"{where}: header record repeats {key}=")
+        try:
+            record[key] = casts[key](value)
+            if not math.isfinite(record[key]):
+                raise ValueError
+        except (ValueError, OverflowError):  # float.fromhex overflows
+            raise MalformedInput(f"{where}: cannot read {key}={value}") from None
+    for key in casts if required is None else required:
+        if key not in record:
+            raise MalformedInput(f"{where}: header record lacks {key}=")
+    if "params" not in record and {"k", "p", "d"} <= record.keys():
+        try:
+            record["params"] = SobolevParams(*(record[key] for key in "kpd"))
+        except SobolabError as exc:
+            raise MalformedInput(f"{where}: {exc}") from None
+    return record
+
+
+def _float_rows(path, rows, names, columns=None):
+    """``rows``, pairs (line, cells), as an array of finite floats with a
+    column per name; ``columns``, the pair of the column row, must hold
+    exactly ``names``.  Raises :class:`MismatchedLengths` on other names
+    or widths, :class:`MalformedInput` on other cells, naming the line.
+    """
+    if columns is not None and columns[1] != names:
+        raise MismatchedLengths(f"{path}: line {columns[0]}: expected columns "
+                                f"{','.join(names)}, got {','.join(columns[1])}")
+    values = []
+    for lineno, cells in rows:
+        if len(cells) != len(names):
+            raise MismatchedLengths(f"{path}: line {lineno}: row width "
+                                    f"{len(cells)} != {len(names)}")
+        try:
+            row = [float(v) for v in cells]
+            if not all(map(math.isfinite, row)):
+                raise ValueError
+        except ValueError:
+            raise MalformedInput(f"{path}: line {lineno}: non-numeric or "
+                                 f"non-finite cell in {cells}") from None
+        values.append(row)
+    return np.array(values, dtype=float).reshape(-1, len(names))

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bump import BumpSum, SobolevParams, bump_eval
+from .bump import BumpSum, bump_eval
 from .errors import (
     InvalidShrink,
     MalformedInput,
@@ -33,9 +33,10 @@ from .errors import (
     NotInterpolating,
     ParamsMismatch,
 )
-from .geometry import _checked_radii
+from .geometry import _checked_radii, _float_rows, _header_record
 
 INTERPOLATION_TOL = 1e-9
+_HEADER_FIELDS = {"k": int, "p": float, "d": int, "shrink": float}
 
 
 def build(dataset, radii, shrink, params):
@@ -183,63 +184,26 @@ def save_interpolant(f, params, shrink, path):
 def load_interpolant(path):
     """Read a :func:`save_interpolant` file back as ``(f, params, shrink)``.
 
-    A malformed header or row raises :class:`MalformedInput` or
-    :class:`MismatchedLengths` naming the file and line, as does a header
-    that repeats a key.
+    A malformed header record (:func:`sobolab.geometry._header_record`) or
+    row (:func:`sobolab.geometry._float_rows`), or a header d that is not
+    the number of coordinate columns, raises naming the file and line.
     """
     with open(path, newline="", encoding="utf-8") as fh:
         first = fh.readline().strip()
         if not first.startswith("#"):
             raise MismatchedLengths(f"{path}: missing parameter header record")
-        fields = {}
-        for key, eq, value in (tok.partition("=") for tok in first[1:].split()):
-            if not eq:
-                continue
-            if key in fields:
-                raise MalformedInput(
-                    f"{path}: line 1: header record repeats {key}=")
-            fields[key] = value
-        try:
-            params = SobolevParams(k=int(fields["k"]), p=float(fields["p"]),
-                                   d=int(fields["d"]))
-            shrink = float(fields["shrink"])
-        except KeyError as exc:
-            raise MalformedInput(
-                f"{path}: line 1: header record lacks {exc.args[0]}="
-            ) from None
-        except ValueError:
-            raise MalformedInput(
-                f"{path}: line 1: non-numeric value in header {first!r}"
-            ) from None
+        header = _header_record(path, 1, first[1:].split(), _HEADER_FIELDS)
+        d = header["d"]
         reader = csv.reader(fh)
-        header = next(reader, [])
-        d = len(header) - 2
-        if d < 1:
-            raise MismatchedLengths(
-                f"{path}: expected header c_1,...,c_d,radius,weight, got {header}"
-            )
-        if d != params.d:
-            raise MalformedInput(
-                f"{path}: line 1: header says d={params.d}, but line 2 has "
-                f"{d} coordinate column(s)"
-            )
-        centers, radii, weights = [], [], []
-        for row in reader:
-            # the header record sits on line 1, ahead of the csv reader
-            line = reader.line_num + 1
-            if len(row) != d + 2:
-                raise MismatchedLengths(
-                    f"{path}: line {line}: row width {len(row)} != {d + 2}"
-                )
-            try:
-                values = [float(v) for v in row]
-            except ValueError:
-                raise MalformedInput(
-                    f"{path}: line {line}: non-numeric cell in {row}"
-                ) from None
-            centers.append(values[:d])
-            radii.append(values[d])
-            weights.append(values[d + 1])
-    f = BumpSum(centers=np.asarray(centers), radii=np.asarray(radii),
-                weights=np.asarray(weights))
-    return f, params, shrink
+        columns = next(reader, [])
+        if len(columns) > 2 and len(columns) - 2 != d:
+            raise MalformedInput(f"{path}: line 1: header says d={d}, but line "
+                                 f"2 has {len(columns) - 2} coordinate column(s)")
+        names = [f"c_{j + 1}" for j in range(d)] + ["radius", "weight"]
+        # the header record sits on line 1, ahead of the csv reader
+        values = _float_rows(path,
+                             ((reader.line_num + 1, row) for row in reader),
+                             names, columns=(2, columns))
+    f = BumpSum(centers=values[:, :d], radii=values[:, d],
+                weights=values[:, d + 1])
+    return f, header["params"], header["shrink"]

@@ -564,12 +564,13 @@ class TestBumpSum:
             u(x)
         with pytest.raises(MalformedInput, match="NaN"):
             u.partial((1,), x)
-        # infinite points lie in no support, as documented
+        # infinite and far finite points lie in no support, as documented
         x[-1] = np.inf
         x[0] = -np.inf
-        got = u(x)
-        assert got[0] == got[-1] == 0.0
-        assert got[1:-1].tolist() == [1.0] * (m - 2)
+        got = u(np.vstack([x, [[1e200], [-1e308], [1.7e308]]]))
+        assert got[0] == got[m - 1] == 0.0
+        assert got[1:m - 1].tolist() == [1.0] * (m - 2)
+        assert got[m:].tolist() == [0.0] * 3
 
     @given(case=_bump_sums(), seed=st.integers(0, 2 ** 32 - 1))
     def test_property_equals_per_bump_sum(self, case, seed):
@@ -817,6 +818,10 @@ class TestModuli:
                      "line 3", id="meta-short"),
         pytest.param(lambda ls: ls[:2] + ["# meta 0 panels=x err=0x0p+0"]
                      + ls[3:], "line 3", id="meta-non-numeric"),
+        pytest.param(lambda ls: ls[:2] + ["# meta 0 panels=4 err=0x1p+9999"]
+                     + ls[3:], "line 3", id="meta-overflow"),
+        pytest.param(lambda ls: ls[:-1] + ["1 0x1p+9999"], "line 6",
+                     id="row-overflow"),
         pytest.param(lambda ls: ls[:2] + ["# meta 0 panels=4 cost=0x0p+0"]
                      + ls[3:], "line 3", id="meta-bad-key"),
         pytest.param(lambda ls: [ls[0], ls[1].replace("k=1", "k=one")]
@@ -831,6 +836,15 @@ class TestModuli:
         pytest.param(lambda ls: ls[:3] + [ls[2]] + ls[3:],
                      "line 4: .*multi-index \\(0,\\) repeats line 3",
                      id="repeated-meta"),
+        pytest.param(lambda ls: [ls[0], ls[1] + " p=3.0"] + ls[2:],
+                     "line 2: header record repeats p=",
+                     id="header-repeated"),
+        pytest.param(lambda ls: ls[:2] + ["# meta 7 panels=3 err=0x0p+0"]
+                     + ls[2:], "line 3: multi-index \\(7,\\) does not fit",
+                     id="meta-outside-table"),
+        pytest.param(lambda ls: [ls[0], ls[1].replace("k=1", "k=4")]
+                     + ls[2:], "line 2: derivative orders capped",
+                     id="header-invalid-params"),
     ])
     def test_malformed_cache_names_file_and_line(self, moduli_d1, tmp_path,
                                                  edit, where):

@@ -173,6 +173,20 @@ class TestModuliCache:
         assert cached == capsys.readouterr().out
         assert cached.startswith("W^{1,3.05} norm: ")
 
+    def test_unconverged_table_names_the_class(self, tmp_path, capsys):
+        # (1, 1) converges at 64 panels per axis; (0, 2) comes first and
+        # does not
+        cfg = tmp_path / "cfg.ini"
+        cfg.write_text(BASE_INI.replace("k = 1", "k = 2")
+                       .replace("p = 1.25", "p = 1.6").replace("d = 1", "d = 2"))
+        assert main(["moduli", "--config", str(cfg),
+                     "--out", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: class (0, 2) of the (k, p, d) = "
+                              "(2, 1.6, 2) table: no convergence")
+        assert err.endswith("after 64 panels per axis\n")
+        assert "Traceback" not in err
+
     @pytest.mark.parametrize("bad_row, line", [("0 xyz", 5), ("0", 5)])
     def test_malformed_cache_usage_error(self, cfg, tmp_path, capsys,
                                          bad_row, line):

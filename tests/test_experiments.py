@@ -409,3 +409,16 @@ sigma_b = 0.5
         assert spec.ground_truth.n == 2
         assert spec.sigma_min == 0.5
         assert spec.g_values(np.array([0.0])) == 1.5
+
+    @pytest.mark.parametrize("bumps, error", [
+        ("0.0 0.2 1.5\n    0.6 nan -0.5", "line 2: non-numeric or non-finite"),
+        ("0.0 0.2 1.5\n    0.3 0.2 -0.5", "supports of bumps 0 and 1 overlap"),
+    ], ids=["nan", "overlap"])
+    def test_config_bad_bumps_name_the_key(self, tmp_path, bumps, error):
+        ini = tmp_path / "cfg.ini"
+        ini.write_text(MINIMAL_INI.replace(
+            "[distribution]",
+            f"[distribution]\nground_truth = bumps\nbumps =\n    {bumps}"))
+        with pytest.raises(ConfigInvalid,
+                           match=f"^distribution\\.bumps: {error}"):
+            config.load_distribution(ini)

@@ -86,6 +86,14 @@ class TestDataset:
         with pytest.raises(MismatchedLengths, match=r"ds\.csv: line 3"):
             geometry.load_dataset(path)
 
+    def test_csv_columns_other_than_the_writers_name_file_and_line(
+            self, tmp_path):
+        path = tmp_path / "ds.csv"
+        path.write_text("x_1,foo,y\n0.0,0.0,1.0\n0.5,2.0,1.0\n")
+        with pytest.raises(MismatchedLengths,
+                           match=r"ds\.csv: line 1: expected columns x_1,x_2,y"):
+            geometry.load_dataset(path)
+
     @pytest.mark.parametrize("n", [2, 70])
     def test_overflowing_nn_distance_rejected(self, n):
         # finite points whose nearest-neighbor squared distance overflows;

@@ -371,6 +371,14 @@ class TestCsv:
          MismatchedLengths, "line 3"),
         ("# k=1 p=2.5 d=2 shrink=1.0\nc_1,radius,weight\n0.0,0.25,1.0\n",
          MalformedInput, "line 1: header says d=2"),
+        ("# k=1 p=1.25 d=1 shrink=1.0\nc_1,radius,weight\n0.0,nan,1.0\n",
+         MalformedInput, "line 3"),
+        ("# k=1 p=1.25 d=1 shrink=1.0\nc_1,radius,weight\n0.0,0.25,inf\n",
+         MalformedInput, "line 3"),
+        ("# k=1 p=1.25 d=1 shrink=1.0\na,b,c\n0.0,0.25,1.0\n",
+         MismatchedLengths, "line 2: expected columns c_1,radius,weight"),
+        ("# k=1 p=0.5 d=1 shrink=1.0\nc_1,radius,weight\n0.0,0.25,1.0\n",
+         MalformedInput, "line 1: p must lie in"),
     ])
     def test_malformed_file_names_file_and_line(self, tmp_path, text, error,
                                                 where):
