@@ -185,8 +185,9 @@ def profile_eval(t, derivative_order=0):
 # -- scaled bumps ------------------------------------------------------------
 
 
-def _scaled_offsets(center, delta, x):
-    """(x - center) / delta, after checking delta and the dimensions."""
+def _bump_args(center, delta, x):
+    """``(x, center, delta)`` as float arrays, after checking delta and the
+    dimensions."""
     delta = np.asarray(delta, dtype=float)
     if not (delta > 0.0).all():
         raise NonpositiveRadius(f"bump radius must be positive, got {delta.min()}")
@@ -197,13 +198,19 @@ def _scaled_offsets(center, delta, x):
             f"points of dimension {x.shape[-1:]} for a center of dimension "
             f"{center.shape[-1:]}"
         )
+    return x, center, delta
+
+
+def _scaled_offsets(center, delta, x):
+    """(x - center) / delta, after checking delta and the dimensions."""
+    x, center, delta = _bump_args(center, delta, x)
     # a 0-d delta keeps numpy's array-by-scalar loop, which is faster
     return (x - center) / (delta[..., None] if delta.ndim else delta)
 
 
 def bump_eval(center, delta, x):
     """psi_delta centered at ``center``, evaluated at ``x`` (batched)."""
-    return profile_values(_sq_norm(_scaled_offsets(center, delta, x)))
+    return profile_values(_sq_norm(*_bump_args(center, delta, x)))
 
 
 @lru_cache(maxsize=None)
@@ -224,6 +231,21 @@ def _bell_terms(orders):
         powers = tuple(2 * m - a for a, m in zip(orders, ms))
         terms.append((sum(ms), float(c), powers))
     return tuple(terms)
+
+
+def _checked_alpha(alpha, d):
+    """``alpha`` as a tuple of ints, checked against the dimension d and
+    the order cap."""
+    alpha = tuple(int(a) for a in alpha)
+    if len(alpha) != d:
+        raise MismatchedLengths(
+            f"multi-index length {len(alpha)} != dimension {d}"
+        )
+    if any(a < 0 for a in alpha):
+        raise UnsupportedOrder("multi-index entries must be nonnegative")
+    if sum(alpha) > MAX_ORDER:
+        raise UnsupportedOrder(f"mixed partials implemented up to order {MAX_ORDER}")
+    return alpha
 
 
 def bump_partial(alpha, center, delta, x):
@@ -247,16 +269,8 @@ def bump_partial(alpha, center, delta, x):
     power per radius, as numpy's array power may round it differently.
     """
     center = np.asarray(center, dtype=float)
-    alpha = tuple(int(a) for a in alpha)
-    if len(alpha) != center.shape[-1]:
-        raise MismatchedLengths(
-            f"multi-index length {len(alpha)} != dimension {center.shape[-1]}"
-        )
-    if any(a < 0 for a in alpha):
-        raise UnsupportedOrder("multi-index entries must be nonnegative")
+    alpha = _checked_alpha(alpha, center.shape[-1])
     total = sum(alpha)
-    if total > MAX_ORDER:
-        raise UnsupportedOrder(f"mixed partials implemented up to order {MAX_ORDER}")
     if total == 0:
         return bump_eval(center, delta, x)
 
@@ -289,18 +303,24 @@ def bump_partial(alpha, center, delta, x):
 
 
 def _sum_over_pairs(alpha, centers, radii, weights, x, shortlist):
-    """D^alpha sum_i w_i psi_{r_i}(x - c_i) over the ``(bump, point)`` pairs
-    that ``shortlist(pts)`` finds in open supports; pairs in bump order give
-    each point the bits of the per-bump sum.  Always float64, also where no
-    pair is found."""
+    """D^alpha sum_i w_i psi_{r_i}(x - c_i) over the ``(bump, point, u)``
+    triples that ``shortlist(pts)`` finds in open supports, u the pair's
+    ``_sq_norm(x, c, r)`` that decided it; pairs in bump order give each
+    point the bits of the per-bump sum.  At alpha = 0 the value is phi(u),
+    with no second pass over the offsets; a derivative re-forms them in
+    :func:`bump_partial`.  Always float64, also where no pair is found."""
     x = np.asarray(x, dtype=float)
     d = centers.shape[1]
     if x.shape[-1:] != (d,):
         raise MismatchedLengths(
             f"points of dimension {x.shape[-1:]} for bumps of dimension {d}")
+    alpha = _checked_alpha(alpha, d)
     pts = x.reshape(-1, d)
-    bump, point = shortlist(pts)
-    values = bump_partial(alpha, centers[bump], radii[bump], pts[point])
+    bump, point, u = shortlist(pts)
+    if any(alpha):
+        values = bump_partial(alpha, centers[bump], radii[bump], pts[point])
+    else:
+        values = profile_values(u)
     out = np.bincount(point, weights=weights[bump] * values,
                       minlength=len(pts)).astype(float, copy=False)
     out = out.reshape(x.shape[:-1])
@@ -309,14 +329,14 @@ def _sum_over_pairs(alpha, centers, radii, weights, x, shortlist):
 
 # A sum of at most this many bumps pairs points with supports through one
 # mask per bump, and builds no grid.  On one core of a 2-core x86 host, on
-# 65 536 points in d = 2, 3, the masks cost about 1.2-1.5 ms per bump and a
-# built grid 4-9 ms whatever the count, so they break even near 4-8 bumps;
-# on 1024 points the masks take 0.27-0.32 ms at 8 bumps against 0.50-0.53 ms
-# for a grid built and queried, and break even near 16.  So the masks stay
-# beside the grid: on the same host, `gamma_d2_tilted` (run_sweep with
-# threads=2, seed 781508, BLAS at 1 thread), whose ground truth is a 3-bump
-# sum, took a median of 0.415 s with the masks and 0.489 s with that sum on
-# the grid, slower in 8 of 8 alternating pairs, with identical rows.
+# 65 536 uniform points in d = 2, 3 and random disjoint bumps of radius up
+# to 0.3, the masks (one _sq_norm(x, c, r) each) cost about 0.5-0.7 ms per
+# bump and a query of a built grid 2-6 ms, so they break even near 4-8
+# bumps; on 1024 points the masks take 0.14-0.18 ms at 8 bumps against
+# 0.27-0.31 ms for a grid built and queried, and break even near 12-16.  So
+# the masks stay beside the grid: on the same host, the 3-bump ground truth
+# of `gamma_d2_tilted` takes a median of 1.6 ms with the masks on 50 000
+# tilted samples and 3.7 ms on its built grid, with identical values.
 _MASK_MAX_BUMPS = 8
 
 # Support grid (see _SupportGrid).  A level holds the bumps with radii in
@@ -384,7 +404,7 @@ class _SupportGrid:
     into cells of width h, and lists each of its bumps in every cell that
     the support's bounding box [c - r, c + r] meets.  A point takes the
     bumps listed in its own cell, on each level, as candidates.  No pair
-    in an open support is lost: when _sq_norm((x - c) / r) < 1, the
+    in an open support is lost: when _sq_norm(x, c, r) < 1, the
     rounded c_j - r <= x_j <= the rounded c_j + r on every axis (were x_j
     above the rounded c_j + r, it would exceed c_j + r, and the rounded
     (x_j - c_j) / r would be at least 1).  Rounding is monotone, so x's
@@ -452,26 +472,31 @@ class _SupportGrid:
         return lo, h, box, dims, starts, counts, listed
 
     def pairs(self, pts):
-        """(bump, point) pairs of every point in an open support, each
-        point's in bump order."""
-        bumps, points = [], []
+        """(bump, point, u) of every point in an open support, each point's
+        in bump order, u its ``_sq_norm(x, c, r)``."""
+        bumps, points, us = [], [], []
         for offset in range(0, len(pts), _GRID_SLICE):
             part = pts[offset:offset + _GRID_SLICE]
             for level in self.levels:
                 bump, point = self._candidates(level, part)
+                # np.take gathers rows about 10x faster than part[point]
                 with np.errstate(over="ignore"):  # inf is outside too
-                    inside = _sq_norm((part[point] - self.centers[bump])
-                                      / self.radii[bump][:, None]) < 1.0
+                    u = _sq_norm(np.take(part, point, axis=0),
+                                 np.take(self.centers, bump, axis=0),
+                                 self.radii[bump])
+                inside = np.flatnonzero(u < 1.0)
                 bumps.append(bump[inside])
                 points.append(point[inside] + offset)
-        bump = np.concatenate(bumps) if bumps else np.zeros(0, np.intp)
-        point = np.concatenate(points) if points else np.zeros(0, np.intp)
+                us.append(u[inside])
+        if not bumps:
+            return np.zeros(0, np.intp), np.zeros(0, np.intp), np.zeros(0)
+        bump, point, u = map(np.concatenate, (bumps, points, us))
         # in rounded arithmetic a point may lie in touching supports of
         # several levels, and the per-bump sum adds them in bump order
         if len(self.levels) > 1:
             order = np.argsort(bump, kind="stable")
-            bump, point = bump[order], point[order]
-        return bump, point
+            bump, point, u = bump[order], point[order], u[order]
+        return bump, point, u
 
     @staticmethod
     def _candidates(level, pts):
@@ -579,7 +604,8 @@ class BumpSum:
                                x, self._support_pairs)
 
     def _support_pairs(self, pts):
-        """(bump, point) pairs that hold every point inside an open support.
+        """(bump, point, u) triples that hold every point inside an open
+        support, u the pair's ``_sq_norm(x, c, r)``.
 
         A NaN point raises :class:`MalformedInput`; an infinite one lies in
         no support.  Then three shortlists, tried in this order:
@@ -587,9 +613,9 @@ class BumpSum:
         - masks: a sum of at most ``_MASK_MAX_BUMPS`` bumps takes one mask
           per bump;
         - identity: a certified sum evaluated at exactly its own centers
-          (``np.array_equal``) pairs point i with bump i alone.  For
-          j != i, ||c_i - c_j|| >= delta_j >= 2 r_j, so c_i lies outside
-          every other support;
+          (``np.array_equal``) pairs point i with bump i alone, at u = 0
+          exactly.  For j != i, ||c_i - c_j|| >= delta_j >= 2 r_j, so c_i
+          lies outside every other support;
         - grid: any other batch takes the candidates of its cells in the
           sum's :class:`_SupportGrid`, built on first use and kept, and
           decides each by the masks' own test, in slices of
@@ -600,14 +626,17 @@ class BumpSum:
         if np.isnan(pts).any():
             raise MalformedInput("query points must not be NaN")
         if self.n <= _MASK_MAX_BUMPS:
+            inside, us = [], []
             with np.errstate(over="ignore"):  # inf is outside too
-                inside = [np.flatnonzero(_sq_norm((pts - c) / r) < 1.0)
-                          for c, r in zip(self.centers, self.radii)]
+                for c, r in zip(self.centers, self.radii):
+                    u = _sq_norm(pts, c, r)
+                    inside.append(np.flatnonzero(u < 1.0))
+                    us.append(u[inside[-1]])
             bump = np.repeat(np.arange(self.n), [len(i) for i in inside])
-            return bump, np.concatenate(inside)
+            return bump, np.concatenate(inside), np.concatenate(us)
         if self._certified and np.array_equal(pts, self.centers):
             own = np.arange(self.n)
-            return own, own
+            return own, own, np.zeros(self.n)
         if self._grid is None:  # threads that race here build equal grids
             object.__setattr__(self, "_grid",
                                _SupportGrid(self.centers, self.radii))
@@ -941,8 +970,10 @@ def load_moduli(path):
     Its comment lines make one header record and each ``# meta`` line its
     own (:func:`sobolab.geometry._header_record`).  A malformed record or
     row, a missing or repeated multi-index (naming both lines), one outside
-    the header's (k, d), or a negative or non-finite modulus raises
-    :class:`MalformedInput` naming the file and line.
+    the header's (k, d), a modulus that is not finite and positive, a
+    ``rel_tol`` that is not positive, or ``# meta`` records for some rows
+    but not all raises :class:`MalformedInput` naming the file and line:
+    :func:`save_moduli` writes none of these.
     """
     header, meta, meta_line, table, row_line = {}, {}, {}, {}, {}
     with open(path, encoding="utf-8") as fh:
@@ -960,12 +991,15 @@ def load_moduli(path):
                 elif line.startswith("#"):
                     _header_record(path, lineno, line[1:].split(),
                                    _HEADER_FIELDS, required=(), record=header)
+                    if not header.get("rel_tol", 1.0) > 0.0:
+                        raise ValueError(f"rel_tol={header['rel_tol']!r} is "
+                                         f"not > 0")
                 else:
                     *cells, cell = line.split()
                     alpha = _multi_index(cells, row_line, lineno)
                     value = float.fromhex(cell)
-                    if not (math.isfinite(value) and value >= 0.0):
-                        raise ValueError(f"modulus {value} is not finite and >= 0")
+                    if not (math.isfinite(value) and value > 0.0):
+                        raise ValueError(f"modulus {value} is not finite and > 0")
                     table[alpha] = value
             except (ValueError, OverflowError) as exc:
                 raise MalformedInput(
@@ -985,6 +1019,12 @@ def load_moduli(path):
     if want - set(table):
         raise MalformedInput(
             f"{path}: no modulus for multi-index {min(want - set(table))}"
+        )
+    if meta and want - set(meta):
+        alpha = min(want - set(meta))
+        raise MalformedInput(
+            f"{path}: line {row_line[alpha]}: no # meta record for "
+            f"multi-index {alpha}, while other rows have one"
         )
     return ReferenceModuli(
         params=params, table=table,

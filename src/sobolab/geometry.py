@@ -71,15 +71,30 @@ def kissing_number(d):
         ) from None
 
 
-def _sq_norm(v):
+def _sq_norm(v, center=None, radius=None):
     """Squared Euclidean norms over the trailing axis, summed left to right.
+
+    With ``center`` and ``radius`` it is the squared norm of the offset
+    (v - center) / radius, formed one coordinate column at a time: each
+    term is ((v_j - center_j) / radius)^2, the same operations on the same
+    operands as ``_sq_norm((v - center) / radius[..., None])``, so the bits
+    are the same, with no (..., d) temporary.  ``center`` (..., d) and
+    ``radius`` (...) broadcast against ``v`` as they would there.
 
     The fixed order makes every caller that sums the same squares produce
     the same bits, whatever the batch shape.
     """
-    out = v[..., 0] * v[..., 0]
-    for j in range(1, v.shape[-1]):
-        out = out + v[..., j] * v[..., j]
+    out = None
+    for j in range(v.shape[-1]):
+        if center is None:
+            t = v[..., j] * v[..., j]
+        else:
+            t = (v[..., j] - center[..., j]) / radius
+            t *= t  # in place on a new array; a 0-d result rebinds
+        if out is None:
+            out = t
+        else:
+            out += t
     return out
 
 

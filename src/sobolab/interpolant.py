@@ -185,14 +185,18 @@ def load_interpolant(path):
     """Read a :func:`save_interpolant` file back as ``(f, params, shrink)``.
 
     A malformed header record (:func:`sobolab.geometry._header_record`) or
-    row (:func:`sobolab.geometry._float_rows`), or a header d that is not
-    the number of coordinate columns, raises naming the file and line.
+    row (:func:`sobolab.geometry._float_rows`), a shrink outside (0, 1],
+    which :func:`build` never makes, or a header d that is not the number
+    of coordinate columns, raises naming the file and line.
     """
     with open(path, newline="", encoding="utf-8") as fh:
         first = fh.readline().strip()
         if not first.startswith("#"):
             raise MismatchedLengths(f"{path}: missing parameter header record")
         header = _header_record(path, 1, first[1:].split(), _HEADER_FIELDS)
+        if not 0.0 < header["shrink"] <= 1.0:
+            raise MalformedInput(f"{path}: line 1: shrink={header['shrink']!r} "
+                                 f"is outside (0, 1]")
         d = header["d"]
         reader = csv.reader(fh)
         columns = next(reader, [])

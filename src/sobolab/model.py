@@ -195,10 +195,14 @@ def _require_in_domain(spec, x):
 
 def _uniform_ball(rng, m, d, radius, center=None):
     """Exact uniform sample of m points from B(center, radius)."""
-    z = rng.standard_normal((m, d))
-    z /= np.sqrt(_sq_norm(z))[:, None]
+    pts = rng.standard_normal((m, d))
+    norm = np.sqrt(_sq_norm(pts))
     r = radius * rng.random(m) ** (1.0 / d)
-    pts = z * r[:, None]
+    # column by column: an (m, 1) broadcast runs numpy's length-d loop
+    for j in range(d):
+        column = pts[:, j]
+        column /= norm
+        column *= r
     if center is not None:
         pts += center
     return pts
@@ -223,7 +227,7 @@ def sample_points(spec, m, rng):
         cand = _uniform_ball(rng, want, spec.d, spec.radius)
         w = 1.0 + spec.tilt * (1.0 - _sq_norm(cand) / spec.radius ** 2)
         keep = rng.random(want) <= w / (1.0 + spec.tilt)
-        kept = cand[keep]
+        kept = np.compress(keep, cand, axis=0)
         take = min(len(kept), m - filled)
         out[filled:filled + take] = kept[:take]
         filled += take

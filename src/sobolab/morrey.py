@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import geometry, quadrature
-from .bump import BumpSum, _sum_over_pairs, bump_partial, multi_indices
+from .bump import BumpSum, _sum_over_pairs, multi_indices, profile_eval
 from .errors import (
     ConfigInvalid,
     InvalidRange,
@@ -124,13 +124,14 @@ def morrey_exact_batch(sums, x0, x1, delta, p):
     owner = np.repeat(np.arange(m), [u.n for u in sums])
 
     def own_supports(pts):
-        """(bump, point) pairs of point t and t + m with the bumps of trial
-        t whose open support holds them, in bump order, as BumpSum pairs."""
+        """(bump, point, u) of point t and t + m with the bumps of trial t
+        whose open support holds them, in bump order, as BumpSum pairs."""
         bump = np.tile(np.arange(len(owner)), 2)
         point = np.concatenate([owner, owner + m])
-        inside = _sq_norm((pts[point] - centers[bump])
-                          / radii[bump][:, None]) < 1.0
-        return bump[inside], point[inside]
+        u = _sq_norm(np.take(pts, point, axis=0),
+                     np.take(centers, bump, axis=0), radii[bump])
+        inside = u < 1.0
+        return bump[inside], point[inside], u[inside]
 
     at = _sum_over_pairs((0,), centers, radii, weights,
                          np.concatenate([x1, x0])[:, None], own_supports)
@@ -157,7 +158,8 @@ def morrey_exact_batch(sums, x0, x1, delta, p):
         edges = lo[live, None] + (hi - lo)[live, None] * steps
         nodes, wts = quadrature.rule_from_panels(edges[:, :-1].ravel(),
                                                  edges[:, 1:].ravel())
-        slope = bump_partial((1,), np.zeros(1), 1.0, nodes[:, None])
+        # 2 s phi'(s^2): the nodes are offsets already, scaled by r
+        slope = profile_eval(nodes * nodes, 1) * (2.0 * nodes)
         cur = (np.abs(slope) ** p * wts).reshape(len(live), -1).sum(axis=1)
         if level:
             done = (np.abs(cur - prev)

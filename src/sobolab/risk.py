@@ -88,23 +88,6 @@ def excess_risk_mc(predictor, spec, m, seed, threads=1):
                         method="monte-carlo")
 
 
-def excess_risk_loss_gap_mc(predictor, spec, m, seed, threads=1):
-    """Joint estimate of E[loss(predictor)] - E[loss(g)], labels sampled.
-
-    Same target as :func:`excess_risk_mc` by total expectation, but with the
-    label noise left in; used to cross-check the variance-reduced estimator.
-    """
-    def values(xs, rng):
-        g = spec.g_values(xs)
-        y = g + rng.standard_normal(len(xs)) * np.sqrt(spec.sigma_sq_values(xs))
-        pred = np.asarray(predictor(xs))
-        return (pred - y) ** 2 - (g - y) ** 2
-
-    mean, stderr, count = _mc_moments(values, spec, m, seed, threads=threads)
-    return RiskEstimate(mean=mean, stderr=stderr, samples=count,
-                        method="monte-carlo-loss-gap")
-
-
 def bayes_risk_mc(spec, m, seed, threads=1):
     """Monte Carlo estimate of the Bayes risk E[sigma(X)^2]."""
     def values(xs, _rng):

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import example, given, strategies as st
 from scipy.integrate import quad
 
-from sobolab import bump, geometry, interpolant, quadrature
+from sobolab import bump, geometry, interpolant, morrey, quadrature
 from sobolab.errors import (
     InvalidRange,
     MalformedInput,
@@ -329,6 +329,15 @@ class TestBumpPartial:
             bump.bump_eval(np.zeros(3), 1.0, x)
 
 
+def _refuse_offsets(monkeypatch):
+    """Make every later (x - c) / r pass of bump_partial raise."""
+    def refuse(*args):
+        raise AssertionError("offsets formed again")
+
+    monkeypatch.setattr(bump, "bump_partial", refuse)
+    monkeypatch.setattr(bump, "_scaled_offsets", refuse)
+
+
 class TestBumpSum:
     def test_overlap_rejected(self):
         with pytest.raises(MismatchedLengths):
@@ -622,6 +631,33 @@ class TestBumpSum:
         assert got.dtype == np.float64
         assert got.tobytes() == want.tobytes()
 
+    @pytest.mark.parametrize("shortlist", ["masks", "identity", "grid"])
+    def test_values_take_the_shortlists_u(self, shortlist, monkeypatch):
+        # at alpha = 0 the value is phi of the u that decided the pair, so
+        # no offset is formed again; a derivative still forms them
+        rng = np.random.default_rng(17)
+        n = 3 if shortlist == "masks" else 4 * bump._MASK_MAX_BUMPS
+        ds = geometry.Dataset(points=rng.uniform(-1.0, 1.0, size=(n, 2)),
+                              labels=rng.standard_normal(n))
+        u = interpolant.build(ds, geometry.nn_radii(ds), 1.0,
+                              bump.SobolevParams(k=1, p=2.5, d=2))
+        x = (u.centers if shortlist == "identity"
+             else rng.uniform(-1.2, 1.2, size=(500, 2)))
+        want = u(x)
+        _refuse_offsets(monkeypatch)
+        assert u(x).tobytes() == want.tobytes()
+        assert (u._grid is None) == (shortlist != "grid")
+        with pytest.raises(AssertionError, match="offsets formed again"):
+            u.partial((1, 0), x)
+
+    def test_morrey_batch_forms_no_offsets_again(self, monkeypatch):
+        rng = np.random.default_rng(18)
+        draws = [morrey._morrey_draw(rng) for _ in range(8)]
+        sums, x0, x1, delta = zip(*draws)
+        want = morrey.morrey_exact_batch(sums, x0, x1, delta, 1.25)
+        _refuse_offsets(monkeypatch)
+        assert morrey.morrey_exact_batch(sums, x0, x1, delta, 1.25) == want
+
 
 def _lattice(side, spacing, origin):
     """side x side centers on a square lattice in the plane."""
@@ -812,6 +848,13 @@ class TestModuli:
                      id="non-finite"),
         pytest.param(lambda ls: ls[:-1] + ["1 -0x1.8p+0"], "line 6",
                      id="negative"),
+        pytest.param(lambda ls: ls[:-1] + ["1 0x0p+0"], "line 6", id="zero"),
+        pytest.param(lambda ls: [ls[0], ls[1].replace("rel_tol=", "rel_tol=-")]
+                     + ls[2:], "line 2: .*rel_tol=-1e-08 is not > 0",
+                     id="rel-tol-negative"),
+        pytest.param(lambda ls: ls[:3] + ls[4:],
+                     "line 5: no # meta record for multi-index \\(1,\\)",
+                     id="meta-partial"),
         pytest.param(lambda ls: ls[:-1] + ["1 0 0x1p+0"], "line 6",
                      id="wrong-dimension"),
         pytest.param(lambda ls: ls[:2] + ["# meta 0 panels"] + ls[3:],

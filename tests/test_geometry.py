@@ -25,6 +25,48 @@ def line_dataset(*xs):
                    labels=np.zeros(len(xs)))
 
 
+# Coordinates near the center, far finite ones whose squares overflow, and
+# infinite ones; radii are positive and finite, as every bump's is.
+_CENTERS = st.one_of(st.floats(-10.0, 10.0), st.sampled_from([1e200, -1.7e308]))
+_COORDS = st.one_of(_CENTERS, st.sampled_from([1.7e308, np.inf, -np.inf]))
+_RADII = st.floats(1e-3, 1e3)
+
+
+class TestSqNorm:
+    @given(data=st.data(), d=st.integers(1, 3),
+           layout=st.sampled_from(["point", "shared", "shared-0d", "pairs",
+                                   "one-point-many-centers"]))
+    def test_offset_form_is_bit_equal(self, data, d, layout):
+        """_sq_norm(x, c, r) is _sq_norm((x - c) / r), byte for byte: a
+        single 1-D point at a 0-d radius, a batch about one center at a
+        scalar radius, and per-pair centers and radii."""
+        def coords(shape, elements=_COORDS):
+            size = int(np.prod(shape))
+            return np.array(data.draw(st.lists(elements, min_size=size,
+                                               max_size=size))).reshape(shape)
+
+        m = data.draw(st.integers(1, 6))
+        if layout == "point":
+            x, c, r = coords((d,)), coords((d,), _CENTERS), \
+                np.array(data.draw(_RADII))
+        elif layout in ("shared", "shared-0d"):
+            x, c, r = coords((m, d)), coords((d,), _CENTERS), data.draw(_RADII)
+            if layout == "shared-0d":
+                r = np.float64(r)
+        elif layout == "pairs":
+            x, c = coords((m, d)), coords((m, d), _CENTERS)
+            r = np.array(data.draw(st.lists(_RADII, min_size=m, max_size=m)))
+        else:
+            x, c = coords((d,)), coords((m, d), _CENTERS)
+            r = np.array(data.draw(st.lists(_RADII, min_size=m, max_size=m)))
+        with np.errstate(over="ignore"):
+            got = geometry._sq_norm(x, c, r)
+            want = geometry._sq_norm((x - c) / (r[..., None] if np.ndim(r)
+                                                else r))
+        assert np.shape(got) == np.shape(want)
+        assert np.asarray(got).tobytes() == np.asarray(want).tobytes()
+
+
 class TestDataset:
     def test_too_few_points(self):
         with pytest.raises(TooFewPoints):

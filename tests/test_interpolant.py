@@ -379,6 +379,12 @@ class TestCsv:
          MismatchedLengths, "line 2: expected columns c_1,radius,weight"),
         ("# k=1 p=0.5 d=1 shrink=1.0\nc_1,radius,weight\n0.0,0.25,1.0\n",
          MalformedInput, "line 1: p must lie in"),
+        ("# k=1 p=1.25 d=1 shrink=5.0\nc_1,radius,weight\n0.0,0.25,1.0\n",
+         MalformedInput, "line 1: shrink=5.0 is outside"),
+        ("# k=1 p=1.25 d=1 shrink=-3.0\nc_1,radius,weight\n0.0,0.25,1.0\n",
+         MalformedInput, "line 1: shrink=-3.0 is outside"),
+        ("# k=1 p=1.25 d=1 shrink=0.0\nc_1,radius,weight\n0.0,0.25,1.0\n",
+         MalformedInput, "line 1: shrink=0.0 is outside"),
     ])
     def test_malformed_file_names_file_and_line(self, tmp_path, text, error,
                                                 where):

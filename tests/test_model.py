@@ -158,6 +158,20 @@ _SAMPLER_DIGESTS = {
 }
 
 
+# sha256 prefixes of sample_points (3000 points, radius 1.3, tilt 0.5 when
+# parabolic) from default_rng(781508), and of the stream's next four
+# uniforms, recorded before the sampler scaled column by column and kept
+# rows with np.compress: the sampler draws the same stream to the same bits.
+_SAMPLE_POINTS_DIGESTS = {
+    ("uniform", 1): ("e57ab95077c2ae7d", "d0da49259375d0ad"),
+    ("uniform", 2): ("2ba27d01cc5004df", "859ae1906efc0d77"),
+    ("uniform", 3): ("8db3114ce634dbae", "51df45195c24614e"),
+    ("parabolic", 1): ("b0f62e80ee4adbd9", "5a709643527699de"),
+    ("parabolic", 2): ("3e2ead3032766e07", "ad978018e37b626f"),
+    ("parabolic", 3): ("fc7b3a7046d3bc76", "696717ff2c381764"),
+}
+
+
 def _digest(a):
     return hashlib.sha256(np.ascontiguousarray(a).tobytes()).hexdigest()[:16]
 
@@ -175,6 +189,17 @@ class TestSamplerBits:
         got = tuple(_digest(a) for a in (ball, pts, spec.density_values(pts),
                                          spec.sigma_sq_values(pts)))
         assert got == _SAMPLER_DIGESTS[d, seed]
+
+    @pytest.mark.parametrize("density, d", sorted(_SAMPLE_POINTS_DIGESTS))
+    def test_sample_points_pinned(self, density, d):
+        spec = DistributionSpec(params=bump.SobolevParams(**CANONICAL[d]),
+                                radius=1.3, density=density,
+                                tilt=0.5 if density == "parabolic" else 0.0)
+        rng = np.random.default_rng(781508)
+        pts = model.sample_points(spec, 3000, rng)
+        assert pts.shape == (3000, d) and pts.flags.c_contiguous
+        got = (_digest(pts), _digest(rng.random(4)))
+        assert got == _SAMPLE_POINTS_DIGESTS[density, d]
 
 
 class TestConditionalLoss:
