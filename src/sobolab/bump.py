@@ -21,17 +21,17 @@ variables
 
     integral |D^alpha psi_delta|^p = delta^(d - |alpha| p) * M_alpha.
 
-The path depends on p and |alpha|.  For an even integer p, |D^alpha psi_1|^p
-is a polynomial in the direction theta = x/|x| with coefficients in
-r = |x|; its theta-monomials integrate over the sphere in closed form
-(G. B. Folland, "How to integrate a polynomial over a sphere", Amer. Math.
-Monthly 108 (2001) 446-448), which leaves one integral in r over the band
-1/2 <= r <= 1 (see :func:`_radial_modulus`).  For |alpha| <= 1 and any p,
-D^alpha psi_1 is one radial factor times theta^alpha, so |D^alpha psi_1|^p
-splits the same way, with Folland's moment of |theta^alpha|^p.  Only a class
-of order >= 2 at a p that is not an even integer takes the tensor
-Gauss-Legendre box quadrature of :func:`integrate_partial_power`, which
-also serves as the oracle for both radial cases.
+Every modulus takes one polar path (see :func:`_radial_modulus`).  At
+x = r theta, D^alpha psi_1 is a sum of radial factors times monomials in
+the direction theta.  With every a_i <= 1 it is one factor times
+theta^alpha, so |D^alpha psi_1|^p splits into Folland's closed-form moment
+of |theta^alpha|^p over the sphere (G. B. Folland, "How to integrate a
+polynomial over a sphere", Amer. Math. Monthly 108 (2001) 446-448) and one
+integral in r over the band 1/2 <= r <= 1.  Any other class of order <= 3
+has one coordinate j with a_j >= 2; conditioning the sphere on theta_j
+leaves a Folland moment over the other coordinates and a Gauss-Jacobi
+integral over theta_j inside the radial one.  No modulus integrates over
+more than one axis.
 
 A finite sum of disjointly supported bumps is one type, :class:`BumpSum`:
 ground truths, the random sums of the Morrey check and the interpolants of
@@ -48,6 +48,7 @@ from functools import lru_cache
 from itertools import product
 
 import numpy as np
+from scipy.linalg import eigh_tridiagonal
 
 from . import quadrature
 from .errors import (
@@ -645,8 +646,7 @@ class BumpSum:
 
 # -- reference moduli ---------------------------------------------------------
 
-_REL_TOL = 1e-8     # where the box path of a moduli table stops
-_MAX_DOUBLINGS = 6  # after which either path of a moduli table raises
+_MAX_DOUBLINGS = 6  # after which the radial ladder of a moduli table raises
 
 
 @dataclass(frozen=True)
@@ -654,19 +654,19 @@ class ReferenceModuli:
     """Table of M_alpha = integral |D^alpha psi_1|^p over |alpha| <= k.
 
     ``panels`` and ``est_error`` describe the quadrature that produced each
-    entry.  For the radial path (every class at an even integer p, and
-    every class with |alpha| <= 1 at any p) they are the panel count of the
-    radial integral over 1/2 <= r <= 1 and the difference between its last
-    two levels; for the box path (|alpha| >= 2 at any other p) they are the
-    panel count per axis of the d-dimensional box and the difference
-    between its last two refinements.
+    entry (:func:`_radial_modulus`).  The radial integral over
+    1/2 <= r <= 1 is split into pieces at the zeros of the class's radial
+    factors (one piece for |alpha| <= 1); ``panels`` is the panel count of
+    each piece at the converged level, and ``est_error`` the difference
+    between the last two levels, plus, for a class with an inner
+    Gauss-Jacobi rule in theta_j (some a_j >= 2, d >= 2), the change from
+    doubling that rule's nodes.
     """
 
     params: SobolevParams
     table: dict
     panels: dict = field(default_factory=dict)
     est_error: dict = field(default_factory=dict)
-    rel_tol: float = _REL_TOL
 
     def modulus(self, alpha):
         alpha = tuple(int(a) for a in alpha)
@@ -682,53 +682,9 @@ class ReferenceModuli:
         return sorted(self.table, key=lambda a: (sum(a), a))
 
 
-def _partial_power_box(alpha, p, delta):
-    """|D^alpha psi_delta|^p and the box [0, delta]^d it is integrated over.
-
-    The integrand is even in every coordinate, so the integral over R^d is
-    2^d times the integral over the box.
-    """
-    alpha = tuple(int(a) for a in alpha)
-    center = np.zeros(len(alpha))
-
-    def integrand(pts):
-        with np.errstate(over="ignore"):  # the ladder raises on inf
-            return np.abs(bump_partial(alpha, center, delta, pts)) ** p
-
-    return integrand, [(0.0, delta)] * len(alpha)
-
-
-def integrate_partial_power(alpha, p, delta, rel_tol=1e-8, max_doublings=6):
-    """Adaptive quadrature of integral |D^alpha psi_delta|^p over R^d.
-
-    Independent of the scaling shortcut: the integrand is evaluated at the
-    requested delta, over [0, delta]^d (the integrand is even in every
-    coordinate), and only then compared against delta^(d-|alpha|p) M_alpha
-    by callers that test the identity.
-    """
-    integrand, box = _partial_power_box(alpha, p, delta)
-    value, panels, err = quadrature.adaptive_box(
-        integrand, box, rel_tol=rel_tol,
-        start_panels=1, max_doublings=max_doublings,
-    )
-    scale = 2.0 ** len(box)
-    return scale * value, panels, scale * err
-
-
-def integrate_partial_power_fixed(alpha, p, delta, panels):
-    """Like :func:`integrate_partial_power` but at a fixed panel count.
-
-    Useful when a converged panel count is already known (for example from
-    the moduli metadata) and re-running the refinement ladder would only
-    repeat work.
-    """
-    integrand, box = _partial_power_box(alpha, p, delta)
-    return 2.0 ** len(box) * quadrature.integrate_box(integrand, box, panels)
-
-
-# Levels of the even-p radial ladder agree to this relative tolerance;
-# tighter stalls in rounding: at (k, p, d) = (3, 32, 3), alpha = (0, 0, 3),
-# successive levels keep differing near 1e-15.
+# Levels of the radial ladder, and the inner rule at n and 2n nodes, agree
+# to this relative tolerance; converged levels still differ by rounding
+# near 1e-15.
 _EXACT_REL_TOL = 1e-13
 _LOG_DBL_MAX = math.log(sys.float_info.max)
 _LOG_DBL_MIN = math.log(sys.float_info.min)
@@ -757,89 +713,201 @@ def _sphere_moment(beta, log_scale=0.0, absolute=False):
     return math.exp(log_m)
 
 
-def _compositions(total, parts):
-    """Every tuple of ``parts`` nonnegative integers summing to ``total``."""
-    if parts == 1:
-        yield (total,)
-        return
-    for first in range(total + 1):
-        for rest in _compositions(total - first, parts - 1):
-            yield (first,) + rest
+# Nodes of each Gauss-Jacobi rule of the inner integral in u; its error is
+# measured by a second pass at twice as many.
+_JACOBI_NODES = 192
+# Points of the grid on the band whose sign changes locate the breaks.
+_ZERO_GRID = 4001
+
+
+def _radial_factors(terms, r):
+    """g_t(r) = c_t (2r)^|w_t| phi^(m_t)(r^2) of each term of
+    :func:`_bell_terms` at the radii ``r``."""
+    u = r * r
+    return [c * (2.0 * r) ** sum(w) * profile_eval(u, m) for m, c, w in terms]
+
+
+def _breaks(fns):
+    """1/2, the zeros of each function of ``fns`` on the band, and 1, in
+    order: sign changes on a ``_ZERO_GRID``-point grid, each refined by
+    ``brentq``."""
+    lo, hi = PLATEAU_END ** 0.5, SUPPORT_END
+    if not fns:
+        return [lo, hi]
+    # imported here, not with the module: scipy.optimize adds about 11 MB
+    # to the peak RSS of every run, and only classes of order >= 2 use it
+    from scipy.optimize import brentq
+
+    grid = np.linspace(lo, hi, _ZERO_GRID)
+    zeros = []
+    for f in fns:
+        sign = np.sign(f(grid))
+        for i in np.flatnonzero(sign[:-1] * sign[1:] < 0.0):
+            zeros.append(brentq(lambda r: float(f(np.array([r]))[0]),
+                                grid[i], grid[i + 1], xtol=1e-15))
+    return [lo, *sorted(zeros), hi]
+
+
+@lru_cache(maxsize=None)
+def _jacobi(n, a, b):
+    """Gauss-Jacobi nodes and weights for (1 - x)^a (1 + x)^b on [-1, 1].
+
+    Golub-Welsch: the nodes are the eigenvalues of the Jacobi matrix of the
+    three-term recurrence, and the weights mu_0 v_0^2 from the first
+    components of its eigenvectors.  ``scipy.special.roots_jacobi`` polishes
+    the same nodes with Jacobi polynomials whose rounding grows with n:
+    against ``mpmath`` its rules at 192 and 384 nodes integrated
+    (1 - x)^(-1/2) (1 + x)^4 (cos 3x + x^3) to 2.4e-12 and 1.3e-11
+    relative, and these to 6e-15.
+    """
+    k = np.arange(n, dtype=float)
+    s = 2.0 * k + a + b
+    with np.errstate(divide="ignore", invalid="ignore"):
+        diag = (b * b - a * a) / (s * (s + 2.0))
+    if a + b == 0.0:
+        diag[0] = (b - a) / 2.0
+    k, s = k[1:], s[1:]
+    off = np.sqrt(4.0 * k * (k + a) * (k + b) * (k + a + b)
+                  / (s * s * (s + 1.0) * (s - 1.0)))
+    x, v = eigh_tridiagonal(diag, off)
+    log_mu0 = ((a + b + 1.0) * math.log(2.0) + math.lgamma(a + 1.0)
+               + math.lgamma(b + 1.0) - math.lgamma(a + b + 2.0))
+    return x, math.exp(log_mu0) * v[0] ** 2
+
+
+def _inner_integral(a, b, p, s, e, nodes):
+    """integral_{-1}^{1} |u|^(p s) (1 - u^2)^e |a + b u^2|^p du per radius.
+
+    The integrand is even in u.  Where the root u* = sqrt(-a/b) lies in
+    (0, 1), [0, u*] and [u*, 1] each take a Gauss-Jacobi rule with the
+    piece's end exponents: p s at 0, p at u* and e at 1; otherwise [0, 1]
+    takes one.  Every p-th power is of a product of the factors it covers,
+    so it overflows only where the integrand does.
+    """
+    a, b = a[:, None], b[:, None]
+    out = np.empty(len(a))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        root_sq = -a[:, 0] / b[:, 0]
+    inside = (root_sq > 0.0) & (root_sq < 1.0)
+    whole = ~inside
+    x, w = _jacobi(nodes, e, p * s)
+    u = 0.5 + 0.5 * x
+    out[whole] = 2.0 ** -e * np.sum(
+        w * (np.abs(a[whole] + b[whole] * u * u) * 0.5 ** s) ** p
+        * (1.0 + u) ** e, axis=1)
+    a, b = a[inside], np.abs(b[inside])
+    root = np.sqrt(root_sq[inside])[:, None]
+    h = 0.5 * root
+    x, w = _jacobi(nodes, p, p * s)
+    u = h * (1.0 + x)
+    first = h[:, 0] * np.sum(
+        w * (b * h ** (1 + s) * (root + u)) ** p * (1.0 - u * u) ** e, axis=1)
+    h = 0.5 * (1.0 - root)
+    x, w = _jacobi(nodes, e, p)
+    u = root + h * (1.0 + x)
+    second = h[:, 0] ** (1.0 + e) * np.sum(
+        w * (b * h * (u + root) * u ** s) ** p * (1.0 + u) ** e, axis=1)
+    out[inside] = 2.0 * (first + second)
+    return out
 
 
 def _radial_modulus(alpha, p):
-    """M_alpha = integral |D^alpha psi_1|^p for an even integer p, or for
-    |alpha| <= 1 at any p.
+    """M_alpha = integral |D^alpha psi_1|^p, for every class and every p.
 
-    Returns ``(value, panels, est_error)`` like
-    :func:`integrate_partial_power`.  At x = r theta the terms of
+    Returns ``(value, panels, est_error)``.  At x = r theta the terms of
     :func:`_bell_terms` give
 
         D^alpha psi_1 = sum_t g_t(r) theta^(w_t),
         g_t(r) = c_t (2r)^|w_t| phi^(m_t)(r^2).
 
-    For an even integer p, the multinomial expansion of the p-th power is a
-    sum over the compositions n of p of (p; n) prod_t g_t^(n_t)
-    theta^(sum_t n_t w_t), and each theta-monomial integrates over the
-    sphere in closed form (:func:`_sphere_moment`).  For |alpha| <= 1 there
-    is one term, so |D^alpha psi_1|^p = |g(r)|^p |theta^w|^p at any p: the
-    absolute sphere moment of |theta^w|^p times an integral of |g|^p.  Both
-    absolute values matter: phi' < 0 on the band, and a negative base to a
-    non-integer power is NaN; and an odd exponent must not zero the moment.
+    With every a_i <= 1 there is one term, so |D^alpha psi_1|^p =
+    |g(r)|^p |theta^w|^p: the absolute sphere moment of |theta^w|^p
+    (:func:`_sphere_moment`, Folland) times a radial integral of |g|^p.
+    Both absolute values matter: phi' < 0 on the band, and a negative base
+    to a non-integer power is NaN; and an odd exponent must not zero the
+    moment.
 
-    What remains is one integral in r of r^(d-1) times that sum over the
-    band 1/2 <= r <= 1, where every derivative of phi lives.  It runs on a
-    Gauss-Legendre panel-doubling ladder from 4 panels until two levels
-    agree to 1e-13 relative.  alpha = 0 adds the plateau r < 1/2, where
-    psi_1 = 1: |S^(d-1)| / (d 2^d).
+    For k <= 3 any other class has one coordinate j with a_j >= 2 and
+    others O with a_i = 1, and two terms:
 
-    An integrand that overflows, or a modulus that is not finite and
-    positive, raises :class:`QuadratureNotConverged`.  M_(e_d) overflows
-    for every even p >= 488 (d = 1, 2, 3), and a table computes it (one
-    term, so one composition) before any modulus of two terms, whose
-    expansion has p + 1 compositions; so a large p raises before it could
-    loop long.
+        D^alpha psi_1 = theta_O theta_j^s (A(r) + B(r) theta_j^2),
+
+    s = a_j mod 2.  Conditioning the sphere on u = theta_j leaves a sphere
+    S^(d-2) of radius sqrt(1 - u^2), so
+
+        M_alpha = m_O integral_{1/2}^{1} r^(d-1) integral_{-1}^{1}
+                  |u|^(p s) (1 - u^2)^((d - 3 + p |O|)/2)
+                  |A + B u^2|^p du dr,
+
+    m_O the absolute sphere moment of |theta_O|^p over the other d - 1
+    coordinates, and :func:`_inner_integral` the integral over u.  In
+    d = 1 the sphere is the two points +-1, where every |theta^w|^p is 1,
+    so there the class has the one radial factor A + B, and M_alpha =
+    2 integral |A + B|^p dr.
+
+    The radial integral runs over the band 1/2 <= r <= 1, where every
+    derivative of phi lives, on the Gauss-Legendre ladder of
+    :func:`sobolab.quadrature.refine` from 4 panels until two levels agree
+    to 1e-13 relative.  A class of order >= 2 splits it into pieces at the
+    zeros of g, or of A and A + B (where u* enters or leaves [0, 1]), with
+    graded panels next to each (:func:`sobolab.quadrature.graded_rule`);
+    ``panels`` counts them per piece.  An order <= 1 class has one piece
+    and no search.  A class with an inner rule runs its converged level
+    again with twice ``_JACOBI_NODES``, and ``est_error`` adds that change
+    to the ladder's.  alpha = 0 adds the plateau r < 1/2, where psi_1 = 1:
+    |S^(d-1)| / (d 2^d).
+
+    An integrand that overflows, a modulus that is not finite and positive,
+    or an inner rule whose change exceeds 1e-13 relative raises
+    :class:`QuadratureNotConverged`.  M_(e_d) overflows for every p >= 488
+    (d = 1, 2, 3), and a table computes it before any class of order 2.
     """
     alpha = tuple(int(a) for a in alpha)
     d, order_alpha = len(alpha), sum(alpha)
     terms = _bell_terms(alpha)
-    even = p % 2 == 0
-    if even:
-        p = int(p)
-        expansion = []
-        for n in _compositions(p, len(terms)):
-            beta = [sum(nt * w[j] for nt, (_, _, w) in zip(n, terms))
-                    for j in range(d)]
-            log_multinomial = math.lgamma(p + 1) - sum(math.lgamma(nt + 1)
-                                                       for nt in n)
-            weight = _sphere_moment(beta, log_multinomial)
-            if weight:
-                expansion.append((weight, n))
+    polar = len(terms) > 1 and d > 1
+
+    def total(r):
+        return sum(_radial_factors(terms, r))
+
+    if not polar:
+        (_, _, w), *_ = terms
+        moment = _sphere_moment([p * b for b in w], absolute=True)
+
+        def radial(r):
+            with np.errstate(over="ignore"):  # the ladder raises on inf
+                return moment * np.abs(total(r)) ** p * r ** (d - 1)
+
+        breaks = _breaks([total] if order_alpha >= 2 else [])
     else:
-        (_, _, w), = terms
-        expansion = [(_sphere_moment([p * b for b in w], absolute=True), (p,))]
+        j = max(range(d), key=lambda i: alpha[i])
+        s = alpha[j] % 2
+        others = [alpha[i] for i in range(d) if i != j]
+        e = (d - 3 + p * sum(others)) / 2.0
+        moment = _sphere_moment([p * a for a in others], absolute=True)
 
-    def radial(pts):
-        r = pts[:, 0]
-        u = r * r
-        g = [c * (2.0 * r) ** sum(w) * profile_eval(u, m)
-             for m, c, w in terms]
-        if not even:
-            g = [np.abs(gt) for gt in g]
-        acc = 0.0
-        with np.errstate(over="ignore", invalid="ignore"):  # ladder raises
-            for weight, n in expansion:
-                term = weight
-                for gt, nt in zip(g, n):
-                    if nt:
-                        term = term * gt ** nt
-                acc = acc + term
-            return acc * r ** (d - 1)
+        def radial(r, nodes=_JACOBI_NODES):
+            a, b = _radial_factors(terms, r)
+            with np.errstate(over="ignore", invalid="ignore"):
+                inner = _inner_integral(a, b, p, s, e, nodes)
+                return moment * inner * r ** (d - 1)
 
-    value, panels, err = quadrature.adaptive_box(
-        radial, [(PLATEAU_END ** 0.5, SUPPORT_END)],
-        rel_tol=_EXACT_REL_TOL, start_panels=4, max_doublings=_MAX_DOUBLINGS,
-    )
+        breaks = _breaks([lambda r: _radial_factors(terms, r)[0], total])
+
+    def level(panels, **kw):
+        r, weights = quadrature.graded_rule(breaks, panels)
+        return float(np.sum(radial(r, **kw) * weights))
+
+    value, panels, err = quadrature.refine(
+        level, _EXACT_REL_TOL, start_panels=4, max_doublings=_MAX_DOUBLINGS)
+    if polar:
+        change = abs(level(panels, nodes=2 * _JACOBI_NODES) - value)
+        if not change <= _EXACT_REL_TOL * value:
+            raise QuadratureNotConverged(
+                f"no convergence to rel {_EXACT_REL_TOL:g} of the inner "
+                f"rule: {_JACOBI_NODES} and {2 * _JACOBI_NODES} nodes differ "
+                f"by {change:.3g}")
+        err += change
     if not order_alpha:
         value += _sphere_moment((0,) * d) / (d * 2.0 ** d)
     if not (math.isfinite(value) and value > 0.0):
@@ -851,18 +919,15 @@ def _radial_modulus(alpha, p):
 def reference_moduli(params):
     """Compute the full M_alpha table for ``params`` deterministically.
 
-    The path depends on ``params.p`` and |alpha|.  At an even integer p
-    every class, and at any p every class with |alpha| <= 1, takes the
-    radial path of :func:`_radial_modulus`: closed-form sphere moments
-    (Folland) and one radial Gauss-Legendre ladder from 4 panels, stopped
-    when two levels agree to 1e-13 relative.  So a k = 1 table never runs
-    the box.  A class with |alpha| >= 2 at any other p, where phi'' and
-    phi''' change sign on the band, takes the adaptive box quadrature of
-    :func:`integrate_partial_power` over [0, 1]^d from 1 panel per axis,
-    stopped at 1e-8 relative (``_REL_TOL``, recorded as the table's
-    ``rel_tol``).  Either ladder raises :class:`QuadratureNotConverged`
+    Every class takes the polar path of :func:`_radial_modulus` at every p:
+    closed-form sphere moments (Folland), a Gauss-Jacobi rule in theta_j
+    for a class with some a_j >= 2, and one radial Gauss-Legendre ladder
+    from 4 panels per piece, stopped when two levels agree to 1e-13
+    relative.  So a k = 1 table runs the order <= 1 ladder alone, with no
+    search for breaks.  The ladder raises :class:`QuadratureNotConverged`
     after 6 doublings (``_MAX_DOUBLINGS``), or at the first level whose
-    integrand overflows, naming the class and the table's (k, p, d).
+    integrand overflows, and so does an inner rule that has not converged;
+    the error names the class and the table's (k, p, d).
 
     psi_1 is radial, so M_alpha is exactly invariant under permutations of
     alpha; only one representative per permutation class is integrated and
@@ -874,12 +939,7 @@ def reference_moduli(params):
         rep = tuple(sorted(alpha))
         if rep not in by_class:
             try:
-                if params.p % 2 == 0 or sum(alpha) <= 1:
-                    by_class[rep] = _radial_modulus(alpha, params.p)
-                else:
-                    by_class[rep] = integrate_partial_power(
-                        alpha, params.p, 1.0, rel_tol=_REL_TOL,
-                        max_doublings=_MAX_DOUBLINGS)
+                by_class[rep] = _radial_modulus(alpha, params.p)
             except QuadratureNotConverged as exc:
                 raise QuadratureNotConverged(
                     f"class {rep} of the (k, p, d) = ({params.k}, "
@@ -889,7 +949,7 @@ def reference_moduli(params):
         panels[alpha] = n_panels
         errs[alpha] = err
     return ReferenceModuli(params=params, table=table, panels=panels,
-                           est_error=errs, rel_tol=_REL_TOL)
+                           est_error=errs)
 
 
 def scaled_seminorm(alpha, delta, moduli):
@@ -899,27 +959,6 @@ def scaled_seminorm(alpha, delta, moduli):
     m = moduli.modulus(alpha)
     params = moduli.params
     return delta ** (params.d - sum(alpha) * params.p) * m
-
-
-def bump_norm(delta, moduli):
-    """Exact W^{k,p} norm of psi_delta: sum_alpha (scaled seminorm)^(1/p).
-
-    Bounded by ``moduli_constant(moduli) * (1 + delta^((d-kp)/p))`` for
-    delta <= 1 (for large delta the plateau's L^p mass grows like
-    delta^(d/p) instead).
-    """
-    if not delta > 0.0:
-        raise NonpositiveRadius(f"bump radius must be positive, got {delta}")
-    p = moduli.params.p
-    return sum(scaled_seminorm(a, delta, moduli) ** (1.0 / p)
-               for a in moduli.indices)
-
-
-def moduli_constant(moduli):
-    """C_M = sum_alpha max(M_alpha^(1/p), 1), the profile-dependent constant
-    in the small-radius norm bound."""
-    p = moduli.params.p
-    return sum(max(m ** (1.0 / p), 1.0) for m in moduli.table.values())
 
 
 @lru_cache(maxsize=None)
@@ -937,7 +976,7 @@ def save_moduli(moduli, path):
     lines = [
         "# sobolab reference moduli",
         f"# k={params.k} p={params.p!r} d={params.d} "
-        f"rel_tol={moduli.rel_tol!r} order={quadrature.GL_ORDER}",
+        f"order={quadrature.GL_ORDER}",
     ]
     for alpha in moduli.indices:
         lines.append(
@@ -952,8 +991,17 @@ def save_moduli(moduli, path):
         fh.write("\n".join(lines) + "\n")
 
 
-_HEADER_FIELDS = {"k": int, "p": float, "d": int, "rel_tol": float}
-_META_FIELDS = {"panels": int, "err": float.fromhex}
+def _hex_float(token):
+    """``float.fromhex`` of a token :func:`save_moduli` could have written:
+    it writes nonnegative values, each with a leading ``0x``, and
+    ``float.fromhex`` alone would read ``1e309`` as 0x1e309 = 123657."""
+    if not token.startswith("0x"):
+        raise ValueError(f"{token!r} is not a nonnegative hex float")
+    return float.fromhex(token)
+
+
+_HEADER_FIELDS = {"k": int, "p": float, "d": int}
+_META_FIELDS = {"panels": int, "err": _hex_float}
 
 
 def _multi_index(cells, seen, lineno):
@@ -968,12 +1016,13 @@ def load_moduli(path):
     """Read a :func:`save_moduli` file back bit-exactly.
 
     Its comment lines make one header record and each ``# meta`` line its
-    own (:func:`sobolab.geometry._header_record`).  A malformed record or
-    row, a missing or repeated multi-index (naming both lines), one outside
-    the header's (k, d), a modulus that is not finite and positive, a
-    ``rel_tol`` that is not positive, or ``# meta`` records for some rows
-    but not all raises :class:`MalformedInput` naming the file and line:
-    :func:`save_moduli` writes none of these.
+    own (:func:`sobolab.geometry._header_record`); keys the header does not
+    declare, such as an older writer's ``rel_tol=``, are ignored.  A
+    malformed record or row, a missing or repeated multi-index (naming both
+    lines), one outside the header's (k, d), a hex float without its
+    ``0x``, a modulus that is not finite and positive, or ``# meta``
+    records for some rows but not all raises :class:`MalformedInput`
+    naming the file and line: :func:`save_moduli` writes none of these.
     """
     header, meta, meta_line, table, row_line = {}, {}, {}, {}, {}
     with open(path, encoding="utf-8") as fh:
@@ -991,13 +1040,10 @@ def load_moduli(path):
                 elif line.startswith("#"):
                     _header_record(path, lineno, line[1:].split(),
                                    _HEADER_FIELDS, required=(), record=header)
-                    if not header.get("rel_tol", 1.0) > 0.0:
-                        raise ValueError(f"rel_tol={header['rel_tol']!r} is "
-                                         f"not > 0")
                 else:
                     *cells, cell = line.split()
                     alpha = _multi_index(cells, row_line, lineno)
-                    value = float.fromhex(cell)
+                    value = _hex_float(cell)
                     if not (math.isfinite(value) and value > 0.0):
                         raise ValueError(f"modulus {value} is not finite and > 0")
                     table[alpha] = value
@@ -1029,5 +1075,4 @@ def load_moduli(path):
     return ReferenceModuli(
         params=params, table=table,
         panels={alpha: m["panels"] for alpha, m in meta.items()},
-        est_error={alpha: m["err"] for alpha, m in meta.items()},
-        rel_tol=header.get("rel_tol", _REL_TOL))
+        est_error={alpha: m["err"] for alpha, m in meta.items()})

@@ -74,29 +74,65 @@ def integrate_box(f, bounds, panels, order=GL_ORDER):
     return acc
 
 
-def adaptive_box(f, bounds, rel_tol=1e-8, start_panels=1, max_doublings=6):
-    """Panel-doubling tensor quadrature; returns (value, panels, est_error).
+def graded_rule(breaks, panels):
+    """Gauss-Legendre nodes and weights with ``panels`` equal panels on each
+    piece between consecutive ``breaks``.
 
-    Converged once two successive refinements agree to ``rel_tol`` in
-    relative terms (absolute terms for integrals indistinguishable from
-    zero).  Raises :class:`QuadratureNotConverged` when the cap is hit, or
-    at the first level whose sum is not finite: an integrand that overflows
-    can never converge.
+    A panel [b, b + h] or [b - h, b] next to an interior break b takes
+    x = b +- h t^4, t on [0, 1], which clusters its nodes at b: an
+    integrand that behaves like |x - b|^q there becomes 4 h^(q+1) t^(4q+3),
+    smooth enough for the rule.  With no interior break it is
+    :func:`integrate_box`'s rule on one interval, node for node.
     """
-    per_axis = " per axis" if len(bounds) > 1 else ""
+    t, w = _gl_nodes(GL_ORDER)
+    t = 0.5 + 0.5 * t
+    nodes, weights = [], []
+    for i, (lo, hi) in enumerate(zip(breaks[:-1], breaks[1:])):
+        edges = np.linspace(lo, hi, panels + 1)
+        x, wx = rule_from_panels(edges[:-1], edges[1:])
+        h = edges[1] - edges[0]
+        if i > 0:
+            x[:GL_ORDER] = lo + h * t ** 4
+            wx[:GL_ORDER] = 2.0 * h * t ** 3 * w
+        if i < len(breaks) - 2:
+            x[-GL_ORDER:] = hi - h * t ** 4
+            wx[-GL_ORDER:] = 2.0 * h * t ** 3 * w
+        nodes.append(x)
+        weights.append(wx)
+    return np.concatenate(nodes), np.concatenate(weights)
+
+
+def refine(estimate, rel_tol, start_panels=1, max_doublings=6,
+           unit="panels"):
+    """The panel-doubling ladder; returns (value, panels, est_error).
+
+    ``estimate(panels)`` runs at ``start_panels``, twice as many, and so on,
+    until two successive levels agree to ``rel_tol`` in relative terms
+    (absolute terms for integrals indistinguishable from zero).  Raises
+    :class:`QuadratureNotConverged` after ``max_doublings`` doublings, or
+    at the first level whose value is not finite: an integrand that
+    overflows can never converge.
+    """
     prev = None
     for level in range(max_doublings + 1):
         panels = start_panels << level
-        cur = integrate_box(f, bounds, panels)
+        cur = estimate(panels)
         if not isfinite(cur):
             raise QuadratureNotConverged(
-                f"integral is {cur} at {panels} panels{per_axis}: the "
-                f"integrand overflows the double range")
+                f"integral is {cur} at {panels} {unit}: the integrand "
+                f"overflows the double range")
         if prev is not None:
             err = abs(cur - prev)
             if err <= rel_tol * max(abs(cur), 1e-300):
                 return cur, panels, err
         prev = cur
     raise QuadratureNotConverged(
-        f"no convergence to rel {rel_tol:g} after {panels} panels{per_axis}"
-    )
+        f"no convergence to rel {rel_tol:g} after {panels} {unit}")
+
+
+def adaptive_box(f, bounds, rel_tol=1e-8, start_panels=1, max_doublings=6):
+    """Panel-doubling tensor quadrature on the :func:`refine` ladder;
+    returns (value, panels, est_error)."""
+    unit = "panels per axis" if len(bounds) > 1 else "panels"
+    return refine(lambda panels: integrate_box(f, bounds, panels), rel_tol,
+                  start_panels, max_doublings, unit)

@@ -16,6 +16,8 @@ from sobolab import bump, experiments, geometry, interpolant, model, morrey, ris
 from sobolab.experiments import SweepConfig
 from sobolab.model import DistributionSpec
 
+from box_oracle import integrate_partial_power_fixed
+
 SEED = 0xACCE97
 
 
@@ -204,9 +206,9 @@ def test_criterion_05_bump_scaling_identity(moduli_d1, moduli_d2, moduli_d3):
                 for delta in (0.25, 0.5, 2.0, 4.0):
                     if (rep, delta) not in by_class:
                         # a fixed box rule, independent of how the table
-                        # was built (its radial entries count radial panels)
+                        # was built (its entries count radial panels)
                         by_class[rep, delta] = \
-                            bump.integrate_partial_power_fixed(
+                            integrate_partial_power_fixed(
                                 rep, p, delta, panels=8)
                     # D^alpha integrals are permutation-invariant, so the
                     # class representative's quadrature covers alpha

@@ -5,8 +5,9 @@ import warnings
 import mpmath
 import numpy as np
 import pytest
-from hypothesis import example, given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 from scipy.integrate import quad
+from scipy.optimize import brentq
 
 from sobolab import bump, geometry, interpolant, morrey, quadrature
 from sobolab.errors import (
@@ -15,11 +16,13 @@ from sobolab.errors import (
     MismatchedLengths,
     NonpositiveRadius,
     QuadratureNotConverged,
+    SobolabError,
     UnknownMultiIndex,
     UnsupportedDimension,
     UnsupportedOrder,
 )
 
+from box_oracle import integrate_partial_power, integrate_partial_power_fixed
 from conftest import peak_traced_bytes, support_probes
 from fdiff import fd_partial
 
@@ -778,6 +781,34 @@ class TestSupportGrid:
         assert got.tobytes() == want.tobytes()
 
 
+# Tokens a mutated cache may carry in place of one of the writer's: each
+# parses as something by one of Python's readers, or by none.
+_HOSTILE_TOKENS = ["nan", "inf", "-0", "1e309", "0x1p+9999", "", "1_0",
+                   "\u0663"]
+
+
+@st.composite
+def _cache_mutations(draw, lines):
+    """``lines`` with one line duplicated or deleted, or one token (or the
+    value of one ``key=value`` token) replaced by a hostile one."""
+    lines = list(lines)
+    i = draw(st.integers(0, len(lines) - 1))
+    kind = draw(st.sampled_from(["duplicate", "delete", "token"]))
+    if kind == "duplicate":
+        lines.insert(i, lines[i])
+    elif kind == "delete":
+        del lines[i]
+    else:
+        tokens = lines[i].split(" ")
+        t = draw(st.integers(0, len(tokens) - 1))
+        hostile = draw(st.sampled_from(_HOSTILE_TOKENS))
+        key, eq, _ = tokens[t].partition("=")
+        keep_key = eq and draw(st.booleans())
+        tokens[t] = f"{key}={hostile}" if keep_key else hostile
+        lines[i] = " ".join(tokens)
+    return lines
+
+
 class TestModuli:
     def test_m0_sandwich_d1(self, moduli_d1):
         # psi^p is 1 on B(0, 1/2) and <= 1 on B(0, 1)
@@ -795,9 +826,9 @@ class TestModuli:
 
     def test_panel_doubling_self_consistency(self, moduli_d1):
         # a fixed box rule, independent of how the table was built (its
-        # order <= 1 entries count radial panels)
+        # entries count radial panels)
         for alpha, m in moduli_d1.table.items():
-            refined = bump.integrate_partial_power_fixed(
+            refined = integrate_partial_power_fixed(
                 alpha, moduli_d1.params.p, 1.0, panels=32)
             assert refined == pytest.approx(m, rel=1e-8)
 
@@ -809,24 +840,27 @@ class TestModuli:
             moduli_d1.modulus((5,))
 
     def test_not_converged_raises(self, params_d1, monkeypatch):
-        monkeypatch.setattr(bump, "_REL_TOL", 1e-15)
+        # M_(0,) needs 16 panels, two doublings from 4
         monkeypatch.setattr(bump, "_MAX_DOUBLINGS", 1)
         with pytest.raises(QuadratureNotConverged):
             bump.reference_moduli(params_d1)
 
-    @pytest.mark.parametrize("kpd, rel_tol, match", [
-        pytest.param((2, 1.25, 1), 1e-15, r"after 64 panels$",
+    @pytest.mark.parametrize("kpd, nodes, match", [
+        pytest.param((2, 1.6, 2), 24,
+                     r"^class \(0, 2\) .*: no convergence to rel 1e-13 of "
+                     r"the inner rule: 24 and 48 nodes differ",
                      id="not-converged"),
-        pytest.param((2, 301.0, 1), bump._REL_TOL,
-                     r"at 1 panels: the integrand overflows", id="overflow"),
+        pytest.param((2, 301.0, 1), bump._JACOBI_NODES,
+                     r"^class \(2,\) .*: integral is inf at 4 panels: the "
+                     r"integrand overflows", id="overflow"),
     ])
-    def test_order_two_box_path_raises(self, kpd, rel_tol, match,
+    def test_order_two_box_path_raises(self, kpd, nodes, match,
                                        monkeypatch):
-        # the order <= 1 classes converge on the radial ladder, which starts
-        # at 4 panels and could stop at 256; only the box starts at 1 panel
-        # and stops at 64, and |phi''|^301 overflows where |2 r phi'|^301
-        # does not
-        monkeypatch.setattr(bump, "_REL_TOL", rel_tol)
+        # the order <= 1 classes converge on the radial ladder either way;
+        # at 24 nodes the inner rule in theta_j of (0, 2) at p = 1.6 is off
+        # by more than 1e-13, and |4 r^2 phi'' + 2 phi'|^301 overflows where
+        # |2 r phi'|^301 does not
+        monkeypatch.setattr(bump, "_JACOBI_NODES", nodes)
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
             with pytest.raises(QuadratureNotConverged, match=match):
@@ -849,9 +883,10 @@ class TestModuli:
         pytest.param(lambda ls: ls[:-1] + ["1 -0x1.8p+0"], "line 6",
                      id="negative"),
         pytest.param(lambda ls: ls[:-1] + ["1 0x0p+0"], "line 6", id="zero"),
-        pytest.param(lambda ls: [ls[0], ls[1].replace("rel_tol=", "rel_tol=-")]
-                     + ls[2:], "line 2: .*rel_tol=-1e-08 is not > 0",
-                     id="rel-tol-negative"),
+        pytest.param(lambda ls: ls[:-1] + ["1 1e309"], "line 6: .*'1e309' "
+                     "is not a nonnegative hex float", id="row-not-hex"),
+        pytest.param(lambda ls: ls[:2] + ["# meta 0 panels=4 err=1e-13"]
+                     + ls[3:], "line 3", id="meta-not-hex"),
         pytest.param(lambda ls: ls[:3] + ls[4:],
                      "line 5: no # meta record for multi-index \\(1,\\)",
                      id="meta-partial"),
@@ -898,6 +933,37 @@ class TestModuli:
         path.write_text("\n".join(edit(lines)) + "\n")
         with pytest.raises(MalformedInput, match=f"moduli\\.txt: {where}"):
             bump.load_moduli(path)
+
+    @settings(max_examples=300)
+    @given(data=st.data())
+    def test_mutated_cache_raises_or_round_trips(self, moduli_d1,
+                                                 tmp_path_factory, data):
+        # a file save_moduli could not have written either raises naming
+        # the file, or loads to moduli that save and load back unchanged
+        path = tmp_path_factory.mktemp("cache") / "moduli.txt"
+        bump.save_moduli(moduli_d1, path)
+        lines = path.read_text(encoding="utf-8").splitlines()
+        path.write_text("\n".join(data.draw(_cache_mutations(lines))) + "\n",
+                        encoding="utf-8")
+        try:
+            back = bump.load_moduli(path)
+        except SobolabError as exc:
+            assert str(path) in str(exc)
+            return
+        again = path.with_name("again.txt")
+        bump.save_moduli(back, again)
+        assert bump.load_moduli(again) == back
+
+    def test_cache_with_rel_tol_still_loads(self, moduli_d1, tmp_path):
+        # older caches carry a rel_tol= in the header, which the reader
+        # ignores like any key it does not declare
+        path = tmp_path / "moduli.txt"
+        bump.save_moduli(moduli_d1, path)
+        lines = path.read_text().splitlines()
+        assert lines[1] == "# k=1 p=1.25 d=1 order=16"
+        lines[1] = "# k=1 p=1.25 d=1 rel_tol=1e-08 order=16"
+        path.write_text("\n".join(lines) + "\n")
+        assert bump.load_moduli(path) == moduli_d1
 
 
 def _radial_oracle(alpha, p, d):
@@ -963,7 +1029,7 @@ class TestExactModuli:
     def test_ladder_value_not_finite_and_positive_raises(self, monkeypatch,
                                                          value):
         # the modulus is checked again after the ladder, whatever it returns
-        monkeypatch.setattr(quadrature, "adaptive_box",
+        monkeypatch.setattr(quadrature, "refine",
                             lambda *args, **kw: (value, 8, value))
         with pytest.raises(QuadratureNotConverged, match="double range"):
             bump._radial_modulus((0, 1), 4.0)
@@ -973,22 +1039,97 @@ class TestExactModuli:
         params = bump.SobolevParams(*kpd)
         moduli = bump.reference_moduli(params)
         for rep in {tuple(sorted(a)) for a in moduli.indices}:
-            box, _, _ = bump.integrate_partial_power(rep, params.p, 1.0)
+            box, _, _ = integrate_partial_power(rep, params.p, 1.0)
             assert moduli.modulus(rep) == pytest.approx(box, rel=1e-10), rep
 
     @pytest.mark.parametrize("kpd", [(3, 64.0, 1), (2, 64.0, 2),
                                      (2, 128.0, 2)])
     def test_large_even_p_matches_box_quadrature(self, kpd):
-        # the expansion sums terms of alternating sign, and est_error cannot
-        # see that cancellation; the gap to the box path measured 4.4e-12,
-        # 1.2e-12 and 1.6e-10 here, growing with p
+        # every term of the polar integrand is of one sign, so no
+        # cancellation grows with p
         params = bump.SobolevParams(*kpd)
         moduli = bump.reference_moduli(params)
         for rep in {tuple(sorted(a)) for a in moduli.indices}:
-            box, _, _ = bump.integrate_partial_power(rep, params.p, 1.0,
-                                                     max_doublings=8)
-            assert moduli.modulus(rep) == pytest.approx(
-                box, rel=moduli.rel_tol), rep
+            box, _, _ = integrate_partial_power(rep, params.p, 1.0,
+                                                max_doublings=8)
+            assert moduli.modulus(rep) == pytest.approx(box, rel=1e-11), rep
+
+    def test_p160_order_two_matches_box_quadrature(self):
+        # where the expansion at even p raised; the box, at rel 1e-13 and
+        # 256 panels, gives 6.358580888439865e+278
+        moduli = bump.reference_moduli(bump.SobolevParams(2, 160.0, 1))
+        assert moduli.modulus((2,)) == pytest.approx(6.358580888439865e+278,
+                                                     rel=1e-13)
+
+    @pytest.mark.parametrize("alpha, p", [
+        ((0, 2), 2.5), ((1, 1), 2.5), ((0, 2), 3.3), ((1, 1), 3.3),
+        ((1, 2), 3.3), ((0, 3), 5.0)])
+    def test_order_two_and_three_match_box_quadrature_d2(self, alpha, p):
+        # the box stalls short of 1e-8 on (0, 3) below p = 4.5 and on
+        # (1, 2) below 3.3: its grid does not follow the zero set of
+        # D^alpha psi_1
+        box, _, _ = integrate_partial_power(alpha, p, 1.0)
+        value, _, _ = bump._radial_modulus(alpha, p)
+        assert value == pytest.approx(box, rel=1e-8)
+
+    @pytest.mark.parametrize("p", [1.1, 1.25, 1.5, 1.6])
+    @pytest.mark.parametrize("alpha", [(2,), (3,)])
+    def test_d1_classes_match_split_adaptive_quadrature(self, alpha, p):
+        # scipy's adaptive quadrature of |D^alpha psi_1|^p over the band,
+        # split at the zeros of D^alpha psi_1; the integrand is even
+        def f(x):
+            return float(bump.bump_partial(alpha, [0.0], 1.0, [x]))
+
+        grid = np.linspace(0.5, 1.0, 2001)
+        sign = np.sign([f(x) for x in grid])
+        zeros = [brentq(f, grid[i], grid[i + 1], xtol=1e-15)
+                 for i in np.flatnonzero(sign[:-1] * sign[1:] < 0.0)]
+        ends = [0.5, *zeros, 1.0]
+        want = 2.0 * sum(quad(lambda x: abs(f(x)) ** p, lo, hi, epsabs=0.0,
+                              epsrel=1e-13, limit=200)[0]
+                         for lo, hi in zip(ends[:-1], ends[1:]))
+        value, _, _ = bump._radial_modulus(alpha, p)
+        assert value == pytest.approx(want, rel=1e-12)
+
+    def test_tables_of_order_two_and_three_integrate_on_one_axis(
+            self, monkeypatch):
+        axes = []
+
+        def box(f, bounds, *args, **kwargs):
+            axes.append(len(bounds))
+            return integrate_box(f, bounds, *args, **kwargs)
+
+        integrate_box = quadrature.integrate_box
+        monkeypatch.setattr(quadrature, "integrate_box", box)
+        for kpd in [(2, 1.6, 2), (2, 2.5, 3), (3, 1.5, 3), (2, 160.0, 1),
+                    (3, 1.1, 2)]:
+            moduli = bump.reference_moduli(bump.SobolevParams(*kpd))
+            assert set(moduli.panels.values()) <= {8, 16, 32, 64}, kpd
+            for alpha, m in moduli.table.items():
+                assert 0.0 <= moduli.est_error[alpha] <= 2e-13 * m, kpd
+        assert all(n <= 1 for n in axes)
+
+    @pytest.mark.parametrize("alpha, p", [
+        ((0, 2), 1.6), ((0, 3), 1.25), ((0, 3), 1.1), ((1, 2), 1.5),
+        ((0, 0, 2), 1.1), ((0, 1, 2), 1.5)])
+    def test_est_error_covers_the_inner_rule(self, alpha, p, monkeypatch):
+        value, _, err = bump._radial_modulus(alpha, p)
+        monkeypatch.setattr(bump, "_JACOBI_NODES", 2 * bump._JACOBI_NODES)
+        finer, _, _ = bump._radial_modulus(alpha, p)
+        assert abs(finer - value) <= err
+
+    def test_graded_rule(self):
+        # with no interior break, integrate_box's rule node for node; an
+        # interior break grades the panels next to it
+        x, w = quadrature.graded_rule([0.5, 1.0], 8)
+        edges = np.linspace(0.5, 1.0, 9)
+        want_x, want_w = quadrature.rule_from_panels(edges[:-1], edges[1:])
+        assert x.tobytes() == want_x.tobytes()
+        assert w.tobytes() == want_w.tobytes()
+        x, w = quadrature.graded_rule([0.0, 0.3, 1.0], 4)
+        want = (0.3 ** 1.6 + 0.7 ** 1.6) / 1.6
+        assert np.sum(np.abs(x - 0.3) ** 0.6 * w) == pytest.approx(
+            want, rel=1e-13)
 
     @pytest.mark.parametrize("table", ["d1", "d2", "d3", "143"])
     def test_radial_oracle_alpha_zero_and_e_d(self, table, request):
@@ -1017,8 +1158,7 @@ class TestExactModuli:
         # below p = 2.5 the box stalls short of 1e-12 in d = 2: |x_j|^p is
         # not smooth at x_j = 0, an edge of the box
         for rep in [(0,) * d, (0,) * (d - 1) + (1,)]:
-            box, _, _ = bump.integrate_partial_power(rep, p, 1.0,
-                                                     rel_tol=1e-12)
+            box, _, _ = integrate_partial_power(rep, p, 1.0, rel_tol=1e-12)
             value, _, _ = bump._radial_modulus(rep, p)
             assert value == pytest.approx(box, rel=1e-12), rep
 
@@ -1028,7 +1168,13 @@ class TestExactModuli:
         def box(*args, **kwargs):
             raise AssertionError("box quadrature in an order-1 table")
 
-        monkeypatch.setattr(bump, "integrate_partial_power", box)
+        def breaks(fns):
+            assert not fns, "a search for breaks in an order-1 table"
+            return real_breaks(fns)
+
+        real_breaks = bump._breaks
+        monkeypatch.setattr(quadrature, "integrate_box", box)
+        monkeypatch.setattr(bump, "_breaks", breaks)
         moduli = bump.reference_moduli(bump.SobolevParams(*kpd))
         assert set(moduli.panels.values()) <= {8, 16, 32, 64, 128, 256}
         for alpha, m in moduli.table.items():
@@ -1049,8 +1195,7 @@ class TestExactModuli:
 
     @pytest.mark.parametrize("d", [1, 2, 3])
     def test_l2_modulus_is_the_exact_alpha_zero_p2_modulus(self, d):
-        box, _, _ = bump.integrate_partial_power((0,) * d, 2.0, 1.0,
-                                                 rel_tol=1e-10)
+        box, _, _ = integrate_partial_power((0,) * d, 2.0, 1.0, rel_tol=1e-10)
         assert bump.l2_modulus(d) == pytest.approx(box, rel=1e-12)
 
     def test_l2_modulus_equals_table_entry(self, moduli_d3):
@@ -1075,7 +1220,7 @@ class TestExactModuli:
         assert time.perf_counter() - start < 5.0
 
     def test_box_power_overflow_raises_without_warnings(self):
-        # |psi'|^1001 leaves the double range on the odd-p box path
+        # |psi'|^1001 leaves the double range on the radial ladder
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
             with pytest.raises(QuadratureNotConverged,
@@ -1125,17 +1270,24 @@ class TestScaledSeminorm:
             p = moduli.params.p
             for alpha in {tuple(sorted(a)) for a in moduli.indices}:
                 for delta in (0.5, 2.0):
-                    direct = bump.integrate_partial_power_fixed(
+                    direct = integrate_partial_power_fixed(
                         alpha, p, delta, panels=16)
                     formula = bump.scaled_seminorm(alpha, delta, moduli)
                     assert direct == pytest.approx(formula, rel=1e-6)
 
 
 class TestBumpNorm:
+    """The W^{k,p} norm of one bump, as the program computes it."""
+
+    @staticmethod
+    def norm(delta, moduli):
+        u = bump.BumpSum(centers=[[0.0]], radii=[delta], weights=[1.0])
+        return interpolant.sobolev_norm(u, moduli)
+
     def test_delta_one(self, moduli_d1):
         p = moduli_d1.params.p
         want = sum(m ** (1 / p) for m in moduli_d1.table.values())
-        assert bump.bump_norm(1.0, moduli_d1) == pytest.approx(want, rel=1e-15)
+        assert self.norm(1.0, moduli_d1) == pytest.approx(want, rel=1e-15)
 
     def test_small_delta_growth_is_the_top_order(self, moduli_d1):
         # delta^((kp-d)/p) * norm converges to M_k^(1/p); bounded between
@@ -1146,15 +1298,18 @@ class TestBumpNorm:
         hi = lo + moduli_d1.modulus((0,)) ** (1 / p)
         e = (params.k * p - params.d) / p
         for delta in [2.0 ** -j for j in range(1, 9)]:
-            scaled = bump.bump_norm(delta, moduli_d1) * delta ** e
+            scaled = self.norm(delta, moduli_d1) * delta ** e
             assert lo <= scaled <= hi
 
     def test_norm_bound_constant(self, moduli_d1):
+        # ||psi_delta|| <= C_M (1 + delta^((d-kp)/p)) for delta <= 1, with
+        # C_M = sum_alpha max(M_alpha^(1/p), 1)
         params = moduli_d1.params
-        c_m = bump.moduli_constant(moduli_d1)
+        c_m = sum(max(m ** (1.0 / params.p), 1.0)
+                  for m in moduli_d1.table.values())
         e = (params.d - params.k * params.p) / params.p
         for delta in np.geomspace(0.01, 1.0, 40):
-            assert bump.bump_norm(delta, moduli_d1) <= \
+            assert self.norm(delta, moduli_d1) <= \
                 c_m * (1.0 + delta ** e) * (1 + 1e-12)
 
     def test_norm_vs_full_quadrature(self, moduli_d1):
@@ -1169,5 +1324,4 @@ class TestBumpNorm:
                 [(-delta, delta)], rel_tol=1e-9, start_panels=2,
                 max_doublings=8)
             want += val ** (1 / p)
-        assert bump.bump_norm(delta, moduli_d1) == pytest.approx(
-            want, rel=1e-6)
+        assert self.norm(delta, moduli_d1) == pytest.approx(want, rel=1e-6)

@@ -173,18 +173,29 @@ class TestModuliCache:
         assert cached == capsys.readouterr().out
         assert cached.startswith("W^{1,3.05} norm: ")
 
-    def test_unconverged_table_names_the_class(self, tmp_path, capsys):
-        # (1, 1) converges at 64 panels per axis; (0, 2) comes first and
-        # does not
+    def test_order_two_table_round_trips_through_the_cli(self, tmp_path):
         cfg = tmp_path / "cfg.ini"
         cfg.write_text(BASE_INI.replace("k = 1", "k = 2")
                        .replace("p = 1.25", "p = 1.6").replace("d = 1", "d = 2"))
         assert main(["moduli", "--config", str(cfg),
+                     "--out", str(tmp_path)]) == 0
+        fresh = bump.reference_moduli(bump.SobolevParams(2, 1.6, 2))
+        back = bump.load_moduli(tmp_path / "moduli_k2_p1.6_d2.txt")
+        assert back == fresh  # hex floats: bit-exact, panels and errors too
+        assert back.panels[(0, 2)] > 0 and back.est_error[(0, 2)] > 0.0
+
+    def test_unconverged_table_names_the_class(self, tmp_path, capsys):
+        # the order <= 1 classes converge; |4 r^2 phi'' + 2 phi'|^301
+        # overflows
+        cfg = tmp_path / "cfg.ini"
+        cfg.write_text(BASE_INI.replace("k = 1", "k = 2")
+                       .replace("p = 1.25", "p = 301"))
+        assert main(["moduli", "--config", str(cfg),
                      "--out", str(tmp_path)]) == 2
         err = capsys.readouterr().err
-        assert err.startswith("error: class (0, 2) of the (k, p, d) = "
-                              "(2, 1.6, 2) table: no convergence")
-        assert err.endswith("after 64 panels per axis\n")
+        assert err.startswith("error: class (2,) of the (k, p, d) = "
+                              "(2, 301.0, 1) table: integral is inf")
+        assert err.endswith("the integrand overflows the double range\n")
         assert "Traceback" not in err
 
     @pytest.mark.parametrize("bad_row, line", [("0 xyz", 5), ("0", 5)])

@@ -198,7 +198,9 @@ class TestSobolevNorm:
         ds = line_dataset([0, 10], [1.0, 0.0])
         f = built(ds, 1.0, params_d1)
         # zero-weight bump contributes nothing; r = 5 for both
-        want = bump.bump_norm(5.0, moduli_d1)
+        want = interpolant.sobolev_norm(
+            bump.BumpSum(centers=[[0.0]], radii=[5.0], weights=[1.0]),
+            moduli_d1)
         assert interpolant.sobolev_norm(f, moduli_d1) == pytest.approx(
             want, rel=1e-12)
 
