@@ -64,7 +64,9 @@ from .errors import (
 from .geometry import (
     _certified_violations,
     _check_squared_spread,
+    _float_literal,
     _header_record,
+    _int_literal,
     _nn_sq_dists,
     _sq_norm,
 )
@@ -319,7 +321,9 @@ def _sum_over_pairs(alpha, centers, radii, weights, x, shortlist):
     pts = x.reshape(-1, d)
     bump, point, u = shortlist(pts)
     if any(alpha):
-        values = bump_partial(alpha, centers[bump], radii[bump], pts[point])
+        values = bump_partial(alpha, np.take(centers, bump, axis=0),
+                              np.take(radii, bump),
+                              np.take(pts, point, axis=0))
     else:
         values = profile_values(u)
     out = np.bincount(point, weights=weights[bump] * values,
@@ -1000,12 +1004,12 @@ def _hex_float(token):
     return float.fromhex(token)
 
 
-_HEADER_FIELDS = {"k": int, "p": float, "d": int}
-_META_FIELDS = {"panels": int, "err": _hex_float}
+_HEADER_FIELDS = {"k": _int_literal, "p": _float_literal, "d": _int_literal}
+_META_FIELDS = {"panels": _int_literal, "err": _hex_float}
 
 
 def _multi_index(cells, seen, lineno):
-    alpha = tuple(int(v) for v in cells)
+    alpha = tuple(_int_literal(v) for v in cells)
     if alpha in seen:
         raise ValueError(f"multi-index {alpha} repeats line {seen[alpha]}")
     seen[alpha] = lineno

@@ -30,6 +30,7 @@ from __future__ import annotations
 import csv
 import itertools
 import math
+import re
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -166,7 +167,8 @@ def _nn_sq_dists_tree(points):
     # only trusted to shortlist, never to produce the final number.  Where
     # its own squared distance overflows it finds no candidate: index n.
     missing = idx == n
-    cand = _sq_norm(points[:, None, :] - points[np.where(missing, 0, idx)])
+    cand = _sq_norm(points[:, None, :]
+                    - np.take(points, np.where(missing, 0, idx), axis=0))
     cand[missing | (idx == np.arange(n)[:, None])] = np.inf
     return cand.min(axis=1)
 
@@ -247,7 +249,8 @@ def nn_graph(dataset):
     src, dst = _ball_pairs(cKDTree(points), points, np.sqrt(nn_sq))
     keep = src != dst
     src, dst = src[keep], dst[keep]
-    tie = _sq_norm(points[src] - points[dst]) == nn_sq[src]
+    tie = (_sq_norm(np.take(points, src, axis=0)
+                    - np.take(points, dst, axis=0)) == nn_sq[src])
     return NnGraph(edges=frozenset(zip(src[tie].tolist(), dst[tie].tolist())),
                    n=dataset.n)
 
@@ -354,7 +357,8 @@ def _violating_pairs(points, radii):
     src, dst = src[keep], dst[keep]
     key = np.unique(np.minimum(src, dst) * n + np.maximum(src, dst))
     i, j = np.divmod(key, n)
-    dist = np.sqrt(_sq_norm(points[i] - points[j]))
+    dist = np.sqrt(_sq_norm(np.take(points, i, axis=0)
+                            - np.take(points, j, axis=0)))
     bad = dist < (radii[i] + radii[j]) / 2.0
     return list(zip(i[bad].tolist(), j[bad].tolist()))
 
@@ -431,14 +435,38 @@ def load_dataset(path):
     return Dataset(points=values[:, :d], labels=values[:, d])
 
 
+# The number literals of the lab's text files, in ASCII: what repr writes
+# for an int or a finite float, and the decimal forms a hand-written config
+# uses.  int() and float() alone also read Unicode digits, underscores and
+# surrounding whitespace, which no writer writes.
+_INT_LITERAL = re.compile(r"[+-]?[0-9]+")
+_FLOAT_LITERAL = re.compile(
+    r"[+-]?(?:[0-9]+\.?[0-9]*|\.[0-9]+)(?:[eE][+-]?[0-9]+)?")
+
+
+def _int_literal(text):
+    """``int(text)`` of an ASCII decimal integer; else ValueError."""
+    if not _INT_LITERAL.fullmatch(text):
+        raise ValueError(f"{text!r} is not an ASCII integer")
+    return int(text)
+
+
+def _float_literal(text):
+    """``float(text)`` of an ASCII decimal number; else ValueError."""
+    if not _FLOAT_LITERAL.fullmatch(text):
+        raise ValueError(f"{text!r} is not an ASCII decimal number")
+    return float(text)
+
+
 def _header_record(path, lineno, tokens, casts, required=None, record=None):
     """Cast into ``record`` (a new dict by default), and return, the
     ``key=value`` tokens of line ``lineno`` whose keys ``casts`` declares;
     other tokens are the caller's.  Once k, p and d are in, so is their
     ``SobolevParams``, as ``params``.  A repeated key, a missing key of
     ``required`` (by default, every declared key), a value its cast
-    rejects or that is not finite, or a (k, p, d) out of range raises
-    :class:`MalformedInput` naming the line.
+    rejects (:func:`_int_literal` and :func:`_float_literal` take ASCII
+    literals alone) or that is not finite, or a (k, p, d) out of range
+    raises :class:`MalformedInput` naming the line.
     """
     from .bump import SobolevParams  # bump imports this module
 
@@ -470,7 +498,8 @@ def _float_rows(path, rows, names, columns=None):
     """``rows``, pairs (line, cells), as an array of finite floats with a
     column per name; ``columns``, the pair of the column row, must hold
     exactly ``names``.  Raises :class:`MismatchedLengths` on other names
-    or widths, :class:`MalformedInput` on other cells, naming the line.
+    or widths, :class:`MalformedInput` on a cell that is not a finite
+    ASCII decimal number (:func:`_float_literal`), naming the line.
     """
     if columns is not None and columns[1] != names:
         raise MismatchedLengths(f"{path}: line {columns[0]}: expected columns "
@@ -481,7 +510,7 @@ def _float_rows(path, rows, names, columns=None):
             raise MismatchedLengths(f"{path}: line {lineno}: row width "
                                     f"{len(cells)} != {len(names)}")
         try:
-            row = [float(v) for v in cells]
+            row = [_float_literal(v) for v in cells]
             if not all(map(math.isfinite, row)):
                 raise ValueError
         except ValueError:

@@ -33,10 +33,17 @@ from .errors import (
     NotInterpolating,
     ParamsMismatch,
 )
-from .geometry import _checked_radii, _float_rows, _header_record
+from .geometry import (
+    _checked_radii,
+    _float_literal,
+    _float_rows,
+    _header_record,
+    _int_literal,
+)
 
 INTERPOLATION_TOL = 1e-9
-_HEADER_FIELDS = {"k": int, "p": float, "d": int, "shrink": float}
+_HEADER_FIELDS = {"k": _int_literal, "p": _float_literal, "d": _int_literal,
+                  "shrink": _float_literal}
 
 
 def build(dataset, radii, shrink, params):

@@ -9,15 +9,20 @@ The exact variant draws ``MORREY_BLOCK`` trials at a time and checks each
 block as one batch (:func:`morrey_exact_batch`).  Disjoint supports split
 each trial's integral of |u'|^p into one integral per bump, which the bump
 scaling law turns into a profile integral over the part of the band
-1/2 <= |x - c| / r <= 1 in the trial's interval; those pieces share one
-Gauss-Legendre halving ladder, and each stops at its own level, so every
-trial gets the same bits alone as in any batch.
+1/2 <= |x - c| / r <= 1 in the trial's interval.  That integrand depends
+on p alone, so the band is integrated once per p on fixed equal panels
+(:func:`_band_table`).  A band piece adds the panels that lie inside it
+from the table and runs the Gauss-Legendre halving ladder
+(:func:`_ladder`) only on the partial panels at its ends.  Each piece's
+value depends on its own ends and the table alone, so every trial gets
+the same bits alone as in any batch.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 
@@ -34,11 +39,16 @@ from .errors import (
 from .geometry import _sq_norm
 
 # Trials that morrey_check draws and checks at once; it bounds the node
-# arrays of the exact Morrey ladder.  Its band pieces mostly stop after four
-# halvings (16 panels of 16 nodes), so a block of 16 trials peaks near 24k
-# nodes; 5000 draws at once peak at 3.4M nodes (27 MB per array).
+# arrays of the partial panels' ladder and the temporaries of
+# bump._band_derivatives on them.  For the 500 trials of morrey_d1 (p =
+# 1.25, seed 780228) the traced peak of a check is about 0.06 MB per block
+# of 16, against 1.1 MB for all 500 in one batch.
 MORREY_BLOCK = 16
-# Halvings of each band piece before the Morrey ladder gives up.
+# Equal panels of the band 1/2 <= s <= 1 in the table of each p; 8 to 64
+# ran alike in morrey_d1, 128 slower.
+_BAND_PANELS = 32
+# Halvings of each table panel or partial piece before the Morrey ladder
+# gives up.
 _MORREY_HALVINGS = 6
 # Two successive levels of a band piece agree to this, relative.
 _MORREY_REL_TOL = 1e-10
@@ -97,6 +107,62 @@ def _morrey_inputs(sums, x0, x1, delta, p):
     return x0, x1, delta, p
 
 
+def _ladder(lo, hi, p):
+    """The integral of |2 s phi'(s^2)|^p over each piece [lo_i, hi_i], and
+    the index of the first piece not converged, or None.
+
+    Every piece runs the same Gauss-Legendre halving ladder, 2^level equal
+    panels at each level, and stops at the first level that agrees with
+    the one before to ``_MORREY_REL_TOL``; so its value depends on its own
+    ends alone.  A piece still live after ``_MORREY_HALVINGS`` halvings
+    keeps the value 0.
+    """
+    integrals = np.zeros(len(lo))
+    live, prev = np.arange(len(lo)), None
+    width = hi - lo
+    for level in range(_MORREY_HALVINGS + 1):
+        if not live.size:
+            break
+        steps = np.linspace(0.0, 1.0, (1 << level) + 1)
+        edges = lo[live, None] + width[live, None] * steps
+        nodes, wts = quadrature.rule_from_panels(edges[:, :-1].ravel(),
+                                                 edges[:, 1:].ravel())
+        # 2 s phi'(s^2): the nodes are offsets already, scaled by r
+        slope = profile_eval(nodes * nodes, 1) * (2.0 * nodes)
+        cur = (np.abs(slope) ** p * wts).reshape(len(live), -1).sum(axis=1)
+        if level:
+            done = (np.abs(cur - prev)
+                    <= _MORREY_REL_TOL * np.maximum(abs(cur), 1e-300))
+            integrals[live[done]] = cur[done]
+            live, cur = live[~done], cur[~done]
+        prev = cur
+    return integrals, (int(live[0]) if live.size else None)
+
+
+# a sweep reads one p; the bound keeps a process that meets many from
+# holding every table
+@lru_cache(maxsize=16)
+def _band_table(p):
+    """(edges, integrals) of the band 1/2 <= s <= 1 cut into ``_BAND_PANELS``
+    equal panels, each through :func:`_ladder`; read-only, one per p.
+
+    Raises :class:`QuadratureNotConverged`, naming p and the panel, if a
+    panel does not converge.
+    """
+    edges = np.linspace(0.5, 1.0, _BAND_PANELS + 1)
+    table, failed = _ladder(edges[:-1], edges[1:], p)
+    if failed is not None:
+        raise QuadratureNotConverged(
+            f"Morrey band table at p = {p!r}: panel "
+            f"[{float(edges[failed])!r}, {float(edges[failed + 1])!r}] not "
+            f"converged to rel {_MORREY_REL_TOL:g} after "
+            f"{1 << _MORREY_HALVINGS} panels"
+        )
+    edges.flags.writeable = False
+    table.flags.writeable = False
+    return edges, table
+
+
 def morrey_exact_batch(sums, x0, x1, delta, p):
     """(lhs, rhs) of the exact-variant check for each trial, in trial order.
 
@@ -109,10 +175,22 @@ def morrey_exact_batch(sums, x0, x1, delta, p):
     scaling law bump i adds |w_i|^p r_i^(1-p) integral |2 s phi'(s^2)|^p ds
     over the part of its band 1/2 <= s = |x - c_i| / r_i <= 1 inside
     [x0 - 2 delta, x0 + 2 delta]: at most one piece [lo, hi] per side.
-    Every piece runs its own Gauss-Legendre halving ladder, so a trial gets
-    the same bits alone as in any batch; memory grows with the batch.
-    Raises :class:`QuadratureNotConverged`, naming the interval of the
-    first such trial, if six halvings do not get a piece there.
+
+    :func:`_band_table` holds the integral over each of ``_BAND_PANELS``
+    equal panels of the band at this p.  A piece adds the panels that lie
+    inside it from the table, and runs the halving ladder :func:`_ladder`
+    on the rest: [lo, first edge] and [last edge, hi] where these are not
+    empty, or the whole piece when no panel fits in it; a whole band
+    [1/2, 1] runs no ladder at all.  Each piece's terms are summed left to
+    right, all of them positive, so the sum keeps their relative accuracy;
+    a difference of prefix sums would cancel: at p = 1.25 the band
+    integrates to about 1.35, and its first and last panels hold about
+    5e-25 and 1e-12.  A piece's value depends on its ends and the table
+    alone, so a trial gets the same bits alone as in any batch.
+
+    Raises :class:`QuadratureNotConverged` if six halvings do not get a
+    panel of the table, naming p and the panel, or a partial piece, naming
+    the interval of the first such trial.
     """
     x0, x1, delta, p = _morrey_inputs(sums, x0, x1, delta, p)
     m = len(sums)
@@ -148,32 +226,35 @@ def morrey_exact_batch(sums, x0, x1, delta, p):
     lo, hi, holder = lo[keep], hi[keep], owner.repeat(2)[keep]
     # |w|^p r^(1-p), powered once so that no factor underflows alone
     scale = ((np.abs(weights) * radii ** (1.0 / p - 1.0)) ** p).repeat(2)[keep]
-    # one halving ladder for all pieces: 2^level equal panels per live piece
-    integrals = np.zeros(len(lo))
-    live, prev = np.arange(len(lo)), None
-    for level in range(_MORREY_HALVINGS + 1):
-        if not live.size:
-            break
-        steps = np.linspace(0.0, 1.0, (1 << level) + 1)
-        edges = lo[live, None] + (hi - lo)[live, None] * steps
-        nodes, wts = quadrature.rule_from_panels(edges[:, :-1].ravel(),
-                                                 edges[:, 1:].ravel())
-        # 2 s phi'(s^2): the nodes are offsets already, scaled by r
-        slope = profile_eval(nodes * nodes, 1) * (2.0 * nodes)
-        cur = (np.abs(slope) ** p * wts).reshape(len(live), -1).sum(axis=1)
-        if level:
-            done = (np.abs(cur - prev)
-                    <= _MORREY_REL_TOL * np.maximum(abs(cur), 1e-300))
-            integrals[live[done]] = cur[done]
-            live, cur = live[~done], cur[~done]
-        prev = cur
-    if live.size:
-        t = holder[live[0]]
+    # a piece [lo, hi] adds the table's panels that lie inside it and runs
+    # the ladder on the rest: a partial panel at either end, or the whole
+    # piece when no panel fits in it.  Partial pieces run in piece order,
+    # so the first failure names the first such trial
+    edges, table = _band_table(p)
+    full = (edges[:-1] >= lo[:, None]) & (edges[1:] <= hi[:, None])
+    inner = full.any(axis=1)
+    # the outer edges of the panels inside each piece, or hi where none fits
+    first = np.where(inner, edges[full.argmax(axis=1)], hi)
+    last = np.where(inner, edges[len(table) - full[:, ::-1].argmax(axis=1)],
+                    hi)
+    ends_lo = np.stack([lo, last], axis=1)
+    ends_hi = np.stack([first, hi], axis=1)
+    has = ends_lo < ends_hi
+    parts, failed = _ladder(ends_lo[has], ends_hi[has], p)
+    if failed is not None:
+        t = holder[np.flatnonzero(has)[failed] // 2]
         raise QuadratureNotConverged(
             f"Morrey integral over [{float(a[t])!r}, {float(b[t])!r}] not "
             f"converged to rel {_MORREY_REL_TOL:g} after "
             f"{1 << _MORREY_HALVINGS} panels"
         )
+    ends = np.zeros(has.shape)
+    ends[has] = parts
+    # one left-to-right sum of positive terms per piece: its left end, the
+    # full panels, its right end
+    terms = np.column_stack([ends[:, 0], np.where(full, table, 0.0),
+                             ends[:, 1]])
+    integrals = np.cumsum(terms, axis=1)[:, -1]
     totals = np.bincount(holder, weights=scale * integrals, minlength=m)
     return [(lhs[t], (2.0 * d) ** (p - 1.0) * float(totals[t]))
             for t, d in enumerate(delta.tolist())]

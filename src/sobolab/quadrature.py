@@ -43,14 +43,6 @@ def rule_from_panels(lo, hi, order=GL_ORDER):
     return nodes, weights
 
 
-def integrate_1d(f, breaks):
-    """Integrate ``f`` with one Gauss-Legendre panel between each pair of
-    consecutive breakpoints."""
-    breaks = np.asarray(breaks, dtype=float)
-    nodes, weights = rule_from_panels(breaks[:-1], breaks[1:])
-    return float(np.sum(f(nodes) * weights))
-
-
 def integrate_box(f, bounds, panels, order=GL_ORDER):
     """Integrate ``f`` over the box ``bounds`` = [(a_1, b_1), ...].
 

@@ -3,7 +3,7 @@
 The ladder below is the one-trial form that the check ran before it batched
 trials: |u'|^p through :meth:`BumpSum.partial` on every node of every
 panel, with breakpoints at the support and plateau edges, one
-:func:`quadrature.integrate_1d` per level, halving every panel until two
+:func:`line_oracle.integrate_1d` per level, halving every panel until two
 levels agree to ``rel_tol``, the check's own 1e-10 by default.
 ``morrey.morrey_exact_batch`` integrates the bump profile over each bump's
 band pieces instead, so it must give the same lhs to the bit and the rhs
@@ -12,8 +12,8 @@ within 1e-9 relative.  ``tests/test_morrey.py`` runs both.
 
 import numpy as np
 
+from line_oracle import integrate_1d
 from sobolab.errors import QuadratureNotConverged
-from sobolab.quadrature import integrate_1d
 
 
 def morrey_trial_oracle(u, x0, x1, delta, p, rel_tol=1e-10):

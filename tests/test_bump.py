@@ -923,6 +923,15 @@ class TestModuli:
         pytest.param(lambda ls: [ls[0], ls[1].replace("k=1", "k=4")]
                      + ls[2:], "line 2: derivative orders capped",
                      id="header-invalid-params"),
+        # int() alone reads an Arabic-Indic one as d = 1 and 1_6 as 16
+        pytest.param(lambda ls: [ls[0], ls[1].replace("d=1", "d=\u0661")]
+                     + ls[2:], "line 2: cannot read d=", id="header-unicode"),
+        pytest.param(lambda ls: ls[:2]
+                     + [ls[2].replace("panels=", "panels=1_")] + ls[3:],
+                     "line 3: cannot read panels=",
+                     id="meta-underscore"),
+        pytest.param(lambda ls: ls[:-1] + ["\u0661 " + ls[-1].split()[1]],
+                     "line 6: .*not an ASCII integer", id="row-unicode"),
     ])
     def test_malformed_cache_names_file_and_line(self, moduli_d1, tmp_path,
                                                  edit, where):

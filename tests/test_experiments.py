@@ -413,7 +413,8 @@ sigma_b = 0.5
     @pytest.mark.parametrize("bumps, error", [
         ("0.0 0.2 1.5\n    0.6 nan -0.5", "line 2: non-numeric or non-finite"),
         ("0.0 0.2 1.5\n    0.3 0.2 -0.5", "supports of bumps 0 and 1 overlap"),
-    ], ids=["nan", "overlap"])
+        ("0.0 0.2 1_5", "line 1: non-numeric or non-finite"),
+    ], ids=["nan", "overlap", "underscore"])
     def test_config_bad_bumps_name_the_key(self, tmp_path, bumps, error):
         ini = tmp_path / "cfg.ini"
         ini.write_text(MINIMAL_INI.replace(

@@ -108,6 +108,15 @@ class TestDataset:
         with pytest.raises(MalformedInput, match=r"ds\.csv: line 3"):
             geometry.load_dataset(path)
 
+    # float() alone reads each of these cells; save_dataset writes none
+    @pytest.mark.parametrize("cell", ["2_0", "\u0662.0", " 2.0"],
+                             ids=["underscore", "unicode", "space"])
+    def test_csv_non_ascii_cell_names_file_and_line(self, tmp_path, cell):
+        path = tmp_path / "ds.csv"
+        path.write_text(f"x_1,y\n0.0,1.0\n0.5,{cell}\n", encoding="utf-8")
+        with pytest.raises(MalformedInput, match=r"ds\.csv: line 3"):
+            geometry.load_dataset(path)
+
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_non_finite_rejected(self, bad):
         pts = np.array([[0.0], [1.0], [2.0]])

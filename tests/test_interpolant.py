@@ -387,6 +387,11 @@ class TestCsv:
          MalformedInput, "line 1: shrink=-3.0 is outside"),
         ("# k=1 p=1.25 d=1 shrink=0.0\nc_1,radius,weight\n0.0,0.25,1.0\n",
          MalformedInput, "line 1: shrink=0.0 is outside"),
+        # float() alone reads 1_2.5 as 12.5 and an Arabic-Indic zero as 0
+        ("# k=1 p=1_2.5 d=1 shrink=1.0\nc_1,radius,weight\n0.0,0.25,1.0\n",
+         MalformedInput, "line 1: cannot read p="),
+        ("# k=1 p=1.25 d=1 shrink=1.0\nc_1,radius,weight\n"
+         "\u0660.0,0.25,1.0\n", MalformedInput, "line 3"),
     ])
     def test_malformed_file_names_file_and_line(self, tmp_path, text, error,
                                                 where):

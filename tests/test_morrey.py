@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from morrey_oracle import morrey_trial_oracle
-from sobolab import bump, morrey
+from sobolab import bump, morrey, quadrature
 from sobolab.errors import (
     ConfigInvalid,
     InvalidRange,
@@ -29,6 +29,15 @@ from sobolab.morrey import (
 )
 
 ROOT = Path(__file__).resolve().parent.parent
+
+
+@pytest.fixture(autouse=True)
+def _fresh_band_tables():
+    """Each test builds the band tables it reads: a table cached by an
+    earlier test would let a patched ladder pass or fail by test order."""
+    morrey._band_table.cache_clear()
+    yield
+    morrey._band_table.cache_clear()
 
 
 @st.composite
@@ -97,28 +106,87 @@ class TestMorrey:
 
     def test_unconverged_integral_raises(self, monkeypatch):
         # the smooth integrand settles to the last bit within six halvings,
-        # so only a ladder with no halving left is out of reach
+        # so only a ladder with no halving left is out of reach; the table
+        # is built first, so the trial's own partial pieces, s in
+        # [0.890625, 0.9] on each side, fail
+        morrey._band_table(2.0)
         monkeypatch.setattr(morrey, "_MORREY_HALVINGS", 0)
         u = bump.BumpSum(centers=[[0.0]], radii=[1.0], weights=[1.0])
-        with pytest.raises(QuadratureNotConverged, match="not converged"):
-            morrey_exact_trial(u, 0.0, 0.8, 0.9, 2.0)
+        with pytest.raises(QuadratureNotConverged,
+                           match=r"over \[-0\.9, 0\.9\] not converged"):
+            morrey_exact_trial(u, 0.0, 0.4, 0.45, 2.0)
 
     def test_unconverged_batch_names_first_trial(self, monkeypatch):
-        # neither trial converges without a halving; the error names the
-        # interval of the first
+        # neither trial's partial pieces converge without a halving (s in
+        # [0.890625, 0.9] for u, and the end of [0.5, 6/7] for v); the
+        # error names the interval of the first
+        morrey._band_table(2.0)
         monkeypatch.setattr(morrey, "_MORREY_HALVINGS", 0)
-        u = bump.BumpSum(centers=[[0.0]], radii=[1.0], weights=[1.0])
-        v = bump.BumpSum(centers=[[0.5]], radii=[0.25], weights=[-2.0])
+        u = bump.BumpSum(centers=[[0.0]], radii=[2.0], weights=[1.0])
+        v = bump.BumpSum(centers=[[0.5]], radii=[0.35], weights=[-2.0])
         with pytest.raises(QuadratureNotConverged) as caught:
             morrey_exact_batch([u, v], [0.0, 0.4], [0.8, 0.5], [0.9, 0.1],
                                2.0)
         assert re.search(r"over \[-1\.8, 1\.8\] not converged to rel 1e-10 "
                          r"after 1 panels", str(caught.value))
 
+    @pytest.mark.parametrize("x0, delta, panels", [
+        (0.0, 0.5, slice(None)),        # both bands whole: every panel
+        (65 / 256, 1 / 512, slice(1)),  # s in [0.5, 0.515625]: panel 0
+    ])
+    def test_whole_panels_run_no_ladder(self, monkeypatch, x0, delta,
+                                        panels):
+        # a piece made of whole panels adds the table's entries and runs no
+        # ladder, so it needs no halving once the table is built
+        _, table = morrey._band_table(2.0)
+        monkeypatch.setattr(morrey, "_MORREY_HALVINGS", 0)
+        u = bump.BumpSum(centers=[[0.0]], radii=[0.5], weights=[1.0])
+        _, rhs = morrey_exact_trial(u, x0, x0, delta, 2.0)
+        sides = 2 if x0 == 0.0 else 1
+        want = 2.0 * delta * sides * 2.0 * math.fsum(table[panels])
+        assert rhs == pytest.approx(want, rel=1e-14)
+
+    def test_unconverged_table_names_p_and_panel(self, monkeypatch):
+        # with no halving left, the first panel of the table is out of reach
+        monkeypatch.setattr(morrey, "_MORREY_HALVINGS", 0)
+        u = bump.BumpSum(centers=[[0.0]], radii=[1.0], weights=[1.0])
+        with pytest.raises(QuadratureNotConverged) as caught:
+            morrey_exact_trial(u, 0.0, 0.8, 0.9, 2.0)
+        assert str(caught.value) == (
+            "Morrey band table at p = 2.0: panel [0.5, 0.515625] not "
+            "converged to rel 1e-10 after 1 panels")
+
+    def test_check_evaluates_few_nodes(self, params_d1, monkeypatch):
+        # the morrey_d1 sweep's trials: one ladder over each whole band
+        # piece took 624 720 nodes, and a ladder on both end panels of
+        # every piece 212 336; the band table (built here) and the partial
+        # panels alone take 7 264
+        nodes = []
+        rule = quadrature.rule_from_panels
+
+        def counted(lo, hi, *args, **kwargs):
+            out = rule(lo, hi, *args, **kwargs)
+            nodes.append(len(out[0]))
+            return out
+
+        monkeypatch.setattr(quadrature, "rule_from_panels", counted)
+        assert params_d1.p == 1.25
+        rep = morrey_check(params_d1, trials=500, seed=780228)
+        assert rep.violations == []
+        assert sum(nodes) < 624720 // 20
+
     @pytest.mark.parametrize("x0, delta", [
         (2.0, 0.1),      # [a, b] meets no bump: the integral is exactly 0
         (0.35, 0.05),    # [a, b] covers the outer half of the band only
         (0.1, 0.05),     # inside the plateau: u' = 0 on all of [a, b]
+        # s in [0.50625, 0.51125], inside the table's first panel, which
+        # holds about 5e-25 of the band at p = 1.25
+        (0.2035, 0.0005),
+        # s in [0.9875, 0.9975], inside the table's last panel
+        (0.397, 0.001),
+        # s in [0.5025, 0.9975]: partial first and last panels round the
+        # 30 full panels between
+        (0.3, 0.0495),
     ])
     def test_edge_intervals_match_oracle(self, x0, delta):
         u = bump.BumpSum(centers=[[0.0]], radii=[0.4], weights=[1.5])

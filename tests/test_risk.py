@@ -8,6 +8,7 @@ from sobolab.errors import UnsupportedSpec
 from sobolab.geometry import Dataset
 from sobolab.model import DistributionSpec
 
+from line_oracle import integrate_1d
 from loss_gap import excess_risk_loss_gap_mc
 
 
@@ -117,7 +118,7 @@ class TestBayesRisk:
                                 sigma_a=0.5, sigma_b=2.0)
         est = risk.bayes_risk_mc(spec, 400_000, seed=7)
         # E ||x||^2 on the uniform ball via the radial quadrature oracle
-        moment = quadrature.integrate_1d(
+        moment = integrate_1d(
             lambda r: 2 * math.pi * r ** 3 / spec.volume,
             np.linspace(0, 1, 5))
         want = 0.5 + 2.0 * moment
