@@ -21,6 +21,7 @@ same seed and config are byte-identical, whatever the thread count.
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import sys
 from pathlib import Path
@@ -128,19 +129,20 @@ def cmd_check(args):
     degrees = geometry.in_degrees(geometry.nn_graph(ds))
     worst = int(degrees.max())
     print(f"in-degree: max {worst} (bound {tau})")
-    failures += int(worst > tau)
+    failures += int(not worst <= tau)
 
     moduli = _load_moduli_or_build(args, params)
     f = interpolant.build(ds, radii, 1.0, params)
     resid = float(np.max(interpolant.interpolation_residual(f, ds)))
     print(f"interpolation: max residual {resid:.3e} "
           f"(tolerance {interpolant.INTERPOLATION_TOL:g})")
-    failures += int(resid > interpolant.INTERPOLATION_TOL)
+    failures += int(not resid <= interpolant.INTERPOLATION_TOL)
 
     norm_p = interpolant.sobolev_norm(f, moduli) ** params.p
     bound = interpolant.min_norm_upper_bound(ds, radii, moduli)
     print(f"norm bound: norm^p = {norm_p:.6g} <= {bound:.6g}")
-    failures += int(norm_p > bound)
+    # a NaN fails, and so does an infinite bound, which inf would meet
+    failures += int(not norm_p <= bound < math.inf)
 
     print("all checks passed" if failures == 0 else f"{failures} check(s) failed")
     return EXIT_OK if failures == 0 else EXIT_CONTRACT

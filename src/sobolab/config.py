@@ -41,29 +41,38 @@ import configparser
 from .bump import BumpSum, SobolevParams
 from .errors import ConfigInvalid, SobolabError
 from .experiments import SweepConfig
-from .geometry import _float_rows
+from .geometry import _float_literal, _float_rows, _int_literal
 from .model import DistributionSpec
 
 
+def _float_value(raw):
+    """An ASCII decimal literal's float (:func:`_float_literal`); the words
+    inf, -inf and nan pass, for the range checks to name the field."""
+    return float(raw) if raw in ("inf", "-inf", "nan") else _float_literal(raw)
+
+
 def _float_tuple(raw):
-    return tuple(float(v) for v in raw.split())
+    return tuple(_float_value(v) for v in raw.split())
 
 
 def _int_tuple(raw):
-    return tuple(int(v) for v in raw.split())
+    return tuple(_int_literal(v) for v in raw.split())
 
 
 # section -> ini key -> (field, parser).  The two ground-truth keys of
-# [distribution] together make DistributionSpec.ground_truth.
+# [distribution] together make DistributionSpec.ground_truth.  Numbers are
+# ASCII literals, as every reader of the lab takes them: int() and float()
+# alone would also read Unicode digits and underscores.
 _KEYS = {
-    "params": {"k": ("k", int), "p": ("p", float), "d": ("d", int)},
+    "params": {"k": ("k", _int_literal), "p": ("p", _float_value),
+               "d": ("d", _int_literal)},
     "distribution": {
-        "radius": ("radius", float),
+        "radius": ("radius", _float_value),
         "density": ("density", str.strip),
-        "tilt": ("tilt", float),
+        "tilt": ("tilt", _float_value),
         "sigma": ("sigma_kind", str.strip),
-        "sigma_a": ("sigma_a", float),
-        "sigma_b": ("sigma_b", float),
+        "sigma_a": ("sigma_a", _float_value),
+        "sigma_b": ("sigma_b", _float_value),
         "ground_truth": ("ground_truth", str.strip),
         "bumps": ("bumps", str),
     },
@@ -71,17 +80,17 @@ _KEYS = {
         "id": ("config_id", str.strip),
         "kind": ("kind", str.strip),
         "n_grid": ("n_grid", _int_tuple),
-        "trials": ("trials", int),
-        "seed": ("master_seed", int),
-        "shrink": ("shrink", float),
+        "trials": ("trials", _int_literal),
+        "seed": ("master_seed", _int_literal),
+        "shrink": ("shrink", _float_value),
         "shrink_grid": ("shrink_grid", _float_tuple),
-        "beta": ("beta", float),
+        "beta": ("beta", _float_value),
         "predictor": ("predictor", str.strip),
-        "nu": ("kernel_nu", float),
-        "lengthscale": ("kernel_lengthscale", float),
-        "mc_samples": ("mc_samples", int),
-        "plateau_ratio": ("plateau_ratio", float),
-        "risk_floor": ("risk_floor", float),
+        "nu": ("kernel_nu", _float_value),
+        "lengthscale": ("kernel_lengthscale", _float_value),
+        "mc_samples": ("mc_samples", _int_literal),
+        "plateau_ratio": ("plateau_ratio", _float_value),
+        "risk_floor": ("risk_floor", _float_value),
     },
 }
 

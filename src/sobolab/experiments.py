@@ -242,7 +242,8 @@ def _structural_violations(dataset, radii, f=None):
 
 
 def _interpolation_violations(residual):
-    return int(np.count_nonzero(residual > interpolant.INTERPOLATION_TOL))
+    """Residuals not within the tolerance; a NaN is one."""
+    return int(np.count_nonzero(~(residual <= interpolant.INTERPOLATION_TOL)))
 
 
 def _violation_contracts(total, sweep):
@@ -272,7 +273,8 @@ def _norm_trial(config, moduli, ds, radii, n, trial):
     norm_p = interpolant.sobolev_norm(f, moduli) ** params.p
     bound = interpolant.min_norm_upper_bound(ds, radii, moduli)
     checks = _structural_violations(ds, radii, f)
-    checks["norm_bound"] = int(norm_p > bound)
+    # a NaN fails, and so does an infinite bound, which inf would meet
+    checks["norm_bound"] = int(not norm_p <= bound < math.inf)
     return [("norm_p", norm_p), ("norm_bound", bound)], checks
 
 

@@ -162,10 +162,15 @@ def _nn_sq_dists_brute(points):
 def _nn_sq_dists_tree(points):
     n = len(points)
     tree = cKDTree(points)
-    _, idx = tree.query(points, k=min(5, n))
-    # The point itself and four candidates.  Recompute candidate distances with the shared arithmetic; the tree is
-    # only trusted to shortlist, never to produce the final number.  Where
-    # its own squared distance overflows it finds no candidate: index n.
+    _, idx = tree.query(points, k=2)
+    # The point itself and one candidate, whose distance is recomputed with
+    # the shared arithmetic: the tree is only trusted to shortlist, never to
+    # produce the final number.  One candidate is enough in d <= 3 (the
+    # lab's dimensions): there the tree's squared distance sums the squares
+    # left to right, as _sq_norm does, so its nearest other point is
+    # _sq_norm's, near-ties included.  A coincident point may come before
+    # the point itself; both are at 0.  Where its own squared distance
+    # overflows it finds no candidate: index n.
     missing = idx == n
     cand = _sq_norm(points[:, None, :]
                     - np.take(points, np.where(missing, 0, idx), axis=0))

@@ -5,17 +5,19 @@ how far each oscillates within a ball against its local Sobolev norm there.
 In d = k = 1 it checks the exact Hoelder inequality, and in any other
 setting it runs a boundedness diagnostic across a grid of ball radii.
 
-The exact variant draws ``MORREY_BLOCK`` trials at a time and checks each
-block as one batch (:func:`morrey_exact_batch`).  Disjoint supports split
-each trial's integral of |u'|^p into one integral per bump, which the bump
-scaling law turns into a profile integral over the part of the band
-1/2 <= |x - c| / r <= 1 in the trial's interval.  That integrand depends
-on p alone, so the band is integrated once per p on fixed equal panels
-(:func:`_band_table`).  A band piece adds the panels that lie inside it
-from the table and runs the Gauss-Legendre halving ladder
+The exact variant draws ``MORREY_BLOCK`` trials at a time straight into
+flat arrays (:func:`_draw_block`), with no bump-sum object per trial, and
+checks each block as one batch (:func:`_exact_block`).  Disjoint supports
+split each trial's integral of |u'|^p into one integral per bump, which
+the bump scaling law turns into a profile integral over the part of the
+band 1/2 <= |x - c| / r <= 1 in the trial's interval.  That integrand
+depends on p alone, so the band is integrated once per p on fixed equal
+panels (:func:`_band_table`).  A band piece adds the panels that lie
+inside it from the table and runs the Gauss-Legendre halving ladder
 (:func:`_ladder`) only on the partial panels at its ends.  Each piece's
 value depends on its own ends and the table alone, so every trial gets
-the same bits alone as in any batch.
+the same bits alone as in any batch, from the drawn arrays or from
+:class:`~sobolab.bump.BumpSum` objects (:func:`morrey_exact_batch`).
 """
 
 from __future__ import annotations
@@ -38,12 +40,17 @@ from .errors import (
 )
 from .geometry import _sq_norm
 
-# Trials that morrey_check draws and checks at once; it bounds the node
-# arrays of the partial panels' ladder and the temporaries of
-# bump._band_derivatives on them.  For the 500 trials of morrey_d1 (p =
-# 1.25, seed 780228) the traced peak of a check is about 0.06 MB per block
-# of 16, against 1.1 MB for all 500 in one batch.
-MORREY_BLOCK = 16
+# Trials that morrey_check draws and checks at once.  A block's draws go
+# into flat arrays that one guard checks (_draw_block), and the block
+# bounds the node arrays of the partial panels' ladder and the temporaries
+# of bump._band_derivatives on them.  Each block's check pays a fixed
+# cost in small numpy calls, most of them in the ladder's levels: for the
+# 500 trials of morrey_d1 (p = 1.25, seed 780228) on one core of a 2-core
+# x86 host, the checks took about 0.9, 0.6 and 0.4 times as long as the
+# draws in blocks of 16, 32 and 64.  The traced peak of that check is
+# about 0.09 MB in blocks of 32 (0.17 MB in blocks of 64), against 1.1 MB
+# for all 500 in one batch.
+MORREY_BLOCK = 32
 # Equal panels of the band 1/2 <= s <= 1 in the table of each p; 8 to 64
 # ran alike in morrey_d1, 128 slower.
 _BAND_PANELS = 32
@@ -88,23 +95,113 @@ def _random_bump_sum(rng, d):
     return BumpSum(centers=centers, radii=radii, weights=weights, _nn_sq=nn_sq)
 
 
-def _morrey_inputs(sums, x0, x1, delta, p):
-    """One batch's inputs, checked: arrays x0, x1, delta and a float p."""
+def _checked_p(p):
+    """p as a float, checked to lie in [1, inf)."""
     p = float(p)
     if not (math.isfinite(p) and p >= 1.0):
         raise InvalidRange(f"p must lie in [1, inf), got {p}")
+    return p
+
+
+def _check_balls(x0, x1, delta):
+    """Raise unless the arrays x0, x1 and delta are finite and delta > 0."""
+    for name, v in (("x0", x0), ("x1", x1), ("delta", delta)):
+        if not np.isfinite(v).all():
+            raise MalformedInput(f"{name} must be finite")
+    if not np.all(delta > 0.0):
+        raise NonpositiveRadius("delta must be positive")
+
+
+def _morrey_inputs(sums, x0, x1, delta, p):
+    """One batch's inputs, checked: arrays x0, x1, delta and a float p."""
+    p = _checked_p(p)
     x0, x1, delta = (np.array(v, dtype=float).reshape(-1)
                      for v in (x0, x1, delta))
     if not len(sums) == len(x0) == len(x1) == len(delta):
         raise MismatchedLengths("sums, x0, x1 and delta must align")
     if not all(u.dim == 1 for u in sums):
         raise MismatchedLengths("the exact Morrey check takes bump sums in d = 1")
-    for name, v in (("x0", x0), ("x1", x1), ("delta", delta)):
-        if not np.isfinite(v).all():
-            raise MalformedInput(f"{name} must be finite")
-    if not np.all(delta > 0.0):
-        raise NonpositiveRadius("delta must be positive")
+    _check_balls(x0, x1, delta)
     return x0, x1, delta, p
+
+
+def _sorted_nn_sq(c):
+    """Each of the floats c's squared distance to its nearest other one,
+    from its neighbours in sorted order.
+
+    These are the bits of :func:`geometry._nn_sq_dists` on the column c:
+    a - b and b - a differ only in sign, and the rounded difference of
+    sorted values is monotone in the gap, so no farther value comes
+    nearer."""
+    order = sorted(range(len(c)), key=c.__getitem__)
+    nn_sq = [math.inf] * len(c)
+    for i, j in zip(order, order[1:]):
+        gap = c[j] - c[i]
+        gap *= gap
+        nn_sq[i] = min(nn_sq[i], gap)
+        nn_sq[j] = min(nn_sq[j], gap)
+    return nn_sq
+
+
+def _draw_block(rng, count):
+    """``count`` exact-variant trials drawn into flat arrays: (centers,
+    radii, weights, owner, x0, x1, delta), centers of shape (bumps, 1) and
+    owner the trial of each bump.
+
+    Each trial draws what :func:`_random_bump_sum` draws in d = 1 and then
+    x0, delta and x1, in this order: the same stream and the same bits as
+    a bump sum and its ball drawn one after another.  One guard per block
+    then runs every check that :class:`~sobolab.bump.BumpSum` and
+    :func:`morrey_exact_batch` make, with their error classes: finite
+    centers and weights (:class:`MalformedInput`), finite and positive
+    radii (:class:`NonpositiveRadius`), the packing certificate 2 r_i <=
+    sqrt(nn_i) of every bump that is not alone in its trial
+    (:class:`MismatchedLengths`), finite x0, x1 and delta and delta > 0.
+    The certificate is stricter than a bump sum's overlap search, which
+    only runs when the certificate fails; the draw always passes it.
+    """
+    centers, radii, weights, nn_sq, sizes = [], [], [], [], []
+    x0, x1, delta = [], [], []
+    for _ in range(count):
+        m = int(rng.integers(1, 6))
+        while True:
+            c = rng.uniform(-1.0, 1.0, size=m).tolist()
+            if m == 1:
+                q = [math.inf]
+                r = [rng.uniform(0.1, 0.5)]
+                break
+            q = _sorted_nn_sq(c)
+            if min(q) > 0:
+                r = [s * math.sqrt(g) / 2.0 for s, g in
+                     zip(rng.uniform(0.3, 0.999, size=m).tolist(), q)]
+                break
+        centers += c
+        radii += r
+        nn_sq += q
+        sizes.append(m)
+        weights += rng.normal(0.0, 2.0, size=m).tolist()
+        a = rng.uniform(-1.5, 1.5)
+        d = rng.uniform(*_DELTA_RANGE)
+        x0.append(a)
+        delta.append(d)
+        x1.append(a + rng.uniform(-1.0, 1.0) * d)
+    centers, radii, weights, nn_sq, x0, x1, delta = (
+        np.array(v, dtype=float)
+        for v in (centers, radii, weights, nn_sq, x0, x1, delta))
+    sizes = np.array(sizes)
+    owner = np.repeat(np.arange(count), sizes)
+    if not (np.isfinite(centers).all() and np.isfinite(weights).all()):
+        raise MalformedInput("centers and weights must be finite")
+    if not (np.isfinite(radii).all() and np.all(radii > 0.0)):
+        raise NonpositiveRadius("all support radii must be finite and positive")
+    certified = ((sizes[owner] == 1) | np.isfinite(nn_sq)) & (
+        2.0 * radii <= np.sqrt(nn_sq))
+    if not certified.all():
+        t = int(owner[np.argmin(certified)])
+        raise MismatchedLengths(
+            f"trial {t}: a support radius exceeds half its nearest-centre gap")
+    _check_balls(x0, x1, delta)
+    return centers[:, None], radii, weights, owner, x0, x1, delta
 
 
 def _ladder(lo, hi, p):
@@ -164,9 +261,25 @@ def _band_table(p):
 
 
 def morrey_exact_batch(sums, x0, x1, delta, p):
-    """(lhs, rhs) of the exact-variant check for each trial, in trial order.
+    """(lhs, rhs) of the exact-variant check for each trial, in trial order:
+    the bump sums ``sums`` (d = 1) and their balls, checked and
+    concatenated, through :func:`_exact_block`."""
+    x0, x1, delta, p = _morrey_inputs(sums, x0, x1, delta, p)
+    if not len(sums):
+        return []
+    centers = np.concatenate([u.centers for u in sums])
+    radii = np.concatenate([u.radii for u in sums])
+    weights = np.concatenate([u.weights for u in sums])
+    owner = np.repeat(np.arange(len(sums)), [u.n for u in sums])
+    return _exact_block(centers, radii, weights, owner, x0, x1, delta, p)
 
-    Trial t checks, for the d = 1 bump sum u = ``sums[t]``,
+
+def _exact_block(centers, radii, weights, owner, x0, x1, delta, p):
+    """(lhs, rhs) of the exact-variant check for each of the m = len(x0)
+    trials of checked flat arrays, in trial order; ``owner`` names the
+    trial of each bump, in trial order.
+
+    Trial t checks, for the d = 1 bump sum u of its bumps,
 
         |u(x1) - u(x0)|^p <= (2 delta)^(p-1) integral_{B(x0, 2 delta)} |u'|^p,
 
@@ -192,14 +305,7 @@ def morrey_exact_batch(sums, x0, x1, delta, p):
     panel of the table, naming p and the panel, or a partial piece, naming
     the interval of the first such trial.
     """
-    x0, x1, delta, p = _morrey_inputs(sums, x0, x1, delta, p)
-    m = len(sums)
-    if not m:
-        return []
-    centers = np.concatenate([u.centers for u in sums])
-    radii = np.concatenate([u.radii for u in sums])
-    weights = np.concatenate([u.weights for u in sums])
-    owner = np.repeat(np.arange(m), [u.n for u in sums])
+    m = len(x0)
 
     def own_supports(pts):
         """(bump, point, u) of point t and t + m with the bumps of trial t
@@ -213,7 +319,8 @@ def morrey_exact_batch(sums, x0, x1, delta, p):
 
     at = _sum_over_pairs((0,), centers, radii, weights,
                          np.concatenate([x1, x0])[:, None], own_supports)
-    lhs = [abs(float(at[t]) - float(at[m + t])) ** p for t in range(m)]
+    at = at.tolist()
+    lhs = [abs(a - b) ** p for a, b in zip(at, at[m:])]
 
     # each bump's band pieces in s = (c - x) / r on its left, then in
     # s = (x - c) / r on its right, in trial order
@@ -285,40 +392,32 @@ def _local_sobolev_norm_p(u, x0, delta, params, indices):
     return total ** params.p
 
 
-def _morrey_draw(rng):
-    """One exact-variant trial: a bump sum, x0, delta and x1, drawn in this
-    order."""
-    u = _random_bump_sum(rng, 1)
-    x0 = float(rng.uniform(-1.5, 1.5))
-    delta = float(rng.uniform(*_DELTA_RANGE))
-    x1 = x0 + float(rng.uniform(-1.0, 1.0)) * delta
-    return u, x0, x1, delta
-
-
 def morrey_check(params, trials, seed):
     """Randomized verification of the local oscillation bound.
 
     d = 1, k = 1: the exact Hoelder inequality with 1e-9 slack, zero
-    violations expected.  The trials are drawn ``MORREY_BLOCK`` at a time,
-    in the order of one trial after another, and each block goes through
-    :func:`morrey_exact_batch` as one batch.  Otherwise: a boundedness
-    diagnostic of the ratio |u(x1)-u(x0)|^p / (delta^(kp-d)
-    ||u||^p_{local}) across a delta grid.
+    violations expected; a NaN on either side, or an infinite right-hand
+    side, counts as a violation.  The trials are drawn ``MORREY_BLOCK`` at
+    a time into flat arrays (:func:`_draw_block`), in the order of one
+    trial after another, and each block is checked as one batch
+    (:func:`_exact_block`).  Otherwise: a boundedness diagnostic of the
+    ratio |u(x1)-u(x0)|^p / (delta^(kp-d) ||u||^p_{local}) across a delta
+    grid.
     """
     if (not isinstance(trials, (int, np.integer)) or isinstance(trials, bool)
             or trials < 1):
         raise ConfigInvalid(f"trials: need at least 1, got {trials!r}")
     rng = np.random.default_rng(np.random.SeedSequence([seed, 0x30]))
     if params.d == 1 and params.k == 1:
+        p = _checked_p(params.p)
         report = MorreyReport(variant="exact", trials=trials)
         for start in range(0, trials, MORREY_BLOCK):
-            draws = [_morrey_draw(rng)
-                     for _ in range(start, min(start + MORREY_BLOCK, trials))]
-            sums, x0s, x1s, deltas = zip(*draws)
-            checked = morrey_exact_batch(sums, x0s, x1s, deltas, params.p)
-            for t, (lhs, rhs), (_, x0, x1, delta) in zip(
-                    range(start, trials), checked, draws):
-                if lhs > rhs + 1e-9:
+            block = _draw_block(rng, min(MORREY_BLOCK, trials - start))
+            x0s, x1s, deltas = (v.tolist() for v in block[4:])
+            for t, (lhs, rhs), x0, x1, delta in zip(
+                    range(start, trials), _exact_block(*block, p), x0s,
+                    x1s, deltas):
+                if not lhs <= rhs + 1e-9 < math.inf:
                     report.violations.append(
                         {"trial": t, "lhs": lhs, "rhs": rhs, "x0": x0,
                          "x1": x1, "delta": delta})

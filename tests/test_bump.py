@@ -655,8 +655,10 @@ class TestBumpSum:
 
     def test_morrey_batch_forms_no_offsets_again(self, monkeypatch):
         rng = np.random.default_rng(18)
-        draws = [morrey._morrey_draw(rng) for _ in range(8)]
-        sums, x0, x1, delta = zip(*draws)
+        sums = [morrey._random_bump_sum(rng, 1) for _ in range(8)]
+        x0 = rng.uniform(-1.5, 1.5, size=8)
+        delta = rng.uniform(0.01, 0.75, size=8)
+        x1 = x0 + rng.uniform(-1.0, 1.0, size=8) * delta
         want = morrey.morrey_exact_batch(sums, x0, x1, delta, 1.25)
         _refuse_offsets(monkeypatch)
         assert morrey.morrey_exact_batch(sums, x0, x1, delta, 1.25) == want

@@ -121,6 +121,29 @@ class TestInterpNorm:
         assert "Traceback" not in err
 
 
+class TestCheckNonFinite:
+    """A NaN fails each zero-tolerance check of ``check``, and so does an
+    infinite norm bound."""
+
+    @pytest.mark.parametrize("module, name, stub", [
+        (geometry, "kissing_number", lambda d: float("nan")),
+        (interpolant, "interpolation_residual",
+         lambda f, ds: np.full(ds.n, np.nan)),
+        (interpolant, "sobolev_norm", lambda f, moduli: float("nan")),
+        # inf <= inf would hold
+        (interpolant, "min_norm_upper_bound",
+         lambda ds, radii, moduli: float("inf")),
+    ], ids=["in-degree", "residual", "norm-bound", "infinite-bound"])
+    def test_nan_fails(self, cfg, dataset_csv, capsys, monkeypatch, module,
+                       name, stub):
+        monkeypatch.setattr(module, name, stub)
+        assert main(["check", "--config", str(cfg), "--data",
+                     str(dataset_csv)]) == 1
+        out = capsys.readouterr().out
+        assert out.endswith("1 check(s) failed\n")
+        assert "all checks passed" not in out
+
+
 class TestModuliCache:
     def test_build_and_reuse(self, cfg, tmp_path, dataset_csv):
         assert main(["moduli", "--config", str(cfg),
@@ -327,6 +350,25 @@ class TestSweepCommand:
                      "--out", str(tmp_path / "out")]) == 2
         assert capsys.readouterr().err == (
             "error: sweep.trials: cannot parse '5%'\n")
+
+    @pytest.mark.parametrize("section, old, new", [
+        ("sweep", "trials = 5", "trials = \u0665"),
+        ("params", "p = 1.25", "p = 1_2.5"),
+        ("sweep", "n_grid = 32 64 128 256", "n_grid = 32 64 128 2_56"),
+        ("sweep", "trials = 5", "trials = 5\nshrink_grid = 1.0 \u0660.5"),
+    ], ids=["int", "float", "int-grid", "float-grid"])
+    def test_non_ascii_number_usage_error(self, tmp_path, capsys, section,
+                                          old, new):
+        # int() and float() alone would read Arabic-Indic digits and
+        # underscores
+        bad = tmp_path / "literal.ini"
+        bad.write_text(BASE_INI.replace(old, new), encoding="utf-8")
+        key, raw = new.splitlines()[-1].split(" = ")
+        assert main(["sweep", "--config", str(bad), "--seed", "1",
+                     "--out", str(tmp_path / "out")]) == 2
+        assert capsys.readouterr().err == (
+            f"error: {section}.{key}: cannot parse {raw!r}\n")
+        assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("line", ["plateau_ratio = nan",
                                       "risk_floor = -1"])

@@ -212,6 +212,26 @@ class TestNormTrial:
         assert checks == {"packing": 0, "interpolation": 0, "norm_bound": 0}
         assert [name for name, _ in metrics] == ["norm_p", "norm_bound"]
 
+    @pytest.mark.parametrize("name, stub", [
+        # a NaN norm compares False with its bound
+        ("sobolev_norm", lambda f, moduli: math.nan),
+        # every norm meets an infinite bound, inf included
+        ("min_norm_upper_bound", lambda ds, radii, moduli: math.inf),
+    ], ids=["nan-norm", "infinite-bound"])
+    def test_non_finite_fails_the_bound(self, pure_noise_d1, monkeypatch,
+                                        name, stub):
+        monkeypatch.setattr(interpolant, name, stub)
+        cfg = small_config(pure_noise_d1)
+        result = experiments.run_sweep(cfg)
+        contract, = [c for c in result.contracts
+                     if c.name == "norm_vs_n.norm_bound_violations"]
+        assert contract.observed == len(cfg.n_grid) * cfg.trials
+        assert not contract.passed
+
+    def test_non_finite_residuals_are_violations(self):
+        residual = np.array([0.0, np.nan, np.inf, -np.inf])
+        assert experiments._interpolation_violations(residual) == 2
+
     def test_gamma_trial_builds_only_the_datasets_tree(self, params_d2,
                                                        moduli_d2, monkeypatch):
         # the Monte Carlo risk of every shrink pairs its points with the

@@ -2,7 +2,7 @@ import itertools
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import assume, given
 from hypothesis import strategies as st
 
 from sobolab import geometry, interpolant, model
@@ -162,6 +162,35 @@ class TestDataset:
         assert ds.nn_sq_dists[-2:].tolist() == [1.0, 1.0]
         alone = Dataset(points=near, labels=np.zeros(70))
         assert ds.nn_sq_dists[:-2].tobytes() == alone.nn_sq_dists.tobytes()
+
+    @given(st.integers(0, 2 ** 32 - 1))
+    def test_tree_shortlist_on_near_ties(self, seed):
+        """The tree's one candidate is the brute-force nearest neighbour,
+        bit for bit, on near-ties that the grouping of the squares decides.
+
+        Each query point x has neighbours x + a and x + b in d = 3, b the
+        coordinates of a rotated, so |a| = |b| exactly; offsets are
+        multiples of 2^-40 on integer bases, so the points hold them
+        exactly, and only the rounding of the sum of squares tells the two
+        apart.  Some of them (about one in eight) are ordered one way by a
+        left-to-right sum and the other way by a right-grouped one."""
+        rng = np.random.default_rng(seed)
+        base = rng.integers(-1000, 1000, size=(64, 3)) * 4.0
+        a = rng.integers(-2 ** 40, 2 ** 40, size=(64, 3)) * 2.0 ** -40
+        b = np.roll(a, 1, axis=1)
+
+        def squares(v, grouped):
+            s = v * v
+            if grouped:
+                return s[:, 0] + (s[:, 1] + s[:, 2])
+            return (s[:, 0] + s[:, 1]) + s[:, 2]
+
+        flips = (np.sign(squares(a, False) - squares(b, False))
+                 * np.sign(squares(a, True) - squares(b, True)))
+        assume((flips < 0).any())
+        pts = np.vstack([base, base + a, base + b])
+        assert (geometry._nn_sq_dists_tree(pts).tobytes()
+                == geometry._nn_sq_dists_brute(pts).tobytes())
 
     def test_nn_sq_dists_frozen(self):
         ds = line_dataset(0.0, 1.0, 3.0)

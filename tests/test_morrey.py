@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from morrey_oracle import morrey_trial_oracle
-from sobolab import bump, morrey, quadrature
+from sobolab import bump, geometry, morrey, quadrature
 from sobolab.errors import (
     ConfigInvalid,
     InvalidRange,
@@ -20,6 +20,7 @@ from sobolab.errors import (
     MismatchedLengths,
     NonpositiveRadius,
     QuadratureNotConverged,
+    SobolabError,
 )
 from sobolab.morrey import (
     MORREY_BLOCK,
@@ -303,9 +304,11 @@ class TestDraws:
     reordered draw would leave at 0; these pin the draws themselves.
 
     Each hash covers the bytes of the centres, radii, weights, x0, x1 and
-    delta of the first 64 draws, as drawn before the Morrey code moved
-    into :mod:`sobolab.morrey`.  ``bench/tracing.py`` keeps its own copy of
-    the bump-sum draw, which must stay equal to the program's."""
+    delta of the first 64 draws, trial by trial, as drawn before the Morrey
+    code moved into :mod:`sobolab.morrey` and before the draws went into
+    flat arrays (:func:`morrey._draw_block`).  ``bench/tracing.py`` keeps
+    its own copy of the bump-sum draw, which must stay equal to the
+    program's."""
 
     @pytest.mark.parametrize("seed, want", [
         (0, "7b728b410babba7d59447510063941627e8fdc9acde363f708ae4b9a3c95c18f"),
@@ -314,10 +317,13 @@ class TestDraws:
     ], ids=["0", "781508"])
     def test_exact_draws_pinned(self, seed, want):
         rng = np.random.default_rng(np.random.SeedSequence([seed, 0x30]))
+        centers, radii, weights, owner, x0, x1, delta = morrey._draw_block(
+            rng, 64)
         h = hashlib.sha256()
-        for _ in range(64):
-            u, x0, x1, delta = morrey._morrey_draw(rng)
-            for a in (u.centers, u.radii, u.weights, [x0, x1, delta]):
+        for t in range(64):
+            mine = owner == t
+            for a in (centers[mine], radii[mine], weights[mine],
+                      [x0[t], x1[t], delta[t]]):
                 h.update(np.asarray(a, dtype=np.float64).tobytes())
         assert h.hexdigest() == want
 
@@ -331,3 +337,116 @@ class TestDraws:
             for a, b in ((u.centers, v.centers), (u.radii, v.radii),
                          (u.weights, v.weights)):
                 assert a.tobytes() == b.tobytes()
+
+
+def _block_trials(block):
+    """Each trial of a drawn block as (BumpSum, x0, x1, delta)."""
+    centers, radii, weights, owner, x0, x1, delta = block
+    return [(bump.BumpSum(centers=centers[owner == t],
+                          radii=radii[owner == t],
+                          weights=weights[owner == t]),
+             x0[t], x1[t], delta[t]) for t in range(len(x0))]
+
+
+class _RiggedRng:
+    """Draws as ``rng`` does, except that every call of ``method`` whose
+    leading arguments are ``args`` returns ``value`` in the drawn shape."""
+
+    def __init__(self, rng, method, args, value):
+        self._rng, self._method, self._args = rng, method, args
+        self._value = value
+
+    def __getattr__(self, name):
+        draw = getattr(self._rng, name)
+        if name != self._method:
+            return draw
+
+        def rigged(*args, **kwargs):
+            out = draw(*args, **kwargs)
+            if args[:len(self._args)] != self._args:
+                return out
+            if np.ndim(out):
+                return np.full_like(out, self._value)
+            return type(out)(self._value)
+        return rigged
+
+
+class TestBlock:
+    """The exact route draws each block into flat arrays
+    (:func:`morrey._draw_block`) and checks it with
+    :func:`morrey._exact_block`, with no bump-sum object per trial."""
+
+    @given(st.integers(0, 2 ** 32 - 1),
+           st.sampled_from([1, 5, MORREY_BLOCK]),
+           st.sampled_from([1.0, 1.25, 2.0, 3.5]))
+    def test_block_matches_bump_sums(self, seed, count, p):
+        block = morrey._draw_block(np.random.default_rng(seed), count)
+        got = np.array(morrey._exact_block(*block, p))
+        trials = _block_trials(block)
+        batch = np.array(morrey_exact_batch(*zip(*trials), p))
+        alone = np.array([morrey_exact_trial(*trial, p) for trial in trials])
+        assert batch.tobytes() == got.tobytes()
+        assert alone.tobytes() == got.tobytes()
+
+    @given(st.lists(st.one_of(st.floats(-1.0, 1.0),
+                              st.sampled_from([0.0, -0.0, 0.5, 2.0 ** -60])),
+                    min_size=2, max_size=5))
+    def test_sorted_gaps_are_the_nn_bits(self, c):
+        want = geometry._nn_sq_dists(np.array(c)[:, None])
+        assert np.array(morrey._sorted_nn_sq(c)).tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("method, args, value, bad_sum", [
+        # every radius 3/4 of its nearest gap: neighbours overlap
+        ("uniform", (0.3, 0.999), 1.5,
+         dict(centers=[[0.0], [0.5]], radii=[0.375, 0.375],
+              weights=[1.0, 1.0])),
+        ("normal", (), math.nan,
+         dict(centers=[[0.0]], radii=[0.5], weights=[math.nan])),
+        ("uniform", (0.1, 0.5), 0.0,
+         dict(centers=[[0.0]], radii=[0.0], weights=[1.0])),
+    ], ids=["overlap", "nan-weight", "zero-radius"])
+    def test_guard_raises_what_bump_sum_raises(self, method, args, value,
+                                               bad_sum):
+        with pytest.raises(SobolabError) as want:
+            bump.BumpSum(**bad_sum)
+        rng = _RiggedRng(np.random.default_rng(3), method, args, value)
+        with pytest.raises(want.type):
+            morrey._draw_block(rng, MORREY_BLOCK)
+
+    @pytest.mark.parametrize("args, value, error", [
+        ((-1.5, 1.5), math.nan, MalformedInput),
+        ((0.01, 0.75), 0.0, NonpositiveRadius),
+    ], ids=["nan-x0", "zero-delta"])
+    def test_guard_checks_the_balls(self, args, value, error):
+        # as morrey_exact_batch checks its x0, x1 and delta
+        rng = _RiggedRng(np.random.default_rng(3), "uniform", args, value)
+        with pytest.raises(error):
+            morrey._draw_block(rng, MORREY_BLOCK)
+
+    def test_exact_route_builds_no_bump_sum(self, params_d1, monkeypatch):
+        built = []
+        init = bump.BumpSum.__post_init__
+
+        def counted(self, _nn_sq):
+            built.append(self)
+            init(self, _nn_sq)
+
+        monkeypatch.setattr(bump.BumpSum, "__post_init__", counted)
+        bump.BumpSum(centers=[[0.0]], radii=[1.0], weights=[1.0])
+        assert len(built) == 1
+        morrey_check(params_d1, trials=2 * MORREY_BLOCK + 3, seed=5)
+        assert len(built) == 1
+
+    @pytest.mark.parametrize("lhs, rhs", [(math.nan, 1.0), (1.0, math.nan),
+                                          (1.0, math.inf)])
+    def test_non_finite_check_is_a_violation(self, params_d1, monkeypatch,
+                                             lhs, rhs):
+        # a NaN on either side must not pass the inequality, nor an
+        # infinite right-hand side, which every left-hand side meets
+        monkeypatch.setattr(
+            morrey, "_exact_block",
+            lambda *block: [(lhs, rhs)] * len(block[4]))
+        rep = morrey_check(params_d1, trials=MORREY_BLOCK + 1, seed=5)
+        assert [v["trial"] for v in rep.violations] == list(
+            range(MORREY_BLOCK + 1))
+        assert not rep.passed
