@@ -956,15 +956,6 @@ def reference_moduli(params):
                            est_error=errs)
 
 
-def scaled_seminorm(alpha, delta, moduli):
-    """Exact integral |D^alpha psi_delta|^p = delta^(d-|alpha|p) M_alpha."""
-    if not delta > 0.0:
-        raise NonpositiveRadius(f"bump radius must be positive, got {delta}")
-    m = moduli.modulus(alpha)
-    params = moduli.params
-    return delta ** (params.d - sum(alpha) * params.p) * m
-
-
 @lru_cache(maxsize=None)
 def l2_modulus(d):
     """integral psi_1^2 over R^d (the alpha = 0, p = 2 modulus)."""

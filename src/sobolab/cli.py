@@ -31,7 +31,7 @@ import numpy as np
 from . import config as config_mod
 from . import experiments, geometry, interpolant, model, risk
 from .bump import load_moduli, reference_moduli, save_moduli
-from .errors import SobolabError
+from .errors import InvalidRange, SobolabError
 
 EXIT_OK = 0
 EXIT_CONTRACT = 1
@@ -108,7 +108,13 @@ def cmd_interp(args):
 def cmd_norm(args):
     f, params, _ = interpolant.load_interpolant(args.interp)
     moduli = _load_moduli_or_build(args, params)
-    norm = interpolant.sobolev_norm(f, moduli)
+    # at large p the linear-scale sum overflows; its result is checked below
+    with np.errstate(over="ignore", invalid="ignore"):
+        norm = interpolant.sobolev_norm(f, moduli)
+    if not math.isfinite(norm):
+        raise InvalidRange(
+            f"W^{{{params.k},{params.p}}} norm of {args.interp} is {norm!r}: "
+            f"not finite in double precision at p = {params.p!r}")
     print(f"W^{{{params.k},{params.p}}} norm: {norm!r}")
     return EXIT_OK
 
@@ -138,8 +144,10 @@ def cmd_check(args):
           f"(tolerance {interpolant.INTERPOLATION_TOL:g})")
     failures += int(not resid <= interpolant.INTERPOLATION_TOL)
 
-    norm_p = interpolant.sobolev_norm(f, moduli) ** params.p
-    bound = interpolant.min_norm_upper_bound(ds, radii, moduli)
+    # at large p the linear-scale sums overflow; a non-finite side fails
+    with np.errstate(over="ignore", invalid="ignore"):
+        norm_p = np.float64(interpolant.sobolev_norm(f, moduli)) ** params.p
+        bound = interpolant.min_norm_upper_bound(ds, radii, moduli)
     print(f"norm bound: norm^p = {norm_p:.6g} <= {bound:.6g}")
     # a NaN fails, and so does an infinite bound, which inf would meet
     failures += int(not norm_p <= bound < math.inf)

@@ -430,6 +430,11 @@ def save_dataset(dataset, path):
 
 
 def load_dataset(path):
+    """Read a :func:`save_dataset` file back as a :class:`Dataset`.
+
+    A malformed row (:func:`_float_rows`) raises naming the file and line;
+    points that :class:`Dataset` refuses raise its error, naming the file.
+    """
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
         columns = next(reader, [])
@@ -437,7 +442,10 @@ def load_dataset(path):
         names = [f"x_{j + 1}" for j in range(d)] + ["y"]
         values = _float_rows(path, ((reader.line_num, row) for row in reader),
                              names, columns=(1, columns))
-    return Dataset(points=values[:, :d], labels=values[:, d])
+    try:
+        return Dataset(points=values[:, :d], labels=values[:, d])
+    except SobolabError as exc:
+        raise type(exc)(f"{path}: {exc}") from None
 
 
 # The number literals of the lab's text files, in ASCII: what repr writes

@@ -32,6 +32,7 @@ from .errors import (
     MismatchedLengths,
     NotInterpolating,
     ParamsMismatch,
+    SobolabError,
 )
 from .geometry import (
     _checked_radii,
@@ -194,7 +195,9 @@ def load_interpolant(path):
     A malformed header record (:func:`sobolab.geometry._header_record`) or
     row (:func:`sobolab.geometry._float_rows`), a shrink outside (0, 1],
     which :func:`build` never makes, or a header d that is not the number
-    of coordinate columns, raises naming the file and line.
+    of coordinate columns, raises naming the file and line; rows that
+    :class:`~sobolab.bump.BumpSum` refuses raise its error, naming the
+    file.
     """
     with open(path, newline="", encoding="utf-8") as fh:
         first = fh.readline().strip()
@@ -215,6 +218,9 @@ def load_interpolant(path):
         values = _float_rows(path,
                              ((reader.line_num + 1, row) for row in reader),
                              names, columns=(2, columns))
-    f = BumpSum(centers=values[:, :d], radii=values[:, d],
-                weights=values[:, d + 1])
+    try:
+        f = BumpSum(centers=values[:, :d], radii=values[:, d],
+                    weights=values[:, d + 1])
+    except SobolabError as exc:
+        raise type(exc)(f"{path}: {exc}") from None
     return f, header["params"], header["shrink"]

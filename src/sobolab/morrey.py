@@ -6,7 +6,8 @@ In d = k = 1 it checks the exact Hoelder inequality, and in any other
 setting it runs a boundedness diagnostic across a grid of ball radii.
 
 The exact variant draws ``MORREY_BLOCK`` trials at a time straight into
-flat arrays (:func:`_draw_block`), with no bump-sum object per trial, and
+flat arrays (:func:`_draw_block`), each quantity of every trial in the
+block from one generator call, with no bump-sum object per trial, and
 checks each block as one batch (:func:`_exact_block`).  Disjoint supports
 split each trial's integral of |u'|^p into one integral per bump, which
 the bump scaling law turns into a profile integral over the part of the
@@ -40,17 +41,17 @@ from .errors import (
 )
 from .geometry import _sq_norm
 
-# Trials that morrey_check draws and checks at once.  A block's draws go
-# into flat arrays that one guard checks (_draw_block), and the block
-# bounds the node arrays of the partial panels' ladder and the temporaries
-# of bump._band_derivatives on them.  Each block's check pays a fixed
-# cost in small numpy calls, most of them in the ladder's levels: for the
-# 500 trials of morrey_d1 (p = 1.25, seed 780228) on one core of a 2-core
-# x86 host, the checks took about 0.9, 0.6 and 0.4 times as long as the
-# draws in blocks of 16, 32 and 64.  The traced peak of that check is
-# about 0.09 MB in blocks of 32 (0.17 MB in blocks of 64), against 1.1 MB
-# for all 500 in one batch.
-MORREY_BLOCK = 32
+# Trials that morrey_check draws and checks at once.  A block draws each
+# quantity of all its trials in one generator call and one guard checks
+# the flat arrays (_draw_block), so the random stream is set by the seed
+# and this block size together.  The block also bounds the node arrays of
+# the partial panels' ladder and the temporaries of bump._band_derivatives
+# on them.  Each block pays a fixed cost in small numpy calls: the 500
+# trials of morrey_d1 (p = 1.25, seed 780228) took 6.4, 3.3, 2.1, 2.2 and
+# 2.2 ms in blocks of 32, 128, 256, 512 and 1024 on one core of a 2-core
+# x86 host.  Their traced peak is about 1.2 MB in blocks of 512 (0.1 MB in
+# blocks of 32).
+MORREY_BLOCK = 512
 # Equal panels of the band 1/2 <= s <= 1 in the table of each p; 8 to 64
 # ran alike in morrey_d1, 128 slower.
 _BAND_PANELS = 32
@@ -125,21 +126,28 @@ def _morrey_inputs(sums, x0, x1, delta, p):
     return x0, x1, delta, p
 
 
-def _sorted_nn_sq(c):
-    """Each of the floats c's squared distance to its nearest other one,
-    from its neighbours in sorted order.
+def _trial_nn_sq(centers, owner):
+    """Each centre's squared distance to the nearest other centre of its
+    own trial, inf for a bump alone in its trial; ``owner`` names the
+    trial of each centre, in trial order.
 
-    These are the bits of :func:`geometry._nn_sq_dists` on the column c:
-    a - b and b - a differ only in sign, and the rounded difference of
-    sorted values is monotone in the gap, so no farther value comes
-    nearer."""
-    order = sorted(range(len(c)), key=c.__getitem__)
-    nn_sq = [math.inf] * len(c)
-    for i, j in zip(order, order[1:]):
-        gap = c[j] - c[i]
+    One sort by (trial, centre) puts each trial's centres side by side;
+    the gap between neighbours in that order, squared, is inf across trial
+    boundaries.  These are the bits of :func:`geometry._nn_sq_dists` on
+    each trial's column: a - b and b - a differ only in sign, and the
+    rounded difference of sorted values is monotone in the gap, so no
+    farther centre comes nearer."""
+    order = np.lexsort((centers, owner))
+    # non-finite centres warn nowhere: the guard raises on them
+    with np.errstate(invalid="ignore", over="ignore"):
+        gap = np.diff(centers[order])
         gap *= gap
-        nn_sq[i] = min(nn_sq[i], gap)
-        nn_sq[j] = min(nn_sq[j], gap)
+    gap[np.diff(owner[order]) != 0] = math.inf
+    nearest = np.full(len(centers), math.inf)
+    np.minimum(gap, nearest[1:], out=nearest[1:])
+    np.minimum(gap, nearest[:-1], out=nearest[:-1])
+    nn_sq = np.empty(len(centers))
+    nn_sq[order] = nearest
     return nn_sq
 
 
@@ -148,10 +156,15 @@ def _draw_block(rng, count):
     radii, weights, owner, x0, x1, delta), centers of shape (bumps, 1) and
     owner the trial of each bump.
 
-    Each trial draws what :func:`_random_bump_sum` draws in d = 1 and then
-    x0, delta and x1, in this order: the same stream and the same bits as
-    a bump sum and its ball drawn one after another.  One guard per block
-    then runs every check that :class:`~sobolab.bump.BumpSum` and
+    Each quantity is drawn for every trial of the block in one generator
+    call, in this order: the bump counts, every centre, the radii of the
+    bumps alone in their trial, the other radii, every weight, then x0,
+    delta and the step from x0 to x1.  A trial whose nearest-centre gap
+    (:func:`_trial_nn_sq`) is 0 redraws its centres, in rounds of one call
+    for all such trials, before any radius is drawn.  So each trial has
+    the law of :func:`_random_bump_sum` in d = 1 and its ball, and the
+    stream depends on the block size.  One guard per block then runs
+    every check that :class:`~sobolab.bump.BumpSum` and
     :func:`morrey_exact_batch` make, with their error classes: finite
     centers and weights (:class:`MalformedInput`), finite and positive
     radii (:class:`NonpositiveRadius`), the packing certificate 2 r_i <=
@@ -160,42 +173,28 @@ def _draw_block(rng, count):
     The certificate is stricter than a bump sum's overlap search, which
     only runs when the certificate fails; the draw always passes it.
     """
-    centers, radii, weights, nn_sq, sizes = [], [], [], [], []
-    x0, x1, delta = [], [], []
-    for _ in range(count):
-        m = int(rng.integers(1, 6))
-        while True:
-            c = rng.uniform(-1.0, 1.0, size=m).tolist()
-            if m == 1:
-                q = [math.inf]
-                r = [rng.uniform(0.1, 0.5)]
-                break
-            q = _sorted_nn_sq(c)
-            if min(q) > 0:
-                r = [s * math.sqrt(g) / 2.0 for s, g in
-                     zip(rng.uniform(0.3, 0.999, size=m).tolist(), q)]
-                break
-        centers += c
-        radii += r
-        nn_sq += q
-        sizes.append(m)
-        weights += rng.normal(0.0, 2.0, size=m).tolist()
-        a = rng.uniform(-1.5, 1.5)
-        d = rng.uniform(*_DELTA_RANGE)
-        x0.append(a)
-        delta.append(d)
-        x1.append(a + rng.uniform(-1.0, 1.0) * d)
-    centers, radii, weights, nn_sq, x0, x1, delta = (
-        np.array(v, dtype=float)
-        for v in (centers, radii, weights, nn_sq, x0, x1, delta))
-    sizes = np.array(sizes)
+    sizes = rng.integers(1, 6, size=count)
     owner = np.repeat(np.arange(count), sizes)
+    centers = rng.uniform(-1.0, 1.0, size=len(owner))
+    nn_sq = _trial_nn_sq(centers, owner)
+    while (nn_sq == 0.0).any():
+        redraw = np.isin(owner, owner[nn_sq == 0.0])
+        centers[redraw] = rng.uniform(-1.0, 1.0, size=int(redraw.sum()))
+        nn_sq = _trial_nn_sq(centers, owner)
+    lone = sizes[owner] == 1
+    radii = np.empty(len(owner))
+    radii[lone] = rng.uniform(0.1, 0.5, size=int(lone.sum()))
+    radii[~lone] = (rng.uniform(0.3, 0.999, size=int((~lone).sum()))
+                    * np.sqrt(nn_sq[~lone]) / 2.0)
+    weights = rng.normal(0.0, 2.0, size=len(owner))
+    x0 = rng.uniform(-1.5, 1.5, size=count)
+    delta = rng.uniform(*_DELTA_RANGE, size=count)
+    x1 = x0 + rng.uniform(-1.0, 1.0, size=count) * delta
     if not (np.isfinite(centers).all() and np.isfinite(weights).all()):
         raise MalformedInput("centers and weights must be finite")
     if not (np.isfinite(radii).all() and np.all(radii > 0.0)):
         raise NonpositiveRadius("all support radii must be finite and positive")
-    certified = ((sizes[owner] == 1) | np.isfinite(nn_sq)) & (
-        2.0 * radii <= np.sqrt(nn_sq))
+    certified = (lone | np.isfinite(nn_sq)) & (2.0 * radii <= np.sqrt(nn_sq))
     if not certified.all():
         t = int(owner[np.argmin(certified)])
         raise MismatchedLengths(
@@ -398,11 +397,12 @@ def morrey_check(params, trials, seed):
     d = 1, k = 1: the exact Hoelder inequality with 1e-9 slack, zero
     violations expected; a NaN on either side, or an infinite right-hand
     side, counts as a violation.  The trials are drawn ``MORREY_BLOCK`` at
-    a time into flat arrays (:func:`_draw_block`), in the order of one
-    trial after another, and each block is checked as one batch
-    (:func:`_exact_block`).  Otherwise: a boundedness diagnostic of the
-    ratio |u(x1)-u(x0)|^p / (delta^(kp-d) ||u||^p_{local}) across a delta
-    grid.
+    a time into flat arrays (:func:`_draw_block`), one generator call per
+    quantity of a block, so the draws depend on the seed and the block
+    size; each block is checked as one batch (:func:`_exact_block`).
+    Otherwise: a boundedness diagnostic of the ratio |u(x1)-u(x0)|^p /
+    (delta^(kp-d) ||u||^p_{local}) across a delta grid, its bump sums
+    drawn one trial after another (:func:`_random_bump_sum`).
     """
     if (not isinstance(trials, (int, np.integer)) or isinstance(trials, bool)
             or trials < 1):

@@ -17,6 +17,7 @@ from sobolab.experiments import SweepConfig
 from sobolab.model import DistributionSpec
 
 from box_oracle import integrate_partial_power_fixed
+from scaling_law import scaled_seminorm
 
 SEED = 0xACCE97
 
@@ -213,7 +214,7 @@ def test_criterion_05_bump_scaling_identity(moduli_d1, moduli_d2, moduli_d3):
                     # D^alpha integrals are permutation-invariant, so the
                     # class representative's quadrature covers alpha
                     direct = by_class[rep, delta]
-                    formula = bump.scaled_seminorm(alpha, delta, moduli)
+                    formula = scaled_seminorm(alpha, delta, moduli)
                     worst = max(worst, abs(direct - formula) / formula)
     _report(5, "bump scaling identity", worst <= 1e-6,
             f"max rel error {worst:.2e} across (d,k) in "

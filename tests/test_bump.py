@@ -25,6 +25,8 @@ from sobolab.errors import (
 from box_oracle import integrate_partial_power, integrate_partial_power_fixed
 from conftest import peak_traced_bytes, support_probes
 from fdiff import fd_partial
+from file_mutations import line_mutations
+from scaling_law import scaled_seminorm
 
 
 class TestParams:
@@ -783,34 +785,6 @@ class TestSupportGrid:
         assert got.tobytes() == want.tobytes()
 
 
-# Tokens a mutated cache may carry in place of one of the writer's: each
-# parses as something by one of Python's readers, or by none.
-_HOSTILE_TOKENS = ["nan", "inf", "-0", "1e309", "0x1p+9999", "", "1_0",
-                   "\u0663"]
-
-
-@st.composite
-def _cache_mutations(draw, lines):
-    """``lines`` with one line duplicated or deleted, or one token (or the
-    value of one ``key=value`` token) replaced by a hostile one."""
-    lines = list(lines)
-    i = draw(st.integers(0, len(lines) - 1))
-    kind = draw(st.sampled_from(["duplicate", "delete", "token"]))
-    if kind == "duplicate":
-        lines.insert(i, lines[i])
-    elif kind == "delete":
-        del lines[i]
-    else:
-        tokens = lines[i].split(" ")
-        t = draw(st.integers(0, len(tokens) - 1))
-        hostile = draw(st.sampled_from(_HOSTILE_TOKENS))
-        key, eq, _ = tokens[t].partition("=")
-        keep_key = eq and draw(st.booleans())
-        tokens[t] = f"{key}={hostile}" if keep_key else hostile
-        lines[i] = " ".join(tokens)
-    return lines
-
-
 class TestModuli:
     def test_m0_sandwich_d1(self, moduli_d1):
         # psi^p is 1 on B(0, 1/2) and <= 1 on B(0, 1)
@@ -954,7 +928,7 @@ class TestModuli:
         path = tmp_path_factory.mktemp("cache") / "moduli.txt"
         bump.save_moduli(moduli_d1, path)
         lines = path.read_text(encoding="utf-8").splitlines()
-        path.write_text("\n".join(data.draw(_cache_mutations(lines))) + "\n",
+        path.write_text("\n".join(data.draw(line_mutations(lines))) + "\n",
                         encoding="utf-8")
         try:
             back = bump.load_moduli(path)
@@ -1269,11 +1243,11 @@ class TestExactModuli:
 class TestScaledSeminorm:
     def test_identity_at_delta_one(self, moduli_d1):
         for alpha in moduli_d1.indices:
-            assert bump.scaled_seminorm(alpha, 1.0, moduli_d1) == \
+            assert scaled_seminorm(alpha, 1.0, moduli_d1) == \
                 moduli_d1.modulus(alpha)
 
     def test_volume_scaling_alpha_zero(self, moduli_d1):
-        assert bump.scaled_seminorm((0,), 2.0, moduli_d1) == \
+        assert scaled_seminorm((0,), 2.0, moduli_d1) == \
             pytest.approx(2.0 * moduli_d1.modulus((0,)), rel=1e-15)
 
     def test_scaling_law_vs_quadrature(self, moduli_d1, moduli_d2):
@@ -1283,7 +1257,7 @@ class TestScaledSeminorm:
                 for delta in (0.5, 2.0):
                     direct = integrate_partial_power_fixed(
                         alpha, p, delta, panels=16)
-                    formula = bump.scaled_seminorm(alpha, delta, moduli)
+                    formula = scaled_seminorm(alpha, delta, moduli)
                     assert direct == pytest.approx(formula, rel=1e-6)
 
 

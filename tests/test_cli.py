@@ -1,5 +1,6 @@
 import argparse
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -133,7 +134,10 @@ class TestCheckNonFinite:
         # inf <= inf would hold
         (interpolant, "min_norm_upper_bound",
          lambda ds, radii, moduli: float("inf")),
-    ], ids=["in-degree", "residual", "norm-bound", "infinite-bound"])
+        # a finite norm whose p-th power overflows
+        (interpolant, "sobolev_norm", lambda f, moduli: 1e300),
+    ], ids=["in-degree", "residual", "norm-bound", "infinite-bound",
+            "overflowing-norm"])
     def test_nan_fails(self, cfg, dataset_csv, capsys, monkeypatch, module,
                        name, stub):
         monkeypatch.setattr(module, name, stub)
@@ -142,6 +146,46 @@ class TestCheckNonFinite:
         out = capsys.readouterr().out
         assert out.endswith("1 check(s) failed\n")
         assert "all checks passed" not in out
+
+
+class TestLargeP:
+    """At p = 128 the linear-scale norm of a 512-point interpolant in d = 1
+    is NaN: ``norm`` refuses it naming p, ``check`` fails its bound, and
+    neither prints a numpy warning."""
+
+    @pytest.fixture()
+    def large_p(self, tmp_path):
+        cfg = tmp_path / "cfg.ini"
+        cfg.write_text(BASE_INI.replace("p = 1.25", "p = 128"))
+        assert main(["gen", "--config", str(cfg), "-n", "512", "--seed", "5",
+                     "--out", str(tmp_path)]) == 0
+        data = tmp_path / "dataset_n512_seed5.csv"
+        assert main(["interp", "--config", str(cfg), "--data", str(data),
+                     "--out", str(tmp_path)]) == 0
+        return cfg, data, tmp_path / "interpolant_shrink1.0.csv"
+
+    def test_norm_not_finite_usage_error(self, large_p, capsys):
+        _, _, interp = large_p
+        capsys.readouterr()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["norm", "--interp", str(interp)]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == (f"error: W^{{1,128.0}} norm of {interp} is nan: not "
+                       f"finite in double precision at p = 128.0\n")
+
+    def test_check_fails_the_bound(self, large_p, capsys):
+        cfg, data, _ = large_p
+        capsys.readouterr()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["check", "--config", str(cfg), "--data",
+                         str(data)]) == 1
+        out, err = capsys.readouterr()
+        assert "norm bound: norm^p = nan <= nan\n" in out
+        assert out.endswith("1 check(s) failed\n")
+        assert err == ""
 
 
 class TestModuliCache:
@@ -271,8 +315,8 @@ class TestCheck:
         argv = [str(tmp_path) if a == "OUT" else a for a in command]
         assert main(argv + ["--config", str(cfg), "--data", str(far)]) == 2
         captured = capsys.readouterr()
-        assert captured.err == ("error: nearest-neighbour distance "
-                                "overflows\n")
+        assert captured.err == (f"error: {far}: nearest-neighbour distance "
+                                f"overflows\n")
 
     def test_far_clusters_usage_error(self, cfg, tmp_path, capsys):
         # the dataset's radii certify the packing check; the squared

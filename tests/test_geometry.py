@@ -2,7 +2,7 @@ import itertools
 
 import numpy as np
 import pytest
-from hypothesis import assume, given
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from sobolab import geometry, interpolant, model
@@ -12,12 +12,14 @@ from sobolab.errors import (
     MalformedInput,
     MismatchedLengths,
     NonpositiveRadius,
+    SobolabError,
     TooFewPoints,
     UnsupportedDimension,
 )
 from sobolab.geometry import Dataset
 
 from conftest import count_trees, random_dataset
+from file_mutations import line_mutations
 
 
 def line_dataset(*xs):
@@ -101,6 +103,29 @@ class TestDataset:
         assert np.array_equal(back.labels, ds.labels)
         header = path.read_text().splitlines()[0]
         assert header == "x_1,x_2,y"
+
+    @settings(max_examples=300)
+    @given(data=st.data())
+    def test_mutated_csv_raises_or_round_trips(self, tmp_path_factory, data):
+        # a file save_dataset could not have written either raises naming
+        # the file, or loads to a dataset that saves and loads back
+        # unchanged
+        path = tmp_path_factory.mktemp("csv") / "ds.csv"
+        geometry.save_dataset(
+            random_dataset(np.random.default_rng(3), 4, 2), path)
+        lines = path.read_text(encoding="utf-8").splitlines()
+        path.write_text("\n".join(data.draw(line_mutations(lines))) + "\n",
+                        encoding="utf-8")
+        try:
+            back = geometry.load_dataset(path)
+        except SobolabError as exc:
+            assert str(path) in str(exc)
+            return
+        again = path.with_name("again.csv")
+        geometry.save_dataset(back, again)
+        loaded = geometry.load_dataset(again)
+        assert loaded.points.tobytes() == back.points.tobytes()
+        assert loaded.labels.tobytes() == back.labels.tobytes()
 
     def test_csv_non_numeric_cell_names_file_and_line(self, tmp_path):
         path = tmp_path / "ds.csv"

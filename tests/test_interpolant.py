@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import example, given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from sobolab import bump, geometry, interpolant, model, quadrature
 from sobolab.errors import (
@@ -10,10 +10,12 @@ from sobolab.errors import (
     NonpositiveRadius,
     NotInterpolating,
     ParamsMismatch,
+    SobolabError,
 )
 from sobolab.geometry import Dataset
 
 from conftest import CANONICAL, random_dataset, support_probes
+from file_mutations import line_mutations
 
 
 def line_dataset(xs, ys):
@@ -352,6 +354,35 @@ class TestCsv:
         assert np.array_equal(back.centers, f.centers)
         assert np.array_equal(back.radii, f.radii)
         assert np.array_equal(back.weights, f.weights)
+
+    @settings(max_examples=300)
+    @given(data=st.data())
+    def test_mutated_file_raises_or_round_trips(self, params_d2,
+                                                tmp_path_factory, data):
+        # a file save_interpolant could not have written either raises
+        # naming the file, or loads to an interpolant that saves and loads
+        # back unchanged
+        path = tmp_path_factory.mktemp("interp") / "interp.csv"
+        f = built(random_dataset(np.random.default_rng(5), 4, 2), 0.7,
+                  params_d2)
+        interpolant.save_interpolant(f, params_d2, 0.7, path)
+        lines = path.read_text(encoding="utf-8").splitlines()
+        path.write_text("\n".join(data.draw(line_mutations(lines))) + "\n",
+                        encoding="utf-8")
+        try:
+            back, params, shrink = interpolant.load_interpolant(path)
+        except SobolabError as exc:
+            assert str(path) in str(exc)
+            return
+        again = path.with_name("again.csv")
+        interpolant.save_interpolant(back, params, shrink, again)
+        loaded, params_again, shrink_again = interpolant.load_interpolant(
+            again)
+        assert (params_again, shrink_again) == (params, shrink)
+        for a, b in ((loaded.centers, back.centers),
+                     (loaded.radii, back.radii),
+                     (loaded.weights, back.weights)):
+            assert a.tobytes() == b.tobytes()
 
     def test_save_rejects_params_of_another_dimension(self, params_d1,
                                                        params_d2, tmp_path):

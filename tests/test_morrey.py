@@ -205,8 +205,7 @@ class TestMorrey:
         assert rhs == pytest.approx(2.0 * abs(weight), rel=1e-12)
 
     @given(st.sampled_from([1.0, 1.25, 2.0, 3.5]),
-           st.sampled_from([1, MORREY_BLOCK - 1, MORREY_BLOCK,
-                            MORREY_BLOCK + 1]).flatmap(
+           st.sampled_from([1, 31, 32, 33]).flatmap(
                lambda size: st.lists(_morrey_trial(), min_size=size,
                                      max_size=size)))
     def test_batch_matches_oracle(self, p, trials):
@@ -221,27 +220,23 @@ class TestMorrey:
         assert [morrey_exact_trial(*trial, p) for trial in trials] == got
 
     @pytest.mark.parametrize("seed", [0x5EE9, 781508])
-    def test_check_matches_oracle_loop(self, params_d1, seed):
-        trials = 3 * MORREY_BLOCK + 5
-        # the draws of morrey_check, trial after trial, through the oracle
+    def test_check_matches_oracle_loop(self, params_d1, monkeypatch, seed):
+        # three blocks of 16 and a partial fourth: the draws of
+        # morrey_check, block by block, each trial through the oracle
+        monkeypatch.setattr(morrey, "MORREY_BLOCK", 16)
+        trials = 3 * 16 + 5
         rng = np.random.default_rng(np.random.SeedSequence([seed, 0x30]))
-        draws, checked, violations = [], [], []
-        for t in range(trials):
-            u = morrey._random_bump_sum(rng, 1)
-            x0 = float(rng.uniform(-1.5, 1.5))
-            delta = float(rng.uniform(0.01, 0.75))
-            x1 = x0 + float(rng.uniform(-1.0, 1.0)) * delta
-            lhs, rhs = morrey_trial_oracle(u, x0, x1, delta, params_d1.p)
-            draws.append((u, x0, x1, delta))
-            checked.append((lhs, rhs))
-            if lhs > rhs + 1e-9:
-                violations.append({"trial": t, "lhs": lhs, "rhs": rhs,
-                                   "x0": x0, "x1": x1, "delta": delta})
+        violations = []
+        for start in range(0, trials, 16):
+            block = morrey._draw_block(rng, min(16, trials - start))
+            checked = [morrey_trial_oracle(*trial, params_d1.p)
+                       for trial in _block_trials(block)]
+            _assert_matches_oracle(morrey._exact_block(*block, params_d1.p),
+                                   checked)
+            violations += [start + t for t, (lhs, rhs) in enumerate(checked)
+                           if lhs > rhs + 1e-9]
         rep = morrey_check(params_d1, trials=trials, seed=seed)
-        assert ([v["trial"] for v in rep.violations]
-                == [v["trial"] for v in violations])
-        _assert_matches_oracle(morrey_exact_batch(*zip(*draws), params_d1.p),
-                               checked)
+        assert [v["trial"] for v in rep.violations] == violations
 
     @pytest.mark.parametrize("x0, x1, delta, p, error", [
         (0.1, 0.2, -0.3, 1.25, NonpositiveRadius),
@@ -304,16 +299,16 @@ class TestDraws:
     reordered draw would leave at 0; these pin the draws themselves.
 
     Each hash covers the bytes of the centres, radii, weights, x0, x1 and
-    delta of the first 64 draws, trial by trial, as drawn before the Morrey
-    code moved into :mod:`sobolab.morrey` and before the draws went into
-    flat arrays (:func:`morrey._draw_block`).  ``bench/tracing.py`` keeps
-    its own copy of the bump-sum draw, which must stay equal to the
-    program's."""
+    delta of one block of 64 trials (:func:`morrey._draw_block`), trial by
+    trial, drawn with one generator call per quantity of the block.  The
+    stream depends on the block size, so the hashes pin it at 64.
+    ``bench/tracing.py`` keeps its own copy of the one-trial-at-a-time
+    draw :func:`morrey._random_bump_sum`, which must stay equal to it."""
 
     @pytest.mark.parametrize("seed, want", [
-        (0, "7b728b410babba7d59447510063941627e8fdc9acde363f708ae4b9a3c95c18f"),
+        (0, "005d2a8d8b141488652a755266a71c54ad639c97337caef2b5114b313884f569"),
         (781508,
-         "3421195e523133d4032bd136c432ec5b52a4f9cefa0910630b10c4434941cc65"),
+         "ad03d0d1e2e3ca92678711f5b88fabb7c540c61be30cced411253117816b7ba0"),
     ], ids=["0", "781508"])
     def test_exact_draws_pinned(self, seed, want):
         rng = np.random.default_rng(np.random.SeedSequence([seed, 0x30]))
@@ -377,7 +372,7 @@ class TestBlock:
     :func:`morrey._exact_block`, with no bump-sum object per trial."""
 
     @given(st.integers(0, 2 ** 32 - 1),
-           st.sampled_from([1, 5, MORREY_BLOCK]),
+           st.sampled_from([1, 5, 32]),
            st.sampled_from([1.0, 1.25, 2.0, 3.5]))
     def test_block_matches_bump_sums(self, seed, count, p):
         block = morrey._draw_block(np.random.default_rng(seed), count)
@@ -388,12 +383,76 @@ class TestBlock:
         assert batch.tobytes() == got.tobytes()
         assert alone.tobytes() == got.tobytes()
 
-    @given(st.lists(st.one_of(st.floats(-1.0, 1.0),
-                              st.sampled_from([0.0, -0.0, 0.5, 2.0 ** -60])),
-                    min_size=2, max_size=5))
-    def test_sorted_gaps_are_the_nn_bits(self, c):
-        want = geometry._nn_sq_dists(np.array(c)[:, None])
-        assert np.array(morrey._sorted_nn_sq(c)).tobytes() == want.tobytes()
+    @given(st.lists(st.lists(st.one_of(
+        st.floats(-1.0, 1.0), st.sampled_from([0.0, -0.0, 0.5, 2.0 ** -60])),
+        min_size=1, max_size=5), min_size=1, max_size=64))
+    def test_trial_gaps_are_the_nn_bits(self, trials):
+        centers = np.array([c for trial in trials for c in trial])
+        owner = np.repeat(np.arange(len(trials)), [len(t) for t in trials])
+        got = morrey._trial_nn_sq(centers, owner)
+        for t, trial in enumerate(trials):
+            want = (geometry._nn_sq_dists(np.array(trial)[:, None])
+                    if len(trial) > 1 else np.array([math.inf]))
+            assert got[owner == t].tobytes() == want.tobytes()
+
+    def test_zero_gap_redraws_that_trial_alone(self):
+        # plant a repeated centre in one trial of the first centres call
+        seed = np.random.SeedSequence([781508, 0x30])
+        clean = morrey._draw_block(np.random.default_rng(seed), 64)
+        owner = clean[3]
+        t = int(np.bincount(owner).argmax())
+        first = int(np.flatnonzero(owner == t)[0])
+        calls = []
+
+        class Planted:
+            def __init__(self, rng):
+                self._rng = rng
+
+            def __getattr__(self, name):
+                return getattr(self._rng, name)
+
+            def uniform(self, *args, **kwargs):
+                out = self._rng.uniform(*args, **kwargs)
+                calls.append(args)
+                if len(calls) == 1:
+                    assert args == (-1.0, 1.0) and len(out) == len(owner)
+                    out[first + 1] = out[first]
+                return out
+
+        block = morrey._draw_block(Planted(np.random.default_rng(seed)), 64)
+        # one round redraws trial t's centres, between the first centres
+        # call and the radii
+        assert calls[:3] == [(-1.0, 1.0), (-1.0, 1.0), (0.1, 0.5)]
+        assert np.array_equal(block[3], owner)
+        mine = owner == t
+        assert np.array_equal(block[0][~mine], clean[0][~mine])
+        assert not np.array_equal(block[0][mine], clean[0][mine])
+        assert np.all(geometry._nn_sq_dists(block[0][mine]) > 0.0)
+
+    def test_generator_calls_grow_with_blocks(self, params_d1, monkeypatch):
+        # each quantity of a block is one call, whatever the block's size
+        calls = []
+        default_rng = np.random.default_rng
+
+        class Counted:
+            def __init__(self, rng):
+                self._rng = rng
+
+            def __getattr__(self, name):
+                draw = getattr(self._rng, name)
+
+                def counted(*args, **kwargs):
+                    calls.append(name)
+                    return draw(*args, **kwargs)
+                return counted
+
+        monkeypatch.setattr(np.random, "default_rng",
+                            lambda seed: Counted(default_rng(seed)))
+        for trials, blocks in ((1, 1), (MORREY_BLOCK, 1),
+                               (2 * MORREY_BLOCK + 3, 3)):
+            calls.clear()
+            morrey_check(params_d1, trials=trials, seed=5)
+            assert len(calls) == 8 * blocks
 
     @pytest.mark.parametrize("method, args, value, bad_sum", [
         # every radius 3/4 of its nearest gap: neighbours overlap
@@ -404,7 +463,11 @@ class TestBlock:
          dict(centers=[[0.0]], radii=[0.5], weights=[math.nan])),
         ("uniform", (0.1, 0.5), 0.0,
          dict(centers=[[0.0]], radii=[0.0], weights=[1.0])),
-    ], ids=["overlap", "nan-weight", "zero-radius"])
+        # every centre inf: each gap is NaN, which redraws nothing
+        ("uniform", (-1.0, 1.0), math.inf,
+         dict(centers=[[math.inf], [math.inf]], radii=[0.5, 0.5],
+              weights=[1.0, 1.0])),
+    ], ids=["overlap", "nan-weight", "zero-radius", "inf-centre"])
     def test_guard_raises_what_bump_sum_raises(self, method, args, value,
                                                bad_sum):
         with pytest.raises(SobolabError) as want:
