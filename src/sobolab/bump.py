@@ -33,6 +33,11 @@ leaves a Folland moment over the other coordinates and a Gauss-Jacobi
 integral over theta_j inside the radial one.  No modulus integrates over
 more than one axis.
 
+In d = 1, :func:`band_integrals` integrates |psi_1'|^p (the exact Morrey
+check of :mod:`sobolab.morrey`) or psi_1^2 (the semi-analytic risk of
+:mod:`sobolab.risk`) over the part of a bump's band inside an interval,
+from a table of whole panels per (integrand, p).
+
 A finite sum of disjointly supported bumps is one type, :class:`BumpSum`:
 ground truths, the random sums of the Morrey check and the interpolants of
 :mod:`sobolab.interpolant` alike.  It carries centers, radii and weights
@@ -68,6 +73,7 @@ from .geometry import (
     _header_record,
     _int_literal,
     _nn_sq_dists,
+    _open_text,
     _sq_norm,
 )
 
@@ -648,6 +654,126 @@ class BumpSum:
         return self._grid.pairs(pts)
 
 
+# -- band integrals in d = 1 --------------------------------------------------
+
+# Equal panels of the band 1/2 <= s <= 1 in each table; 8 to 64 ran alike
+# in the morrey_d1 workload, 128 slower.
+_BAND_PANELS = 32
+# Halvings of a table panel or partial piece before the ladder gives up.
+_BAND_HALVINGS = 6
+# Two successive levels of a band piece agree to this, relative.
+_BAND_REL_TOL = 1e-10
+# The integrands of band_integrals in s = |x - c| / r, by the name their
+# errors give: the Morrey check's |psi_1'|^p and the L^p mass psi_1^p
+_BAND_INTEGRANDS = {
+    "Morrey": lambda s, p: np.abs(profile_eval(s * s, 1) * (2.0 * s)) ** p,
+    "L^p": lambda s, p: profile_values(s * s) ** p,
+}
+
+
+def _band_ladder(name, lo, hi, p):
+    """The integral of integrand ``name`` over each piece [lo_i, hi_i], and
+    the index of the first piece not converged, or None.
+
+    Each piece runs a Gauss-Legendre ladder of 2^level equal panels and
+    stops at the first level that agrees with the one before to
+    ``_BAND_REL_TOL``, so its value depends on its own ends alone; a piece
+    still live after ``_BAND_HALVINGS`` halvings keeps the value 0.
+    """
+    integrand = _BAND_INTEGRANDS[name]
+    integrals = np.zeros(len(lo))
+    live, prev = np.arange(len(lo)), None
+    width = hi - lo
+    for level in range(_BAND_HALVINGS + 1):
+        if not live.size:
+            break
+        steps = np.linspace(0.0, 1.0, (1 << level) + 1)
+        edges = lo[live, None] + width[live, None] * steps
+        nodes, wts = quadrature.rule_from_panels(edges[:, :-1].ravel(),
+                                                 edges[:, 1:].ravel())
+        cur = (integrand(nodes, p) * wts).reshape(len(live), -1).sum(axis=1)
+        if level:
+            done = (np.abs(cur - prev)
+                    <= _BAND_REL_TOL * np.maximum(abs(cur), 1e-300))
+            integrals[live[done]] = cur[done]
+            live, cur = live[~done], cur[~done]
+        prev = cur
+    return integrals, (int(live[0]) if live.size else None)
+
+
+def _not_converged(what):
+    return QuadratureNotConverged(
+        f"{what} not converged to rel {_BAND_REL_TOL:g} after "
+        f"{1 << _BAND_HALVINGS} panels")
+
+
+# the bound keeps a process that meets many (name, p) from holding every
+# table
+@lru_cache(maxsize=16)
+def _band_table(name, p):
+    """(edges, integrals), read-only, of integrand ``name`` over the
+    ``_BAND_PANELS`` equal panels of the band; raises
+    :class:`QuadratureNotConverged` naming p and the first panel that does
+    not converge."""
+    edges = np.linspace(0.5, 1.0, _BAND_PANELS + 1)
+    table, failed = _band_ladder(name, edges[:-1], edges[1:], p)
+    if failed is not None:
+        raise _not_converged(
+            f"{name} band table at p = {p!r}: panel [{float(edges[failed])!r}"
+            f", {float(edges[failed + 1])!r}]")
+    edges.flags.writeable = False
+    table.flags.writeable = False
+    return edges, table
+
+
+def band_integrals(name, centers, radii, a, b, p):
+    """(bump, integrals): integrand ``name`` at p integrated in s over each
+    piece of a band inside an interval, and the bump of each piece.
+
+    Bump i (1-D arrays of centres and radii) has its band 1/2 <= s <= 1 in
+    s = (c_i - x) / r_i on its left and s = (x - c_i) / r_i on its right,
+    and each side meets [a_i, b_i] in at most one piece [lo, hi]; nonempty
+    pieces come in bump order, left first.  A piece adds the panels of
+    :func:`_band_table` that lie inside it and runs :func:`_band_ladder`
+    on the rest, [lo, first edge] and [last edge, hi], or on the whole
+    piece if no panel fits.  Its terms, all positive, are summed left to
+    right, which keeps their relative accuracy where a difference of
+    prefix sums would cancel (at p = 1.25 the Morrey band holds about 1.35,
+    its first panel 5e-25).  A piece's value depends on its ends and the
+    table alone, so a bump gets the same bits alone as among others.
+
+    Raises :class:`QuadratureNotConverged` naming the integrand, p and the
+    panel of a table, or the interval [a_i, b_i] of the first bump whose
+    partial piece does not converge.
+    """
+    near = (centers - b) / radii
+    far = (centers - a) / radii
+    lo = np.maximum(np.stack([near, -far], axis=1).ravel(), 0.5)
+    hi = np.minimum(np.stack([far, -near], axis=1).ravel(), 1.0)
+    keep = lo < hi
+    lo, hi, bump = lo[keep], hi[keep], np.flatnonzero(keep) // 2
+    edges, table = _band_table(name, p)
+    full = (edges[:-1] >= lo[:, None]) & (edges[1:] <= hi[:, None])
+    inner = full.any(axis=1)
+    # the outer edges of the panels inside each piece, or hi where none fits
+    first = np.where(inner, edges[full.argmax(axis=1)], hi)
+    last = np.where(inner, edges[len(table) - full[:, ::-1].argmax(axis=1)],
+                    hi)
+    ends_lo = np.stack([lo, last], axis=1)
+    ends_hi = np.stack([first, hi], axis=1)
+    has = ends_lo < ends_hi
+    parts, failed = _band_ladder(name, ends_lo[has], ends_hi[has], p)
+    if failed is not None:
+        i = bump[np.flatnonzero(has)[failed] // 2]
+        raise _not_converged(
+            f"{name} integral over [{float(a[i])!r}, {float(b[i])!r}]")
+    ends = np.zeros(has.shape)
+    ends[has] = parts
+    terms = np.column_stack([ends[:, 0], np.where(full, table, 0.0),
+                             ends[:, 1]])
+    return bump, np.cumsum(terms, axis=1)[:, -1]
+
+
 # -- reference moduli ---------------------------------------------------------
 
 _MAX_DOUBLINGS = 6  # after which the radial ladder of a moduli table raises
@@ -1012,7 +1138,8 @@ def load_moduli(path):
 
     Its comment lines make one header record and each ``# meta`` line its
     own (:func:`sobolab.geometry._header_record`); keys the header does not
-    declare, such as an older writer's ``rel_tol=``, are ignored.  A
+    declare, such as an older writer's ``rel_tol=``, are ignored.  A file
+    that is not UTF-8 text (:func:`sobolab.geometry._open_text`), a
     malformed record or row, a missing or repeated multi-index (naming both
     lines), one outside the header's (k, d), a hex float without its
     ``0x``, a modulus that is not finite and positive, or ``# meta``
@@ -1020,7 +1147,7 @@ def load_moduli(path):
     naming the file and line: :func:`save_moduli` writes none of these.
     """
     header, meta, meta_line, table, row_line = {}, {}, {}, {}, {}
-    with open(path, encoding="utf-8") as fh:
+    with _open_text(path) as fh:
         for lineno, line in enumerate(fh, start=1):
             line = line.strip()
             if not line:

@@ -39,9 +39,9 @@ from __future__ import annotations
 import configparser
 
 from .bump import BumpSum, SobolevParams
-from .errors import ConfigInvalid, SobolabError
+from .errors import ConfigInvalid, MalformedInput, SobolabError
 from .experiments import SweepConfig
-from .geometry import _float_literal, _float_rows, _int_literal
+from .geometry import _float_literal, _float_rows, _int_literal, _open_text
 from .model import DistributionSpec
 
 
@@ -101,10 +101,12 @@ def _read_ini(path):
     parser = configparser.ConfigParser(inline_comment_prefixes=(";", "#"),
                                        interpolation=None)
     try:
-        with open(path, encoding="utf-8") as fh:
-            parser.read_file(fh)
+        with _open_text(path) as fh:
+            parser.read_file(fh, source=str(path))
     except FileNotFoundError:
         raise ConfigInvalid(f"config file not found: {path}") from None
+    except MalformedInput as exc:  # not UTF-8 text
+        raise ConfigInvalid(str(exc)) from None
     except configparser.Error as exc:
         raise ConfigInvalid(f"{path}: {exc}") from None
     return parser

@@ -18,7 +18,8 @@ class DuplicatePoints(SobolabError):
 
 
 class MismatchedLengths(SobolabError):
-    """Companion arrays (points/labels/radii) disagree in length."""
+    """Companion arrays, dimensions or a file's columns disagree, or bump
+    supports overlap or fail the packing certificate r_i <= gap_i / 2."""
 
 
 class MalformedInput(SobolabError):
@@ -78,7 +79,8 @@ class UnsupportedSpec(SobolabError):
 
 
 class InvalidRange(SobolabError):
-    """Sobolev parameters outside the strict range k in (d/p, 1.5 d/p)."""
+    """A number out of range: p outside [1, inf), kp <= d, a norm sweep's
+    k outside (d/p, 1.5 d/p), an index, or a norm that is not finite."""
 
 
 class ConfigInvalid(SobolabError):

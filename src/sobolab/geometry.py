@@ -28,6 +28,7 @@ All functions are pure; `Dataset` arrays are frozen after construction.
 from __future__ import annotations
 
 import csv
+import io
 import itertools
 import math
 import re
@@ -432,10 +433,11 @@ def save_dataset(dataset, path):
 def load_dataset(path):
     """Read a :func:`save_dataset` file back as a :class:`Dataset`.
 
-    A malformed row (:func:`_float_rows`) raises naming the file and line;
-    points that :class:`Dataset` refuses raise its error, naming the file.
+    A file that is not UTF-8 text (:func:`_open_text`) or a malformed row
+    (:func:`_float_rows`) raises naming the file and line; points that
+    :class:`Dataset` refuses raise its error, naming the file.
     """
-    with open(path, newline="", encoding="utf-8") as fh:
+    with _open_text(path) as fh:
         reader = csv.reader(fh)
         columns = next(reader, [])
         d = max(len(columns) - 1, 1)
@@ -469,6 +471,20 @@ def _float_literal(text):
     if not _FLOAT_LITERAL.fullmatch(text):
         raise ValueError(f"{text!r} is not an ASCII decimal number")
     return float(text)
+
+
+def _open_text(path):
+    """``path`` decoded as UTF-8, read as ``open(path, newline="")`` reads;
+    a byte that is not UTF-8 raises :class:`MalformedInput` naming the
+    file and line before any reader sees a line."""
+    with open(path, "rb") as fh:
+        raw = fh.read()
+    try:
+        return io.StringIO(raw.decode("utf-8"), newline="")
+    except UnicodeDecodeError as exc:
+        lineno = raw.count(b"\n", 0, exc.start) + 1
+        raise MalformedInput(f"{path}: line {lineno}: not UTF-8 text "
+                             f"({exc.reason})") from None
 
 
 def _header_record(path, lineno, tokens, casts, required=None, record=None):

@@ -40,6 +40,7 @@ from .geometry import (
     _float_rows,
     _header_record,
     _int_literal,
+    _open_text,
 )
 
 INTERPOLATION_TOL = 1e-9
@@ -192,14 +193,15 @@ def save_interpolant(f, params, shrink, path):
 def load_interpolant(path):
     """Read a :func:`save_interpolant` file back as ``(f, params, shrink)``.
 
-    A malformed header record (:func:`sobolab.geometry._header_record`) or
+    A file that is not UTF-8 text (:func:`sobolab.geometry._open_text`), a
+    malformed header record (:func:`sobolab.geometry._header_record`) or
     row (:func:`sobolab.geometry._float_rows`), a shrink outside (0, 1],
     which :func:`build` never makes, or a header d that is not the number
     of coordinate columns, raises naming the file and line; rows that
     :class:`~sobolab.bump.BumpSum` refuses raise its error, naming the
     file.
     """
-    with open(path, newline="", encoding="utf-8") as fh:
+    with _open_text(path) as fh:
         first = fh.readline().strip()
         if not first.startswith("#"):
             raise MismatchedLengths(f"{path}: missing parameter header record")

@@ -11,33 +11,27 @@ block from one generator call, with no bump-sum object per trial, and
 checks each block as one batch (:func:`_exact_block`).  Disjoint supports
 split each trial's integral of |u'|^p into one integral per bump, which
 the bump scaling law turns into a profile integral over the part of the
-band 1/2 <= |x - c| / r <= 1 in the trial's interval.  That integrand
-depends on p alone, so the band is integrated once per p on fixed equal
-panels (:func:`_band_table`).  A band piece adds the panels that lie
-inside it from the table and runs the Gauss-Legendre halving ladder
-(:func:`_ladder`) only on the partial panels at its ends.  Each piece's
-value depends on its own ends and the table alone, so every trial gets
-the same bits alone as in any batch, from the drawn arrays or from
-:class:`~sobolab.bump.BumpSum` objects (:func:`morrey_exact_batch`).
+band 1/2 <= |x - c| / r <= 1 in the trial's interval, which
+:func:`sobolab.bump.band_integrals` computes, as it does for the
+semi-analytic risk; so every trial gets the same bits alone
+(:func:`morrey_exact_trial`) as in any block.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import lru_cache
 
 import numpy as np
 
 from . import geometry, quadrature
-from .bump import BumpSum, _sum_over_pairs, multi_indices, profile_eval
+from .bump import BumpSum, _sum_over_pairs, band_integrals, multi_indices
 from .errors import (
     ConfigInvalid,
     InvalidRange,
     MalformedInput,
     MismatchedLengths,
     NonpositiveRadius,
-    QuadratureNotConverged,
 )
 from .geometry import _sq_norm
 
@@ -52,14 +46,6 @@ from .geometry import _sq_norm
 # x86 host.  Their traced peak is about 1.2 MB in blocks of 512 (0.1 MB in
 # blocks of 32).
 MORREY_BLOCK = 512
-# Equal panels of the band 1/2 <= s <= 1 in the table of each p; 8 to 64
-# ran alike in morrey_d1, 128 slower.
-_BAND_PANELS = 32
-# Halvings of each table panel or partial piece before the Morrey ladder
-# gives up.
-_MORREY_HALVINGS = 6
-# Two successive levels of a band piece agree to this, relative.
-_MORREY_REL_TOL = 1e-10
 # The range of ball radii delta that morrey_check draws from (exact) or
 # grids geometrically (diagnostic).
 _DELTA_RANGE = (0.01, 0.75)
@@ -113,19 +99,6 @@ def _check_balls(x0, x1, delta):
         raise NonpositiveRadius("delta must be positive")
 
 
-def _morrey_inputs(sums, x0, x1, delta, p):
-    """One batch's inputs, checked: arrays x0, x1, delta and a float p."""
-    p = _checked_p(p)
-    x0, x1, delta = (np.array(v, dtype=float).reshape(-1)
-                     for v in (x0, x1, delta))
-    if not len(sums) == len(x0) == len(x1) == len(delta):
-        raise MismatchedLengths("sums, x0, x1 and delta must align")
-    if not all(u.dim == 1 for u in sums):
-        raise MismatchedLengths("the exact Morrey check takes bump sums in d = 1")
-    _check_balls(x0, x1, delta)
-    return x0, x1, delta, p
-
-
 def _trial_nn_sq(centers, owner):
     """Each centre's squared distance to the nearest other centre of its
     own trial, inf for a bump alone in its trial; ``owner`` names the
@@ -165,7 +138,7 @@ def _draw_block(rng, count):
     the law of :func:`_random_bump_sum` in d = 1 and its ball, and the
     stream depends on the block size.  One guard per block then runs
     every check that :class:`~sobolab.bump.BumpSum` and
-    :func:`morrey_exact_batch` make, with their error classes: finite
+    :func:`morrey_exact_trial` make, with their error classes: finite
     centers and weights (:class:`MalformedInput`), finite and positive
     radii (:class:`NonpositiveRadius`), the packing certificate 2 r_i <=
     sqrt(nn_i) of every bump that is not alone in its trial
@@ -203,76 +176,6 @@ def _draw_block(rng, count):
     return centers[:, None], radii, weights, owner, x0, x1, delta
 
 
-def _ladder(lo, hi, p):
-    """The integral of |2 s phi'(s^2)|^p over each piece [lo_i, hi_i], and
-    the index of the first piece not converged, or None.
-
-    Every piece runs the same Gauss-Legendre halving ladder, 2^level equal
-    panels at each level, and stops at the first level that agrees with
-    the one before to ``_MORREY_REL_TOL``; so its value depends on its own
-    ends alone.  A piece still live after ``_MORREY_HALVINGS`` halvings
-    keeps the value 0.
-    """
-    integrals = np.zeros(len(lo))
-    live, prev = np.arange(len(lo)), None
-    width = hi - lo
-    for level in range(_MORREY_HALVINGS + 1):
-        if not live.size:
-            break
-        steps = np.linspace(0.0, 1.0, (1 << level) + 1)
-        edges = lo[live, None] + width[live, None] * steps
-        nodes, wts = quadrature.rule_from_panels(edges[:, :-1].ravel(),
-                                                 edges[:, 1:].ravel())
-        # 2 s phi'(s^2): the nodes are offsets already, scaled by r
-        slope = profile_eval(nodes * nodes, 1) * (2.0 * nodes)
-        cur = (np.abs(slope) ** p * wts).reshape(len(live), -1).sum(axis=1)
-        if level:
-            done = (np.abs(cur - prev)
-                    <= _MORREY_REL_TOL * np.maximum(abs(cur), 1e-300))
-            integrals[live[done]] = cur[done]
-            live, cur = live[~done], cur[~done]
-        prev = cur
-    return integrals, (int(live[0]) if live.size else None)
-
-
-# a sweep reads one p; the bound keeps a process that meets many from
-# holding every table
-@lru_cache(maxsize=16)
-def _band_table(p):
-    """(edges, integrals) of the band 1/2 <= s <= 1 cut into ``_BAND_PANELS``
-    equal panels, each through :func:`_ladder`; read-only, one per p.
-
-    Raises :class:`QuadratureNotConverged`, naming p and the panel, if a
-    panel does not converge.
-    """
-    edges = np.linspace(0.5, 1.0, _BAND_PANELS + 1)
-    table, failed = _ladder(edges[:-1], edges[1:], p)
-    if failed is not None:
-        raise QuadratureNotConverged(
-            f"Morrey band table at p = {p!r}: panel "
-            f"[{float(edges[failed])!r}, {float(edges[failed + 1])!r}] not "
-            f"converged to rel {_MORREY_REL_TOL:g} after "
-            f"{1 << _MORREY_HALVINGS} panels"
-        )
-    edges.flags.writeable = False
-    table.flags.writeable = False
-    return edges, table
-
-
-def morrey_exact_batch(sums, x0, x1, delta, p):
-    """(lhs, rhs) of the exact-variant check for each trial, in trial order:
-    the bump sums ``sums`` (d = 1) and their balls, checked and
-    concatenated, through :func:`_exact_block`."""
-    x0, x1, delta, p = _morrey_inputs(sums, x0, x1, delta, p)
-    if not len(sums):
-        return []
-    centers = np.concatenate([u.centers for u in sums])
-    radii = np.concatenate([u.radii for u in sums])
-    weights = np.concatenate([u.weights for u in sums])
-    owner = np.repeat(np.arange(len(sums)), [u.n for u in sums])
-    return _exact_block(centers, radii, weights, owner, x0, x1, delta, p)
-
-
 def _exact_block(centers, radii, weights, owner, x0, x1, delta, p):
     """(lhs, rhs) of the exact-variant check for each of the m = len(x0)
     trials of checked flat arrays, in trial order; ``owner`` names the
@@ -284,25 +187,11 @@ def _exact_block(centers, radii, weights, owner, x0, x1, delta, p):
 
     the Hoelder route through the fundamental theorem of calculus.  The
     supports are disjoint and u' vanishes off the bands, so by the bump
-    scaling law bump i adds |w_i|^p r_i^(1-p) integral |2 s phi'(s^2)|^p ds
-    over the part of its band 1/2 <= s = |x - c_i| / r_i <= 1 inside
-    [x0 - 2 delta, x0 + 2 delta]: at most one piece [lo, hi] per side.
-
-    :func:`_band_table` holds the integral over each of ``_BAND_PANELS``
-    equal panels of the band at this p.  A piece adds the panels that lie
-    inside it from the table, and runs the halving ladder :func:`_ladder`
-    on the rest: [lo, first edge] and [last edge, hi] where these are not
-    empty, or the whole piece when no panel fits in it; a whole band
-    [1/2, 1] runs no ladder at all.  Each piece's terms are summed left to
-    right, all of them positive, so the sum keeps their relative accuracy;
-    a difference of prefix sums would cancel: at p = 1.25 the band
-    integrates to about 1.35, and its first and last panels hold about
-    5e-25 and 1e-12.  A piece's value depends on its ends and the table
-    alone, so a trial gets the same bits alone as in any batch.
-
-    Raises :class:`QuadratureNotConverged` if six halvings do not get a
-    panel of the table, naming p and the panel, or a partial piece, naming
-    the interval of the first such trial.
+    scaling law bump i adds |w_i|^p r_i^(1-p) times the integral of
+    |2 s phi'(s^2)|^p over its band pieces in [x0 - 2 delta, x0 + 2 delta]
+    (:func:`~sobolab.bump.band_integrals`, which raises
+    :class:`~sobolab.errors.QuadratureNotConverged` naming p and a table
+    panel, or the interval of the first trial, that does not converge).
     """
     m = len(x0)
 
@@ -321,56 +210,28 @@ def _exact_block(centers, radii, weights, owner, x0, x1, delta, p):
     at = at.tolist()
     lhs = [abs(a - b) ** p for a, b in zip(at, at[m:])]
 
-    # each bump's band pieces in s = (c - x) / r on its left, then in
-    # s = (x - c) / r on its right, in trial order
     a, b = x0 - 2.0 * delta, x0 + 2.0 * delta
-    near = (centers[:, 0] - b[owner]) / radii
-    far = (centers[:, 0] - a[owner]) / radii
-    lo = np.maximum(np.stack([near, -far], axis=1).ravel(), 0.5)
-    hi = np.minimum(np.stack([far, -near], axis=1).ravel(), 1.0)
-    keep = lo < hi
-    lo, hi, holder = lo[keep], hi[keep], owner.repeat(2)[keep]
+    bump, integrals = band_integrals("Morrey", centers[:, 0], radii,
+                                     a[owner], b[owner], p)
     # |w|^p r^(1-p), powered once so that no factor underflows alone
-    scale = ((np.abs(weights) * radii ** (1.0 / p - 1.0)) ** p).repeat(2)[keep]
-    # a piece [lo, hi] adds the table's panels that lie inside it and runs
-    # the ladder on the rest: a partial panel at either end, or the whole
-    # piece when no panel fits in it.  Partial pieces run in piece order,
-    # so the first failure names the first such trial
-    edges, table = _band_table(p)
-    full = (edges[:-1] >= lo[:, None]) & (edges[1:] <= hi[:, None])
-    inner = full.any(axis=1)
-    # the outer edges of the panels inside each piece, or hi where none fits
-    first = np.where(inner, edges[full.argmax(axis=1)], hi)
-    last = np.where(inner, edges[len(table) - full[:, ::-1].argmax(axis=1)],
-                    hi)
-    ends_lo = np.stack([lo, last], axis=1)
-    ends_hi = np.stack([first, hi], axis=1)
-    has = ends_lo < ends_hi
-    parts, failed = _ladder(ends_lo[has], ends_hi[has], p)
-    if failed is not None:
-        t = holder[np.flatnonzero(has)[failed] // 2]
-        raise QuadratureNotConverged(
-            f"Morrey integral over [{float(a[t])!r}, {float(b[t])!r}] not "
-            f"converged to rel {_MORREY_REL_TOL:g} after "
-            f"{1 << _MORREY_HALVINGS} panels"
-        )
-    ends = np.zeros(has.shape)
-    ends[has] = parts
-    # one left-to-right sum of positive terms per piece: its left end, the
-    # full panels, its right end
-    terms = np.column_stack([ends[:, 0], np.where(full, table, 0.0),
-                             ends[:, 1]])
-    integrals = np.cumsum(terms, axis=1)[:, -1]
-    totals = np.bincount(holder, weights=scale * integrals, minlength=m)
+    scale = (np.abs(weights) * radii ** (1.0 / p - 1.0)) ** p
+    totals = np.bincount(owner[bump], weights=scale[bump] * integrals,
+                         minlength=m)
     return [(lhs[t], (2.0 * d) ** (p - 1.0) * float(totals[t]))
             for t, d in enumerate(delta.tolist())]
 
 
 def morrey_exact_trial(u, x0, x1, delta, p):
-    """(lhs, rhs) of one exact-variant check: :func:`morrey_exact_batch` on
-    a batch of one trial, so it gets the bits of any batch."""
-    (lhs, rhs), = morrey_exact_batch([u], [x0], [x1], [delta], p)
-    return lhs, rhs
+    """(lhs, rhs) of one exact-variant check of the d = 1 bump sum ``u``,
+    checked as :func:`_draw_block` checks a block: :func:`_exact_block` on
+    a block of one trial, so it gets the bits of any block."""
+    p = _checked_p(p)
+    if u.dim != 1:
+        raise MismatchedLengths("the exact Morrey check takes bump sums in d = 1")
+    x0, x1, delta = (np.array([v], dtype=float) for v in (x0, x1, delta))
+    _check_balls(x0, x1, delta)
+    return _exact_block(u.centers, u.radii, u.weights,
+                        np.zeros(u.n, dtype=np.intp), x0, x1, delta, p)[0]
 
 
 def _local_sobolev_norm_p(u, x0, delta, params, indices):

@@ -3,8 +3,10 @@ readers.
 
 :func:`line_mutations` duplicates or deletes one line, or replaces one
 token by a hostile one.  A token lies between spaces or commas, so the
-header records of the moduli cache and the interpolant file and the cells
-of every CSV row are tokens alike.
+header records of the moduli cache and the interpolant file, the cells of
+every CSV row and the words of a config line are tokens alike.
+:func:`write_lines` writes the mutated lines back, the lone surrogate
+token as the one byte that is not UTF-8.
 """
 
 import re
@@ -12,9 +14,18 @@ import re
 from hypothesis import strategies as st
 
 # Tokens a mutated file may carry in place of one of the writer's: each
-# parses as something by one of Python's readers, or by none.
+# parses as something by one of Python's readers, or by none.  The lone
+# surrogate is written as the byte 0xff (write_lines), which no UTF-8 text
+# holds.
 HOSTILE_TOKENS = ["nan", "inf", "-0", "1e309", "0x1p+9999", "", "1_0",
-                  "\u0663"]
+                  "\u0663", "\udcff"]
+
+
+def write_lines(path, lines):
+    """``lines`` to ``path`` as UTF-8, one per line; a lone surrogate
+    U+DC80..U+DCFF becomes the raw byte it escapes."""
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8",
+                    errors="surrogateescape")
 
 
 @st.composite

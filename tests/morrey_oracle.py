@@ -5,9 +5,11 @@ trials: |u'|^p through :meth:`BumpSum.partial` on every node of every
 panel, with breakpoints at the support and plateau edges, one
 :func:`line_oracle.integrate_1d` per level, halving every panel until two
 levels agree to ``rel_tol``, the check's own 1e-10 by default.
-``morrey.morrey_exact_batch`` integrates the bump profile over each bump's
-band pieces instead, so it must give the same lhs to the bit and the rhs
-within 1e-9 relative.  ``tests/test_morrey.py`` runs both.
+The check (``morrey._exact_block``, one trial of it through
+``morrey.morrey_exact_trial``) integrates the bump profile over each bump's
+band pieces instead (``bump.band_integrals``), so it must give the same
+lhs to the bit and the rhs within 1e-9 relative.  ``tests/test_morrey.py``
+runs both.
 """
 
 import numpy as np

@@ -25,7 +25,7 @@ from sobolab.errors import (
 from box_oracle import integrate_partial_power, integrate_partial_power_fixed
 from conftest import peak_traced_bytes, support_probes
 from fdiff import fd_partial
-from file_mutations import line_mutations
+from file_mutations import line_mutations, write_lines
 from scaling_law import scaled_seminorm
 
 
@@ -656,14 +656,10 @@ class TestBumpSum:
             u.partial((1, 0), x)
 
     def test_morrey_batch_forms_no_offsets_again(self, monkeypatch):
-        rng = np.random.default_rng(18)
-        sums = [morrey._random_bump_sum(rng, 1) for _ in range(8)]
-        x0 = rng.uniform(-1.5, 1.5, size=8)
-        delta = rng.uniform(0.01, 0.75, size=8)
-        x1 = x0 + rng.uniform(-1.0, 1.0, size=8) * delta
-        want = morrey.morrey_exact_batch(sums, x0, x1, delta, 1.25)
+        block = morrey._draw_block(np.random.default_rng(18), 8)
+        want = morrey._exact_block(*block, 1.25)
         _refuse_offsets(monkeypatch)
-        assert morrey.morrey_exact_batch(sums, x0, x1, delta, 1.25) == want
+        assert morrey._exact_block(*block, 1.25) == want
 
 
 def _lattice(side, spacing, origin):
@@ -928,8 +924,7 @@ class TestModuli:
         path = tmp_path_factory.mktemp("cache") / "moduli.txt"
         bump.save_moduli(moduli_d1, path)
         lines = path.read_text(encoding="utf-8").splitlines()
-        path.write_text("\n".join(data.draw(line_mutations(lines))) + "\n",
-                        encoding="utf-8")
+        write_lines(path, data.draw(line_mutations(lines)))
         try:
             back = bump.load_moduli(path)
         except SobolabError as exc:

@@ -5,8 +5,9 @@ import warnings
 import numpy as np
 import pytest
 
-from sobolab import bump, cli, geometry, interpolant, model
+from sobolab import bump, cli, geometry, interpolant, model, risk
 from sobolab.cli import main
+from sobolab.errors import QuadratureNotConverged, UnsupportedSpec
 
 BASE_INI = """
 [params]
@@ -347,6 +348,68 @@ class TestRiskCommand:
         assert "monte-carlo" in out
         assert "semi-analytic" in out
         assert "DISAGREES" not in out
+
+
+    @pytest.mark.parametrize("error, code", [(UnsupportedSpec, 0),
+                                             (QuadratureNotConverged, 2)])
+    def test_only_an_unsupported_spec_skips_the_estimate(
+            self, cfg, dataset_csv, capsys, monkeypatch, error, code):
+        # a spec with no closed form leaves the semi-analytic line out; a
+        # numerical failure of the estimate is a usage error, not a skip
+        def raises(f, spec):
+            raise error("no estimate")
+
+        monkeypatch.setattr(risk, "excess_risk_semianalytic", raises)
+        assert main(["risk", "--config", str(cfg), "--data",
+                     str(dataset_csv), "--seed", "3",
+                     "--mc-samples", "1000", "--threads", "1"]) == code
+        out, err = capsys.readouterr()
+        assert "semi-analytic" not in out
+        assert err == ("" if code == 0 else "error: no estimate\n")
+
+
+class TestUndecodableBytes:
+    """A byte that is not UTF-8 in a text input is a usage error naming the
+    file and line, not a traceback."""
+
+    @staticmethod
+    def _refused(argv, path, lineno, capsys):
+        lines = path.read_bytes().split(b"\n")
+        lines[lineno - 1] += b"\xff"
+        path.write_bytes(b"\n".join(lines))
+        code = main(argv)
+        err = capsys.readouterr().err
+        assert err == (f"error: {path}: line {lineno}: not UTF-8 text "
+                       f"(invalid start byte)\n")
+        return code
+
+    def test_sweep_config(self, cfg, tmp_path, capsys):
+        out = tmp_path / "out"
+        assert self._refused(["sweep", "--config", str(cfg), "--seed", "1",
+                              "--out", str(out)], cfg, 5, capsys) == 2
+        assert not out.exists()
+
+    def test_check_data(self, cfg, dataset_csv, capsys):
+        assert self._refused(["check", "--config", str(cfg), "--data",
+                              str(dataset_csv)], dataset_csv, 3, capsys) == 2
+
+    def test_norm_interp(self, tmp_path, capsys):
+        interp = tmp_path / "interp.csv"
+        interp.write_text("# k=1 p=1.25 d=1 shrink=1.0\nc_1,radius,weight\n"
+                          "0.0,0.25,1.0\n")
+        assert self._refused(["norm", "--interp", str(interp)], interp, 1,
+                             capsys) == 2
+
+    def test_norm_moduli(self, cfg, tmp_path, capsys):
+        assert main(["moduli", "--config", str(cfg),
+                     "--out", str(tmp_path)]) == 0
+        capsys.readouterr()
+        cache = tmp_path / "moduli_k1_p1.25_d1.txt"
+        interp = tmp_path / "interp.csv"
+        interp.write_text("# k=1 p=1.25 d=1 shrink=1.0\nc_1,radius,weight\n"
+                          "0.0,0.25,1.0\n")
+        assert self._refused(["norm", "--interp", str(interp), "--moduli",
+                              str(cache)], cache, 2, capsys) == 2
 
 
 class TestSweepCommand:

@@ -2,8 +2,11 @@ import re
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from file_mutations import line_mutations, write_lines
 from sobolab import config
+from sobolab.errors import ConfigInvalid
 
 WORKLOADS = sorted((Path(__file__).parents[1] / "bench" / "workloads")
                    .glob("*.ini"))
@@ -38,3 +41,27 @@ def test_benchmark_workloads_load(path):
     cfg = config.load_sweep(path, seed_override=781508)
     assert cfg.config_id == path.stem
     assert cfg.master_seed == 781508
+
+
+@settings(max_examples=300)
+@given(data=st.data())
+@pytest.mark.parametrize("path", WORKLOADS, ids=lambda p: p.stem)
+def test_mutated_workload_raises_or_loads(path, tmp_path_factory, data):
+    # a mutated config either raises ConfigInvalid or loads; a config that
+    # loads as a sweep loads its [params] and [distribution] alone too,
+    # to the same params.
+    # Only the loaders run: a mutated n_grid, trials or mc_samples could
+    # ask a run for unbounded memory
+    mutated = tmp_path_factory.mktemp("config") / path.name
+    write_lines(mutated, data.draw(line_mutations(
+        path.read_text(encoding="utf-8").splitlines())))
+    try:
+        cfg = config.load_sweep(mutated)
+    except ConfigInvalid:
+        cfg = None
+    try:
+        params, _ = config.load_distribution(mutated)
+    except ConfigInvalid:
+        assert cfg is None
+        return
+    assert cfg is None or params == cfg.params

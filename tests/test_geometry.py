@@ -19,7 +19,7 @@ from sobolab.errors import (
 from sobolab.geometry import Dataset
 
 from conftest import count_trees, random_dataset
-from file_mutations import line_mutations
+from file_mutations import line_mutations, write_lines
 
 
 def line_dataset(*xs):
@@ -114,8 +114,7 @@ class TestDataset:
         geometry.save_dataset(
             random_dataset(np.random.default_rng(3), 4, 2), path)
         lines = path.read_text(encoding="utf-8").splitlines()
-        path.write_text("\n".join(data.draw(line_mutations(lines))) + "\n",
-                        encoding="utf-8")
+        write_lines(path, data.draw(line_mutations(lines)))
         try:
             back = geometry.load_dataset(path)
         except SobolabError as exc:

@@ -15,7 +15,7 @@ from sobolab.errors import (
 from sobolab.geometry import Dataset
 
 from conftest import CANONICAL, random_dataset, support_probes
-from file_mutations import line_mutations
+from file_mutations import line_mutations, write_lines
 
 
 def line_dataset(xs, ys):
@@ -367,8 +367,7 @@ class TestCsv:
                   params_d2)
         interpolant.save_interpolant(f, params_d2, 0.7, path)
         lines = path.read_text(encoding="utf-8").splitlines()
-        path.write_text("\n".join(data.draw(line_mutations(lines))) + "\n",
-                        encoding="utf-8")
+        write_lines(path, data.draw(line_mutations(lines)))
         try:
             back, params, shrink = interpolant.load_interpolant(path)
         except SobolabError as exc:

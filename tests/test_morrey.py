@@ -25,7 +25,6 @@ from sobolab.errors import (
 from sobolab.morrey import (
     MORREY_BLOCK,
     morrey_check,
-    morrey_exact_batch,
     morrey_exact_trial,
 )
 
@@ -36,9 +35,9 @@ ROOT = Path(__file__).resolve().parent.parent
 def _fresh_band_tables():
     """Each test builds the band tables it reads: a table cached by an
     earlier test would let a patched ladder pass or fail by test order."""
-    morrey._band_table.cache_clear()
+    bump._band_table.cache_clear()
     yield
-    morrey._band_table.cache_clear()
+    bump._band_table.cache_clear()
 
 
 @st.composite
@@ -110,8 +109,8 @@ class TestMorrey:
         # so only a ladder with no halving left is out of reach; the table
         # is built first, so the trial's own partial pieces, s in
         # [0.890625, 0.9] on each side, fail
-        morrey._band_table(2.0)
-        monkeypatch.setattr(morrey, "_MORREY_HALVINGS", 0)
+        bump._band_table("Morrey", 2.0)
+        monkeypatch.setattr(bump, "_BAND_HALVINGS", 0)
         u = bump.BumpSum(centers=[[0.0]], radii=[1.0], weights=[1.0])
         with pytest.raises(QuadratureNotConverged,
                            match=r"over \[-0\.9, 0\.9\] not converged"):
@@ -121,13 +120,13 @@ class TestMorrey:
         # neither trial's partial pieces converge without a halving (s in
         # [0.890625, 0.9] for u, and the end of [0.5, 6/7] for v); the
         # error names the interval of the first
-        morrey._band_table(2.0)
-        monkeypatch.setattr(morrey, "_MORREY_HALVINGS", 0)
+        bump._band_table("Morrey", 2.0)
+        monkeypatch.setattr(bump, "_BAND_HALVINGS", 0)
         u = bump.BumpSum(centers=[[0.0]], radii=[2.0], weights=[1.0])
         v = bump.BumpSum(centers=[[0.5]], radii=[0.35], weights=[-2.0])
+        block = _flat_block([(u, 0.0, 0.8, 0.9), (v, 0.4, 0.5, 0.1)])
         with pytest.raises(QuadratureNotConverged) as caught:
-            morrey_exact_batch([u, v], [0.0, 0.4], [0.8, 0.5], [0.9, 0.1],
-                               2.0)
+            morrey._exact_block(*block, 2.0)
         assert re.search(r"over \[-1\.8, 1\.8\] not converged to rel 1e-10 "
                          r"after 1 panels", str(caught.value))
 
@@ -139,8 +138,8 @@ class TestMorrey:
                                         panels):
         # a piece made of whole panels adds the table's entries and runs no
         # ladder, so it needs no halving once the table is built
-        _, table = morrey._band_table(2.0)
-        monkeypatch.setattr(morrey, "_MORREY_HALVINGS", 0)
+        _, table = bump._band_table("Morrey", 2.0)
+        monkeypatch.setattr(bump, "_BAND_HALVINGS", 0)
         u = bump.BumpSum(centers=[[0.0]], radii=[0.5], weights=[1.0])
         _, rhs = morrey_exact_trial(u, x0, x0, delta, 2.0)
         sides = 2 if x0 == 0.0 else 1
@@ -149,7 +148,7 @@ class TestMorrey:
 
     def test_unconverged_table_names_p_and_panel(self, monkeypatch):
         # with no halving left, the first panel of the table is out of reach
-        monkeypatch.setattr(morrey, "_MORREY_HALVINGS", 0)
+        monkeypatch.setattr(bump, "_BAND_HALVINGS", 0)
         u = bump.BumpSum(centers=[[0.0]], radii=[1.0], weights=[1.0])
         with pytest.raises(QuadratureNotConverged) as caught:
             morrey_exact_trial(u, 0.0, 0.8, 0.9, 2.0)
@@ -209,8 +208,7 @@ class TestMorrey:
                lambda size: st.lists(_morrey_trial(), min_size=size,
                                      max_size=size)))
     def test_batch_matches_oracle(self, p, trials):
-        sums, x0, x1, delta = zip(*trials)
-        got = morrey_exact_batch(sums, x0, x1, delta, p)
+        got = morrey._exact_block(*_flat_block(trials), p)
         want = [morrey_trial_oracle(*trial, p) for trial in trials]
         _assert_matches_oracle(got, want)
         for (u, x0, _, d), (_, rhs), (_, rhs_want) in zip(trials, got, want):
@@ -255,14 +253,10 @@ class TestMorrey:
             with pytest.raises(error):
                 morrey_exact_trial(u, x0, x1, delta, p)
 
-    def test_batch_shape_checks(self):
-        u = bump.BumpSum(centers=[[0.0]], radii=[1.0], weights=[1.0])
+    def test_trial_takes_d1_sums_only(self):
         flat = bump.BumpSum(centers=[[0.0, 0.0]], radii=[1.0], weights=[1.0])
         with pytest.raises(MismatchedLengths):
             morrey_exact_trial(flat, 0.1, 0.2, 0.3, 2.0)
-        with pytest.raises(MismatchedLengths):
-            morrey_exact_batch([u, u], [0.1], [0.2, 0.2], [0.3, 0.3], 2.0)
-        assert morrey_exact_batch([], [], [], [], 2.0) == []
 
     @pytest.mark.parametrize("trials", [0, 2.5, True])
     @pytest.mark.parametrize("variant", ["exact", "diagnostic"])
@@ -343,6 +337,17 @@ def _block_trials(block):
              x0[t], x1[t], delta[t]) for t in range(len(x0))]
 
 
+def _flat_block(trials):
+    """Trials (BumpSum, x0, x1, delta) as the flat arrays of a block, the
+    inverse of :func:`_block_trials`."""
+    sums, x0, x1, delta = zip(*trials)
+    return (np.concatenate([u.centers for u in sums]),
+            np.concatenate([u.radii for u in sums]),
+            np.concatenate([u.weights for u in sums]),
+            np.repeat(np.arange(len(sums)), [u.n for u in sums]),
+            *(np.array(v, dtype=float) for v in (x0, x1, delta)))
+
+
 class _RiggedRng:
     """Draws as ``rng`` does, except that every call of ``method`` whose
     leading arguments are ``args`` returns ``value`` in the drawn shape."""
@@ -378,9 +383,7 @@ class TestBlock:
         block = morrey._draw_block(np.random.default_rng(seed), count)
         got = np.array(morrey._exact_block(*block, p))
         trials = _block_trials(block)
-        batch = np.array(morrey_exact_batch(*zip(*trials), p))
         alone = np.array([morrey_exact_trial(*trial, p) for trial in trials])
-        assert batch.tobytes() == got.tobytes()
         assert alone.tobytes() == got.tobytes()
 
     @given(st.lists(st.lists(st.one_of(
@@ -481,7 +484,7 @@ class TestBlock:
         ((0.01, 0.75), 0.0, NonpositiveRadius),
     ], ids=["nan-x0", "zero-delta"])
     def test_guard_checks_the_balls(self, args, value, error):
-        # as morrey_exact_batch checks its x0, x1 and delta
+        # as morrey_exact_trial checks its x0, x1 and delta
         rng = _RiggedRng(np.random.default_rng(3), "uniform", args, value)
         with pytest.raises(error):
             morrey._draw_block(rng, MORREY_BLOCK)

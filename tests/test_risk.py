@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from sobolab import bump, geometry, interpolant, model, quadrature, risk
-from sobolab.errors import UnsupportedSpec
+from sobolab.errors import QuadratureNotConverged, UnsupportedSpec
 from sobolab.geometry import Dataset
 from sobolab.model import DistributionSpec
 
@@ -16,6 +16,17 @@ def bump_predictor(spec, n, seed, params, shrink=1.0):
     ds = model.sample(spec, n, seed)
     radii = geometry.nn_radii(ds)
     return interpolant.build(ds, radii, shrink, params)
+
+
+def clipped_l2_oracle(center, radius, domain_radius):
+    """integral of psi^2 over the part of one bump's support inside the
+    domain (-R, R), by the panel-doubling box quadrature."""
+    lo = max(center - radius, -domain_radius)
+    hi = min(center + radius, domain_radius)
+    value, _, _ = quadrature.adaptive_box(
+        lambda x: bump.bump_eval(np.array([center]), radius, x) ** 2,
+        [(lo, hi)], rel_tol=1e-13, start_panels=4, max_doublings=10)
+    return value
 
 
 class TestExcessRiskMc:
@@ -91,6 +102,45 @@ class TestSemianalytic:
                                             rel_tol=1e-9, start_panels=4,
                                             max_doublings=8)
         assert est.mean == pytest.approx(val / 2.0, rel=1e-6)
+
+    def test_plateau_covering_the_domain(self, pure_noise_d1):
+        # c = 0, r = 3 on (-1, 1): psi = 1 on all of Omega, so the integral
+        # of psi^2 is exactly 2 and the risk is w^2
+        f = bump.BumpSum(centers=[[0.0]], radii=[3.0], weights=[1.5])
+        assert risk.excess_risk_semianalytic(f, pure_noise_d1).mean == 2.25
+
+    @pytest.mark.parametrize("center", [-0.8, 0.8, -0.95, 0.95],
+                             ids=["left-band", "right-band", "left-plateau",
+                                  "right-plateau"])
+    def test_bump_crossing_an_end(self, pure_noise_d1, center):
+        # r = 0.3: at |c| = 0.8 the domain cuts the outer band, at 0.95 the
+        # plateau and the whole outer band
+        f = bump.BumpSum(centers=[[center]], radii=[0.3], weights=[2.0])
+        got = risk.excess_risk_semianalytic(f, pure_noise_d1).mean
+        want = 4.0 * clipped_l2_oracle(center, 0.3, 1.0) / 2.0
+        assert got == pytest.approx(want, rel=1e-12)
+
+    def test_many_clipped_bumps_match_the_box_oracle(self, pure_noise_d1):
+        rng = np.random.default_rng(28)
+        for _ in range(64):
+            r = rng.uniform(0.05, 1.0)
+            c = rng.choice([-1.0, 1.0]) * rng.uniform(1.0 - r, 1.0 + r)
+            f = bump.BumpSum(centers=[[c]], radii=[r], weights=[1.0])
+            got = risk.excess_risk_semianalytic(f, pure_noise_d1).mean
+            want = clipped_l2_oracle(c, r, 1.0) / 2.0
+            assert got == pytest.approx(want, rel=1e-12), (c, r)
+
+    def test_unconverged_band_names_the_interval(self, pure_noise_d1,
+                                                 monkeypatch):
+        # the table is built first, so only the bump's own partial piece,
+        # s in [1/2, 2/3] on its right, meets a ladder with no halving left
+        bump._band_table("L^p", 2.0)
+        monkeypatch.setattr(bump, "_BAND_HALVINGS", 0)
+        f = bump.BumpSum(centers=[[0.8]], radii=[0.3], weights=[1.0])
+        with pytest.raises(QuadratureNotConverged,
+                           match=r"^L\^p integral over \[-1\.0, 1\.0\] not "
+                                 r"converged"):
+            risk.excess_risk_semianalytic(f, pure_noise_d1)
 
     def test_requires_pure_noise(self, params_d1):
         g = bump.BumpSum(centers=[[0.0]], radii=[0.2], weights=[1.0])
