@@ -11,9 +11,9 @@ block from one generator call, with no bump-sum object per trial, and
 checks each block as one batch (:func:`_exact_block`).  Disjoint supports
 split each trial's integral of |u'|^p into one integral per bump, which
 the bump scaling law turns into a profile integral over the part of the
-band 1/2 <= |x - c| / r <= 1 in the trial's interval, which
-:func:`sobolab.bump.band_integrals` computes, as it does for the
-semi-analytic risk; so every trial gets the same bits alone
+band 1/2 <= |x - c| / r <= 1 in the trial's interval.  Each piece is
+:func:`sobolab.bump.band_integrals`'s, as for the semi-analytic risk, and
+depends on its own ends alone, so every trial gets the same bits alone
 (:func:`morrey_exact_trial`) as in any block.
 """
 
