@@ -69,11 +69,7 @@ from .errors import (
 from .geometry import (
     _certified_violations,
     _check_squared_spread,
-    _float_literal,
-    _header_record,
-    _int_literal,
     _nn_sq_dists,
-    _open_text,
     _sq_norm,
 )
 
@@ -783,20 +779,20 @@ _MAX_DOUBLINGS = 6  # after which the radial ladder of a moduli table raises
 class ReferenceModuli:
     """Table of M_alpha = integral |D^alpha psi_1|^p over |alpha| <= k.
 
-    ``panels`` and ``est_error`` describe the quadrature that produced each
-    entry (:func:`_radial_modulus`).  The radial integral over
-    1/2 <= r <= 1 is split into pieces at the zeros of the class's radial
-    factors (one piece for |alpha| <= 1); ``panels`` is the panel count of
-    each piece at the converged level, and ``est_error`` the difference
-    between the last two levels, plus, for a class with an inner
-    Gauss-Jacobi rule in theta_j (some a_j >= 2, d >= 2), the change from
-    doubling that rule's nodes.
+    ``panels`` and ``est_error`` are in-memory diagnostics of the
+    quadrature that produced each entry (:func:`_radial_modulus`); the
+    benchmark reads ``panels``.  The radial integral over 1/2 <= r <= 1 is
+    split into pieces at the zeros of the class's radial factors (one piece
+    for |alpha| <= 1); ``panels`` is the panel count of each piece at the
+    converged level, and ``est_error`` the difference between the last two
+    levels, plus, for a class with an inner Gauss-Jacobi rule in theta_j
+    (some a_j >= 2, d >= 2), the change from doubling that rule's nodes.
     """
 
     params: SobolevParams
     table: dict
-    panels: dict = field(default_factory=dict)
-    est_error: dict = field(default_factory=dict)
+    panels: dict
+    est_error: dict
 
     def modulus(self, alpha):
         alpha = tuple(int(a) for a in alpha)
@@ -1086,115 +1082,3 @@ def reference_moduli(params):
 def l2_modulus(d):
     """integral psi_1^2 over R^d (the alpha = 0, p = 2 modulus)."""
     return _radial_modulus((0,) * d, 2)[0]
-
-
-# -- cache file --------------------------------------------------------------
-
-
-def save_moduli(moduli, path):
-    """Key-value cache: one line per multi-index, hex-float full precision."""
-    params = moduli.params
-    lines = [
-        "# sobolab reference moduli",
-        f"# k={params.k} p={params.p!r} d={params.d} "
-        f"order={quadrature.GL_ORDER}",
-    ]
-    for alpha in moduli.indices:
-        lines.append(
-            f"# meta {' '.join(map(str, alpha))} panels={moduli.panels.get(alpha, 0)} "
-            f"err={float(moduli.est_error.get(alpha, 0.0)).hex()}"
-        )
-    for alpha in moduli.indices:
-        lines.append(
-            f"{' '.join(map(str, alpha))} {float(moduli.table[alpha]).hex()}"
-        )
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(lines) + "\n")
-
-
-def _hex_float(token):
-    """``float.fromhex`` of a token :func:`save_moduli` could have written:
-    it writes nonnegative values, each with a leading ``0x``, and
-    ``float.fromhex`` alone would read ``1e309`` as 0x1e309 = 123657."""
-    if not token.startswith("0x"):
-        raise ValueError(f"{token!r} is not a nonnegative hex float")
-    return float.fromhex(token)
-
-
-_HEADER_FIELDS = {"k": _int_literal, "p": _float_literal, "d": _int_literal}
-_META_FIELDS = {"panels": _int_literal, "err": _hex_float}
-
-
-def _multi_index(cells, seen, lineno):
-    alpha = tuple(_int_literal(v) for v in cells)
-    if alpha in seen:
-        raise ValueError(f"multi-index {alpha} repeats line {seen[alpha]}")
-    seen[alpha] = lineno
-    return alpha
-
-
-def load_moduli(path):
-    """Read a :func:`save_moduli` file back bit-exactly.
-
-    Its comment lines make one header record and each ``# meta`` line its
-    own (:func:`sobolab.geometry._header_record`); keys the header does not
-    declare, such as an older writer's ``rel_tol=``, are ignored.  A file
-    that is not UTF-8 text (:func:`sobolab.geometry._open_text`), a
-    malformed record or row, a missing or repeated multi-index (naming both
-    lines), one outside the header's (k, d), a hex float without its
-    ``0x``, a modulus that is not finite and positive, or ``# meta``
-    records for some rows but not all raises :class:`MalformedInput`
-    naming the file and line: :func:`save_moduli` writes none of these.
-    """
-    header, meta, meta_line, table, row_line = {}, {}, {}, {}, {}
-    with _open_text(path) as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                if line.startswith("# meta "):
-                    tokens = line[len("# meta "):].split()
-                    alpha = _multi_index([t for t in tokens if "=" not in t],
-                                         meta_line, lineno)
-                    meta[alpha] = _header_record(path, lineno, tokens,
-                                                 _META_FIELDS)
-                elif line.startswith("#"):
-                    _header_record(path, lineno, line[1:].split(),
-                                   _HEADER_FIELDS, required=(), record=header)
-                else:
-                    *cells, cell = line.split()
-                    alpha = _multi_index(cells, row_line, lineno)
-                    value = _hex_float(cell)
-                    if not (math.isfinite(value) and value > 0.0):
-                        raise ValueError(f"modulus {value} is not finite and > 0")
-                    table[alpha] = value
-            except (ValueError, OverflowError) as exc:
-                raise MalformedInput(
-                    f"{path}: line {lineno}: malformed record {line!r} ({exc})"
-                ) from None
-    for key in ("k", "p", "d"):
-        if key not in header:
-            raise MalformedInput(f"{path}: header lacks {key}=")
-    params = header["params"]
-    want = set(multi_indices(params.d, params.k))
-    for alpha, lineno in [*meta_line.items(), *row_line.items()]:
-        if alpha not in want:
-            raise MalformedInput(
-                f"{path}: line {lineno}: multi-index {alpha} does not fit "
-                f"k={params.k}, d={params.d}"
-            )
-    if want - set(table):
-        raise MalformedInput(
-            f"{path}: no modulus for multi-index {min(want - set(table))}"
-        )
-    if meta and want - set(meta):
-        alpha = min(want - set(meta))
-        raise MalformedInput(
-            f"{path}: line {row_line[alpha]}: no # meta record for "
-            f"multi-index {alpha}, while other rows have one"
-        )
-    return ReferenceModuli(
-        params=params, table=table,
-        panels={alpha: m["panels"] for alpha, m in meta.items()},
-        est_error={alpha: m["err"] for alpha, m in meta.items()})

@@ -183,14 +183,22 @@ def parse_sweep(parser, spec, seed_override=None):
 
 
 def load_distribution(path):
-    """(params, spec) from a config with [params] and [distribution]."""
+    """(params, spec) from a config with [params] and [distribution]; an
+    error in its values keeps its class and names the file."""
     parser = _read_ini(path)
-    params = parse_params(parser)
-    return params, parse_distribution(parser, params)
+    try:
+        params = parse_params(parser)
+        return params, parse_distribution(parser, params)
+    except SobolabError as exc:
+        raise type(exc)(f"{path}: {exc}") from None
 
 
 def load_sweep(path, seed_override=None):
-    """Full sweep config from a file with all three sections."""
+    """Full sweep config from a file with all three sections; an error in
+    its values keeps its class and names the file."""
     parser = _read_ini(path)
-    spec = parse_distribution(parser, parse_params(parser))
-    return parse_sweep(parser, spec, seed_override=seed_override)
+    try:
+        spec = parse_distribution(parser, parse_params(parser))
+        return parse_sweep(parser, spec, seed_override=seed_override)
+    except SobolabError as exc:
+        raise type(exc)(f"{path}: {exc}") from None

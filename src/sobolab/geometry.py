@@ -20,7 +20,7 @@ squared distance that overflows as inf, the true answer "far", unwarned.
 The lab's text interchange has two rules: :func:`_header_record` for
 ``key=value`` headers and :func:`_float_rows` for rows of finite floats
 under the writer's column names.  They serve the dataset and interpolant
-CSVs, the reference-moduli cache and the config's ``bumps`` key.
+CSVs and the config's ``bumps`` key.
 
 All functions are pure; `Dataset` arrays are frozen after construction.
 """
@@ -487,19 +487,18 @@ def _open_text(path):
                              f"({exc.reason})") from None
 
 
-def _header_record(path, lineno, tokens, casts, required=None, record=None):
-    """Cast into ``record`` (a new dict by default), and return, the
-    ``key=value`` tokens of line ``lineno`` whose keys ``casts`` declares;
-    other tokens are the caller's.  Once k, p and d are in, so is their
-    ``SobolevParams``, as ``params``.  A repeated key, a missing key of
-    ``required`` (by default, every declared key), a value its cast
-    rejects (:func:`_int_literal` and :func:`_float_literal` take ASCII
-    literals alone) or that is not finite, or a (k, p, d) out of range
-    raises :class:`MalformedInput` naming the line.
+def _header_record(path, lineno, tokens, casts):
+    """The ``key=value`` tokens of line ``lineno`` whose keys ``casts``
+    declares, cast, as a dict; other tokens are the caller's.  With k, p
+    and d comes their ``SobolevParams``, as ``params``.  A repeated or
+    missing key, a value its cast rejects (:func:`_int_literal` and
+    :func:`_float_literal` take ASCII literals alone) or that is not
+    finite, or a (k, p, d) out of range raises :class:`MalformedInput`
+    naming the line.
     """
     from .bump import SobolevParams  # bump imports this module
 
-    record = {} if record is None else record
+    record = {}
     where = f"{path}: line {lineno}"
     for key, eq, value in (token.partition("=") for token in tokens):
         if not eq or key not in casts:
@@ -510,12 +509,12 @@ def _header_record(path, lineno, tokens, casts, required=None, record=None):
             record[key] = casts[key](value)
             if not math.isfinite(record[key]):
                 raise ValueError
-        except (ValueError, OverflowError):  # float.fromhex overflows
+        except (ValueError, OverflowError):  # isfinite of a huge int
             raise MalformedInput(f"{where}: cannot read {key}={value}") from None
-    for key in casts if required is None else required:
+    for key in casts:
         if key not in record:
             raise MalformedInput(f"{where}: header record lacks {key}=")
-    if "params" not in record and {"k", "p", "d"} <= record.keys():
+    if {"k", "p", "d"} <= record.keys():
         try:
             record["params"] = SobolevParams(*(record[key] for key in "kpd"))
         except SobolabError as exc:

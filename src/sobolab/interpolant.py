@@ -21,6 +21,7 @@ certified lower bound on their norm-minimization factor reported by
 from __future__ import annotations
 
 import csv
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -111,21 +112,36 @@ def min_norm_upper_bound(dataset, radii, moduli):
     constant is sized so that sobolev_norm(build(..., s=1))^p never exceeds
     the bound: each seminorm exponent e = d - |alpha| p satisfies
     r^e <= r^(d-kp) max(1, r_max^(kp)), and the outer sum over alpha costs
-    at most a factor A^(p-1) by the power-mean inequality.
+    at most a factor A^(p-1) by the power-mean inequality.  The powers are
+    numpy's, so one that overflows reads inf instead of raising.
     """
     params = moduli.params
     radii = _checked_radii(dataset, radii)
     p, d, k = params.p, params.d, params.k
     a_count = len(moduli.table)
-    r_max = float(np.max(radii)) / 2.0
+    r_max = np.max(radii) / 2.0
     c_m = (
-        a_count ** (p - 1.0)
+        np.float64(a_count) ** (p - 1.0)
         * sum(moduli.table.values())
-        * 2.0 ** (k * p - d)
+        * np.float64(2.0) ** (k * p - d)
         * max(1.0, r_max ** (k * p))
     )
-    tail = float(np.sum(1.0 + np.abs(dataset.labels) ** p * radii ** (d - k * p)))
-    return c_m * tail
+    tail = np.sum(1.0 + np.abs(dataset.labels) ** p * radii ** (d - k * p))
+    return float(c_m * tail)
+
+
+def norm_bound_check(f, dataset, radii, moduli):
+    """``(norm_p, bound, violated)``: ||f||^p, :func:`min_norm_upper_bound`
+    and whether the first fails to sit below the second.
+
+    At large p the linear-scale sums and the p-th power overflow; they
+    then read inf or NaN, unwarned.  A NaN fails, and so does an infinite
+    bound, which an infinite norm^p would meet.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
+        norm_p = float(np.float64(sobolev_norm(f, moduli)) ** moduli.params.p)
+        bound = min_norm_upper_bound(dataset, radii, moduli)
+    return norm_p, bound, not norm_p <= bound < math.inf
 
 
 @dataclass(frozen=True)

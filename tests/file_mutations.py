@@ -3,8 +3,8 @@ readers.
 
 :func:`line_mutations` duplicates or deletes one line, or replaces one
 token by a hostile one.  A token lies between spaces or commas, so the
-header records of the moduli cache and the interpolant file, the cells of
-every CSV row and the words of a config line are tokens alike.
+header record of the interpolant file, the cells of every CSV row and the
+words of a config line are tokens alike.
 :func:`write_lines` writes the mutated lines back, the lone surrogate
 token as the one byte that is not UTF-8.
 """

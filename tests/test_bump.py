@@ -5,7 +5,7 @@ import warnings
 import mpmath
 import numpy as np
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import example, given, strategies as st
 from scipy.integrate import quad
 from scipy.optimize import brentq
 
@@ -16,7 +16,6 @@ from sobolab.errors import (
     MismatchedLengths,
     NonpositiveRadius,
     QuadratureNotConverged,
-    SobolabError,
     UnknownMultiIndex,
     UnsupportedDimension,
     UnsupportedOrder,
@@ -25,7 +24,6 @@ from sobolab.errors import (
 from box_oracle import integrate_partial_power, integrate_partial_power_fixed
 from conftest import peak_traced_bytes, support_probes
 from fdiff import fd_partial
-from file_mutations import line_mutations, write_lines
 from scaling_law import scaled_seminorm
 
 
@@ -838,113 +836,6 @@ class TestModuli:
             with pytest.raises(QuadratureNotConverged, match=match):
                 bump.reference_moduli(bump.SobolevParams(*kpd))
 
-    def test_cache_roundtrip_exact(self, moduli_d1, tmp_path):
-        path = tmp_path / "moduli.txt"
-        bump.save_moduli(moduli_d1, path)
-        back = bump.load_moduli(path)
-        assert back.params == moduli_d1.params
-        assert back.table == moduli_d1.table  # hex floats: bit-exact
-        assert back.panels == moduli_d1.panels
-
-    @pytest.mark.parametrize("edit, where", [
-        pytest.param(lambda ls: ls[:-1] + ["0 xyz"], "line 6", id="non-hex"),
-        pytest.param(lambda ls: ls[:-1] + ["0x1.8p+0"], "line 6",
-                     id="short-row"),
-        pytest.param(lambda ls: ls[:-1] + ["1 inf"], "line 6",
-                     id="non-finite"),
-        pytest.param(lambda ls: ls[:-1] + ["1 -0x1.8p+0"], "line 6",
-                     id="negative"),
-        pytest.param(lambda ls: ls[:-1] + ["1 0x0p+0"], "line 6", id="zero"),
-        pytest.param(lambda ls: ls[:-1] + ["1 1e309"], "line 6: .*'1e309' "
-                     "is not a nonnegative hex float", id="row-not-hex"),
-        pytest.param(lambda ls: ls[:2] + ["# meta 0 panels=4 err=1e-13"]
-                     + ls[3:], "line 3", id="meta-not-hex"),
-        pytest.param(lambda ls: ls[:3] + ls[4:],
-                     "line 5: no # meta record for multi-index \\(1,\\)",
-                     id="meta-partial"),
-        pytest.param(lambda ls: ls[:-1] + ["1 0 0x1p+0"], "line 6",
-                     id="wrong-dimension"),
-        pytest.param(lambda ls: ls[:2] + ["# meta 0 panels"] + ls[3:],
-                     "line 3", id="meta-short"),
-        pytest.param(lambda ls: ls[:2] + ["# meta 0 panels=x err=0x0p+0"]
-                     + ls[3:], "line 3", id="meta-non-numeric"),
-        pytest.param(lambda ls: ls[:2] + ["# meta 0 panels=4 err=0x1p+9999"]
-                     + ls[3:], "line 3", id="meta-overflow"),
-        pytest.param(lambda ls: ls[:-1] + ["1 0x1p+9999"], "line 6",
-                     id="row-overflow"),
-        pytest.param(lambda ls: ls[:2] + ["# meta 0 panels=4 cost=0x0p+0"]
-                     + ls[3:], "line 3", id="meta-bad-key"),
-        pytest.param(lambda ls: [ls[0], ls[1].replace("k=1", "k=one")]
-                     + ls[2:], "line 2", id="header-non-numeric"),
-        pytest.param(lambda ls: [ls[0], ls[1].replace("k=1 ", "")] + ls[2:],
-                     "header lacks k=", id="header-missing"),
-        pytest.param(lambda ls: ls[:-1],
-                     "no modulus for multi-index \\(1,\\)", id="missing-row"),
-        pytest.param(lambda ls: ls + ["1 0x1.0p+0"],
-                     "line 7: .*multi-index \\(1,\\) repeats line 6",
-                     id="repeated-row"),
-        pytest.param(lambda ls: ls[:3] + [ls[2]] + ls[3:],
-                     "line 4: .*multi-index \\(0,\\) repeats line 3",
-                     id="repeated-meta"),
-        pytest.param(lambda ls: [ls[0], ls[1] + " p=3.0"] + ls[2:],
-                     "line 2: header record repeats p=",
-                     id="header-repeated"),
-        pytest.param(lambda ls: ls[:2] + ["# meta 7 panels=3 err=0x0p+0"]
-                     + ls[2:], "line 3: multi-index \\(7,\\) does not fit",
-                     id="meta-outside-table"),
-        pytest.param(lambda ls: [ls[0], ls[1].replace("k=1", "k=4")]
-                     + ls[2:], "line 2: derivative orders capped",
-                     id="header-invalid-params"),
-        # int() alone reads an Arabic-Indic one as d = 1 and 1_6 as 16
-        pytest.param(lambda ls: [ls[0], ls[1].replace("d=1", "d=\u0661")]
-                     + ls[2:], "line 2: cannot read d=", id="header-unicode"),
-        pytest.param(lambda ls: ls[:2]
-                     + [ls[2].replace("panels=", "panels=1_")] + ls[3:],
-                     "line 3: cannot read panels=",
-                     id="meta-underscore"),
-        pytest.param(lambda ls: ls[:-1] + ["\u0661 " + ls[-1].split()[1]],
-                     "line 6: .*not an ASCII integer", id="row-unicode"),
-    ])
-    def test_malformed_cache_names_file_and_line(self, moduli_d1, tmp_path,
-                                                 edit, where):
-        path = tmp_path / "moduli.txt"
-        bump.save_moduli(moduli_d1, path)
-        lines = path.read_text().splitlines()
-        assert len(lines) == 6  # header, params, two meta, two rows
-        path.write_text("\n".join(edit(lines)) + "\n")
-        with pytest.raises(MalformedInput, match=f"moduli\\.txt: {where}"):
-            bump.load_moduli(path)
-
-    @settings(max_examples=300)
-    @given(data=st.data())
-    def test_mutated_cache_raises_or_round_trips(self, moduli_d1,
-                                                 tmp_path_factory, data):
-        # a file save_moduli could not have written either raises naming
-        # the file, or loads to moduli that save and load back unchanged
-        path = tmp_path_factory.mktemp("cache") / "moduli.txt"
-        bump.save_moduli(moduli_d1, path)
-        lines = path.read_text(encoding="utf-8").splitlines()
-        write_lines(path, data.draw(line_mutations(lines)))
-        try:
-            back = bump.load_moduli(path)
-        except SobolabError as exc:
-            assert str(path) in str(exc)
-            return
-        again = path.with_name("again.txt")
-        bump.save_moduli(back, again)
-        assert bump.load_moduli(again) == back
-
-    def test_cache_with_rel_tol_still_loads(self, moduli_d1, tmp_path):
-        # older caches carry a rel_tol= in the header, which the reader
-        # ignores like any key it does not declare
-        path = tmp_path / "moduli.txt"
-        bump.save_moduli(moduli_d1, path)
-        lines = path.read_text().splitlines()
-        assert lines[1] == "# k=1 p=1.25 d=1 order=16"
-        lines[1] = "# k=1 p=1.25 d=1 rel_tol=1e-08 order=16"
-        path.write_text("\n".join(lines) + "\n")
-        assert bump.load_moduli(path) == moduli_d1
-
 
 def _radial_oracle(alpha, p, d):
     """M_alpha for alpha = 0 or e_d by scipy's adaptive quadrature in r.
@@ -1089,6 +980,14 @@ class TestExactModuli:
                 assert 0.0 <= moduli.est_error[alpha] <= 2e-13 * m, kpd
         assert all(n <= 1 for n in axes)
 
+    def test_order_two_class_reports_its_quadrature(self):
+        # every entry has its diagnostics, and an order-2 class has panels
+        # and an error estimate of its own
+        moduli = bump.reference_moduli(bump.SobolevParams(2, 1.6, 2))
+        assert (moduli.panels.keys() == moduli.est_error.keys()
+                == moduli.table.keys())
+        assert moduli.panels[(0, 2)] > 0 and moduli.est_error[(0, 2)] > 0.0
+
     @pytest.mark.parametrize("alpha, p", [
         ((0, 2), 1.6), ((0, 3), 1.25), ((0, 3), 1.1), ((1, 2), 1.5),
         ((0, 0, 2), 1.1), ((0, 1, 2), 1.5)])
@@ -1180,16 +1079,6 @@ class TestExactModuli:
 
     def test_l2_modulus_equals_table_entry(self, moduli_d3):
         assert bump.l2_modulus(3) == moduli_d3.modulus((0, 0, 0))
-
-    def test_cache_roundtrip_exact(self, tmp_path):
-        moduli = bump.reference_moduli(bump.SobolevParams(1, 4.0, 3))
-        path = tmp_path / "moduli.txt"
-        bump.save_moduli(moduli, path)
-        back = bump.load_moduli(path)
-        assert back.params == moduli.params
-        assert back.table == moduli.table
-        assert back.panels == moduli.panels
-        assert back.est_error == moduli.est_error
 
     @pytest.mark.parametrize("kpd", [(1, 1000.0, 1), (1, 1e20, 1),
                                      (2, 1e20, 3), (1, 488.0, 2)])

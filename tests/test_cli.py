@@ -5,7 +5,7 @@ import warnings
 import numpy as np
 import pytest
 
-from sobolab import bump, cli, geometry, interpolant, model, risk
+from sobolab import cli, geometry, interpolant, model, risk
 from sobolab.cli import main
 from sobolab.errors import QuadratureNotConverged, UnsupportedSpec
 
@@ -78,7 +78,7 @@ class TestGen:
         assert main(["gen", "--config", str(bad), "-n", "16", "--seed", "1",
                      "--out", str(tmp_path / "out")]) == 2
         err = capsys.readouterr().err
-        assert err.startswith("error: distribution: ")
+        assert err.startswith(f"error: {bad}: distribution: ")
         assert err.count("\n") == 1
         assert not (tmp_path / "out").exists()
 
@@ -112,6 +112,19 @@ class TestInterpNorm:
         assert out == ""
         assert err == f"error: {bad}: line 1: header record repeats p=\n"
 
+    def test_unconverged_table_names_the_class(self, tmp_path, capsys):
+        # the order <= 1 classes converge; |4 r^2 phi'' + 2 phi'|^301
+        # overflows
+        interp = tmp_path / "interp.csv"
+        interp.write_text("# k=2 p=301 d=1 shrink=1.0\nc_1,radius,weight\n"
+                          "0.0,0.25,1.0\n")
+        assert main(["norm", "--interp", str(interp)]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("error: class (2,) of the (k, p, d) = "
+                              "(2, 301.0, 1) table: integral is inf")
+        assert err.endswith("the integrand overflows the double range\n")
+        assert "Traceback" not in err
 
     def test_header_dimension_disagrees_with_columns(self, tmp_path, capsys):
         bad = tmp_path / "interp.csv"
@@ -147,6 +160,23 @@ class TestCheckNonFinite:
         out = capsys.readouterr().out
         assert out.endswith("1 check(s) failed\n")
         assert "all checks passed" not in out
+
+    def test_overflowing_bound_fails(self, tmp_path, capsys):
+        # on a domain of radius 1e100, r_max^(kp) in the bound overflows
+        cfg = tmp_path / "cfg.ini"
+        cfg.write_text(BASE_INI.replace("p = 1.25", "p = 4")
+                       .replace("radius = 1.0", "radius = 1e100"))
+        assert main(["gen", "--config", str(cfg), "-n", "64", "--seed", "1",
+                     "--out", str(tmp_path)]) == 0
+        capsys.readouterr()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["check", "--config", str(cfg), "--data",
+                         str(tmp_path / "dataset_n64_seed1.csv")]) == 1
+        out, err = capsys.readouterr()
+        assert re.search(r"^norm bound: norm\^p = \S+ <= inf$", out, re.M)
+        assert out.endswith("1 check(s) failed\n")
+        assert err == ""
 
 
 class TestLargeP:
@@ -187,101 +217,6 @@ class TestLargeP:
         assert "norm bound: norm^p = nan <= nan\n" in out
         assert out.endswith("1 check(s) failed\n")
         assert err == ""
-
-
-class TestModuliCache:
-    def test_build_and_reuse(self, cfg, tmp_path, dataset_csv):
-        assert main(["moduli", "--config", str(cfg),
-                     "--out", str(tmp_path)]) == 0
-        cache = tmp_path / "moduli_k1_p1.25_d1.txt"
-        assert cache.exists()
-        assert main(["check", "--config", str(cfg), "--data",
-                     str(dataset_csv), "--moduli", str(cache)]) == 0
-
-    def test_mismatched_cache_rejected(self, cfg, tmp_path):
-        other = tmp_path / "other.ini"
-        other.write_text(BASE_INI.replace("p = 1.25", "p = 2.5")
-                         .replace("d = 1", "d = 2"))
-        assert main(["moduli", "--config", str(other),
-                     "--out", str(tmp_path)]) == 0
-        cache = tmp_path / "moduli_k1_p2.5_d2.txt"
-        ds = tmp_path / "ds.csv"
-        ds.write_text("x_1,y\n0.0,1.0\n0.5,2.0\n")
-        assert main(["check", "--config", str(cfg), "--data", str(ds),
-                     "--moduli", str(cache)]) == 2
-
-
-    def test_order_one_table_round_trips_through_the_cli(self, tmp_path,
-                                                         capsys):
-        cfg = tmp_path / "cfg.ini"
-        cfg.write_text(BASE_INI.replace("p = 1.25", "p = 3.05")
-                       .replace("d = 1", "d = 3"))
-        assert main(["moduli", "--config", str(cfg),
-                     "--out", str(tmp_path)]) == 0
-        cache = tmp_path / "moduli_k1_p3.05_d3.txt"
-        fresh = bump.reference_moduli(bump.SobolevParams(1, 3.05, 3))
-        back = bump.load_moduli(cache)
-        assert back.params == fresh.params
-        assert back.table == fresh.table  # hex floats: bit-exact
-        assert back.panels == fresh.panels
-        assert back.est_error == fresh.est_error
-        for alpha, m in back.table.items():
-            assert 0.0 <= back.est_error[alpha] <= 1e-13 * m
-
-        assert main(["gen", "--config", str(cfg), "-n", "64", "--seed", "3",
-                     "--out", str(tmp_path)]) == 0
-        assert main(["interp", "--config", str(cfg), "--data",
-                     str(tmp_path / "dataset_n64_seed3.csv"),
-                     "--out", str(tmp_path)]) == 0
-        interp = str(tmp_path / "interpolant_shrink1.0.csv")
-        capsys.readouterr()
-        assert main(["norm", "--interp", interp, "--moduli", str(cache)]) == 0
-        cached = capsys.readouterr().out
-        assert main(["norm", "--interp", interp]) == 0
-        assert cached == capsys.readouterr().out
-        assert cached.startswith("W^{1,3.05} norm: ")
-
-    def test_order_two_table_round_trips_through_the_cli(self, tmp_path):
-        cfg = tmp_path / "cfg.ini"
-        cfg.write_text(BASE_INI.replace("k = 1", "k = 2")
-                       .replace("p = 1.25", "p = 1.6").replace("d = 1", "d = 2"))
-        assert main(["moduli", "--config", str(cfg),
-                     "--out", str(tmp_path)]) == 0
-        fresh = bump.reference_moduli(bump.SobolevParams(2, 1.6, 2))
-        back = bump.load_moduli(tmp_path / "moduli_k2_p1.6_d2.txt")
-        assert back == fresh  # hex floats: bit-exact, panels and errors too
-        assert back.panels[(0, 2)] > 0 and back.est_error[(0, 2)] > 0.0
-
-    def test_unconverged_table_names_the_class(self, tmp_path, capsys):
-        # the order <= 1 classes converge; |4 r^2 phi'' + 2 phi'|^301
-        # overflows
-        cfg = tmp_path / "cfg.ini"
-        cfg.write_text(BASE_INI.replace("k = 1", "k = 2")
-                       .replace("p = 1.25", "p = 301"))
-        assert main(["moduli", "--config", str(cfg),
-                     "--out", str(tmp_path)]) == 2
-        err = capsys.readouterr().err
-        assert err.startswith("error: class (2,) of the (k, p, d) = "
-                              "(2, 301.0, 1) table: integral is inf")
-        assert err.endswith("the integrand overflows the double range\n")
-        assert "Traceback" not in err
-
-    @pytest.mark.parametrize("bad_row, line", [("0 xyz", 5), ("0", 5)])
-    def test_malformed_cache_usage_error(self, cfg, tmp_path, capsys,
-                                         bad_row, line):
-        assert main(["moduli", "--config", str(cfg),
-                     "--out", str(tmp_path)]) == 0
-        cache = tmp_path / "moduli_k1_p1.25_d1.txt"
-        lines = cache.read_text().splitlines()
-        assert lines[line - 1].startswith("0 ")
-        lines[line - 1] = bad_row
-        cache.write_text("\n".join(lines) + "\n")
-        interp = tmp_path / "interp.csv"
-        interp.write_text("# k=1 p=1.25 d=1 shrink=1.0\nc_1,radius,weight\n"
-                          "0.0,0.25,1.0\n")
-        assert main(["norm", "--interp", str(interp),
-                     "--moduli", str(cache)]) == 2
-        assert f"moduli_k1_p1.25_d1.txt: line {line}" in capsys.readouterr().err
 
 
 class TestCheck:
@@ -400,17 +335,6 @@ class TestUndecodableBytes:
         assert self._refused(["norm", "--interp", str(interp)], interp, 1,
                              capsys) == 2
 
-    def test_norm_moduli(self, cfg, tmp_path, capsys):
-        assert main(["moduli", "--config", str(cfg),
-                     "--out", str(tmp_path)]) == 0
-        capsys.readouterr()
-        cache = tmp_path / "moduli_k1_p1.25_d1.txt"
-        interp = tmp_path / "interp.csv"
-        interp.write_text("# k=1 p=1.25 d=1 shrink=1.0\nc_1,radius,weight\n"
-                          "0.0,0.25,1.0\n")
-        assert self._refused(["norm", "--interp", str(interp), "--moduli",
-                              str(cache)], cache, 2, capsys) == 2
-
 
 class TestSweepCommand:
     def test_success_and_rerun_identical(self, cfg, tmp_path):
@@ -420,6 +344,23 @@ class TestSweepCommand:
                          "--out", str(out), "--threads", threads]) == 0
         for name in ("clidemo_rows.csv", "clidemo_summary.json"):
             assert (a / name).read_bytes() == (b / name).read_bytes()
+
+    def test_overflowing_norm_fails_the_bound_contract(self, tmp_path,
+                                                       capsys):
+        # at sigma_a = 3e75 each norm is finite and its 4th power is not
+        ini = tmp_path / "ovf.ini"
+        ini.write_text(BASE_INI.replace("p = 1.25", "p = 4")
+                       .replace("d = 1", "d = 3")
+                       .replace("sigma_a = 1.0", "sigma_a = 3e75"))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["sweep", "--config", str(ini), "--seed", "1",
+                         "--out", str(tmp_path / "out"),
+                         "--threads", "1"]) == 1
+        out, err = capsys.readouterr()
+        assert ("[FAIL] norm_vs_n.norm_bound_violations: observed 20.0 "
+                "(target == 0)\n") in out
+        assert err == ""
 
     def test_beta_boundary_config_error(self, tmp_path):
         bad = tmp_path / "bad.ini"
@@ -447,7 +388,7 @@ class TestSweepCommand:
         assert main(["sweep", "--config", str(bad), "--seed", "1",
                      "--out", str(tmp_path / "out")]) == 2
         assert capsys.readouterr().err == (
-            f"error: {section}.{key}: unknown key\n")
+            f"error: {bad}: {section}.{key}: unknown key\n")
         assert not (tmp_path / "out").exists()
 
     def test_percent_sign_usage_error(self, tmp_path, capsys):
@@ -456,7 +397,7 @@ class TestSweepCommand:
         assert main(["sweep", "--config", str(bad), "--seed", "1",
                      "--out", str(tmp_path / "out")]) == 2
         assert capsys.readouterr().err == (
-            "error: sweep.trials: cannot parse '5%'\n")
+            f"error: {bad}: sweep.trials: cannot parse '5%'\n")
 
     @pytest.mark.parametrize("section, old, new", [
         ("sweep", "trials = 5", "trials = \u0665"),
@@ -474,7 +415,7 @@ class TestSweepCommand:
         assert main(["sweep", "--config", str(bad), "--seed", "1",
                      "--out", str(tmp_path / "out")]) == 2
         assert capsys.readouterr().err == (
-            f"error: {section}.{key}: cannot parse {raw!r}\n")
+            f"error: {bad}: {section}.{key}: cannot parse {raw!r}\n")
         assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("line", ["plateau_ratio = nan",
@@ -486,7 +427,7 @@ class TestSweepCommand:
         assert main(["sweep", "--config", str(bad), "--seed", "1",
                      "--out", str(tmp_path / "out")]) == 2
         err = capsys.readouterr().err
-        assert err.startswith(f"error: sweep.{line.split()[0]}: ")
+        assert err.startswith(f"error: {bad}: sweep.{line.split()[0]}: ")
         assert err.count("\n") == 1
         assert not (tmp_path / "out").exists()
 
@@ -502,7 +443,7 @@ class TestSweepCommand:
         assert main(["sweep", "--config", str(bad), "--seed", "1",
                      "--out", str(tmp_path / "out")]) == 2
         assert capsys.readouterr().err.startswith(
-            "error: sweep.nu, sweep.lengthscale: ")
+            f"error: {bad}: sweep.nu, sweep.lengthscale: ")
         assert sampled == []
         assert not (tmp_path / "out").exists()
 
@@ -529,7 +470,7 @@ class TestSweepCommand:
         assert main(["sweep", "--config", str(bad), "--seed", "1",
                      "--out", str(tmp_path / "out")]) == 2
         assert capsys.readouterr().err == (
-            f"error: sweep.n_grid: need strictly increasing sizes of at "
+            f"error: {bad}: sweep.n_grid: need strictly increasing sizes of at "
             f"least 2, got ({low}, 8, 16, 32)\n")
         assert not (tmp_path / "out").exists()
 
@@ -575,8 +516,12 @@ class TestEveryOptionIsRead:
                  "--mc-samples", "1000", "--threads", "1"],
         "sweep": ["--config", "CFG", "--seed", "1", "--out", "OUT",
                   "--threads", "1"],
-        "moduli": ["--config", "CFG", "--out", "OUT"],
     }
+
+    def test_argv_names_every_verb(self):
+        verbs, = [action.choices for action in cli.build_parser()._actions
+                  if isinstance(action, argparse._SubParsersAction)]
+        assert set(self.ARGV) == set(verbs)
 
     @pytest.mark.parametrize("command", sorted(ARGV))
     def test_handler_reads_every_option(self, cfg, dataset_csv, tmp_path,

@@ -47,9 +47,9 @@ def test_benchmark_workloads_load(path):
 @given(data=st.data())
 @pytest.mark.parametrize("path", WORKLOADS, ids=lambda p: p.stem)
 def test_mutated_workload_raises_or_loads(path, tmp_path_factory, data):
-    # a mutated config either raises ConfigInvalid or loads; a config that
-    # loads as a sweep loads its [params] and [distribution] alone too,
-    # to the same params.
+    # a mutated config either raises ConfigInvalid naming the file or
+    # loads; a config that loads as a sweep loads its [params] and
+    # [distribution] alone too, to the same params.
     # Only the loaders run: a mutated n_grid, trials or mc_samples could
     # ask a run for unbounded memory
     mutated = tmp_path_factory.mktemp("config") / path.name
@@ -57,11 +57,13 @@ def test_mutated_workload_raises_or_loads(path, tmp_path_factory, data):
         path.read_text(encoding="utf-8").splitlines())))
     try:
         cfg = config.load_sweep(mutated)
-    except ConfigInvalid:
+    except ConfigInvalid as exc:
+        assert str(mutated) in str(exc)
         cfg = None
     try:
         params, _ = config.load_distribution(mutated)
-    except ConfigInvalid:
+    except ConfigInvalid as exc:
+        assert str(mutated) in str(exc)
         assert cfg is None
         return
     assert cfg is None or params == cfg.params

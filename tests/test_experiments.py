@@ -1,4 +1,5 @@
 import math
+import re
 import threading
 import typing
 
@@ -441,5 +442,6 @@ sigma_b = 0.5
             "[distribution]",
             f"[distribution]\nground_truth = bumps\nbumps =\n    {bumps}"))
         with pytest.raises(ConfigInvalid,
-                           match=f"^distribution\\.bumps: {error}"):
+                           match=f"^{re.escape(str(ini))}: "
+                                 f"distribution\\.bumps: {error}"):
             config.load_distribution(ini)
