@@ -185,12 +185,17 @@ def derive_seed(master_seed, *parts):
 
 
 def fit_loglog(ns, values):
-    """Least-squares slope of log(values) against log(ns), with stderr."""
-    if len(ns) < 2:
+    """Least-squares slope of log(values) against log(ns), with stderr.
+
+    Fewer than two points, or a value or n that is not positive (its log
+    is not finite), give a NaN fit, unwarned.
+    """
+    x = np.asarray(ns, dtype=float)
+    y = np.asarray(values, dtype=float)
+    if len(x) < 2 or not (np.all(x > 0.0) and np.all(y > 0.0)):
         return FitResult(slope=math.nan, slope_stderr=math.nan,
-                         intercept=math.nan, points=len(ns))
-    x = np.log(np.asarray(ns, dtype=float))
-    y = np.log(np.asarray(values, dtype=float))
+                         intercept=math.nan, points=len(x))
+    x, y = np.log(x), np.log(y)
     xbar, ybar = x.mean(), y.mean()
     sxx = float(np.sum((x - xbar) ** 2))
     slope = float(np.sum((x - xbar) * (y - ybar)) / sxx)
@@ -505,12 +510,14 @@ def write_summary(result, path):
 
 
 def write_fit_curve(result, metric, path):
-    """Gnuplot-ready two-column file: log n, log per-n median."""
+    """Gnuplot-ready two-column file: log n, log per-n median; a median
+    that is not positive has no log and is left out."""
     ns, med = _medians(result.rows, metric)
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(f"# log_n log_median_{metric}\n")
         for n, v in zip(ns, med):
-            fh.write(f"{math.log(n)!r} {math.log(v)!r}\n")
+            if v > 0.0:
+                fh.write(f"{math.log(n)!r} {math.log(v)!r}\n")
 
 
 def _run_morrey(config):

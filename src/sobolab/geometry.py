@@ -6,16 +6,25 @@ perturbation stability count.
 
 Every check runs in O(n log n): a k-d tree only shortlists candidate pairs,
 and every distance that decides a result is recomputed with the same
-fixed-order sum of squares (:func:`_sq_norm`, the package's only one; bump
-evaluation sums through it too) that the O(n^2) oracles use, so the fast
-paths and the oracles agree to the bit.  The packing check runs in O(n),
-with no tree, when the radii pass its certificate (every radius at most
-the point's nearest-neighbor distance, as with the dataset's own radii);
-:class:`~sobolab.bump.BumpSum` checks its supports with the same
-certificate.
+fixed-order sum of squares (:func:`_sq_norm`, the package's only one) that
+the O(n^2) oracles use, so the fast paths and the oracles agree to the bit.
+The packing check runs in O(n), with no tree, when the radii pass its
+certificate (every radius at most the point's nearest-neighbor distance,
+as with the dataset's own radii); :class:`~sobolab.bump.BumpSum` checks
+its supports with the same certificate.
 The oracles are :func:`nn_radii_brute_force`, :func:`nn_graph_brute_force`
 and :func:`check_packing_brute_force`; only tests call them.  They read a
 squared distance that overflows as inf, the true answer "far", unwarned.
+
+Every other distance that decides a result goes through :func:`_sq_norm`
+too: bump evaluation and its support tests, the exact Morrey block's
+support tests, the samplers and densities of :mod:`sobolab.model`, its
+domain ball's membership (``DistributionSpec.contains``, which
+``domain_ball_fraction`` and the loss functions read) and boundary
+crossing (``DistributionSpec.crossing``, the ground-truth check's and
+``risk.excess_risk_semianalytic``'s), and the Morrey diagnostic's ball
+mask and step length.  The one exception is ``rkhs.kernel_matrix``: scipy's
+pairwise distances there are the kernel's own r, and most of its cost.
 
 The lab's text interchange has two rules: :func:`_header_record` for
 ``key=value`` headers and :func:`_float_rows` for rows of finite floats
@@ -48,8 +57,14 @@ from .errors import (
     UnsupportedDimension,
 )
 
-# Brute force below this size; k-d tree above (DESIGN: correctness first,
-# both paths must agree exactly).
+# Brute force below this size, k-d tree above; both paths agree exactly.
+# The crossover, measured on nearest-neighbour squared distances of uniform
+# points (min of 5 x 200 calls, two runs on a 2-core x86-64 host whose
+# speed varied 1.6x between them): below 64 points brute force took 5.5-101
+# us and the tree 36-118 us in d = 1 and 3, brute force at most 15% slower
+# (63 points, d = 3); at 128 points the tree wins in d = 3 (114-182 against
+# 259-348 us), while brute force still wins in d = 1 (45-65 against 82-133
+# us).
 BRUTE_FORCE_MAX_N = 64
 
 # Relative slack on a tree query radius: the tree's own distance arithmetic

@@ -19,7 +19,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import erfc
 
 from .bump import BumpSum, SobolevParams
 from .errors import (
@@ -34,7 +33,7 @@ from .geometry import Dataset, _checked_radii, _sq_norm
 
 # Exact mislabel probability of the Gaussian model: P(eps^2 >= sigma_min^2)
 # is at least 2 Phi(-1) since sigma(x) >= sigma_min everywhere.
-RHO_EXACT = float(erfc(1.0 / math.sqrt(2.0)))
+RHO_EXACT = math.erfc(1.0 / math.sqrt(2.0))
 
 _UNIT_BALL_VOLUME = {1: 2.0, 2: math.pi, 3: 4.0 * math.pi / 3.0}
 
@@ -104,8 +103,7 @@ class DistributionSpec:
                 raise MismatchedLengths(
                     f"ground truth dimension {g.dim} != d={self.params.d}"
                 )
-            reach = np.linalg.norm(g.centers, axis=1) + g.radii
-            if np.any(reach > self.radius):
+            if np.any(self.crossing(g)):
                 raise UnsupportedSpec(
                     "ground-truth bump supports must lie inside the domain"
                 )
@@ -121,8 +119,16 @@ class DistributionSpec:
         return unit_ball_volume(self.d) * self.radius ** self.d
 
     def contains(self, x):
+        """Whether each point lies in the closed domain ball; a NaN point
+        does not, and one whose squared norm overflows lies outside."""
         x = np.atleast_2d(np.asarray(x, dtype=float))
-        return np.linalg.norm(x, axis=-1) <= self.radius
+        with np.errstate(over="ignore"):
+            return np.sqrt(_sq_norm(x)) <= self.radius
+
+    def crossing(self, bumps):
+        """Whether each bump's support reaches past the domain ball:
+        |c_i| + r_i > R.  A support touching the sphere does not."""
+        return np.sqrt(_sq_norm(bumps.centers)) + bumps.radii > self.radius
 
     # -- density -----------------------------------------------------------
 
@@ -372,7 +378,7 @@ def noisy_separated_subset(dataset, radii, spec):
 def domain_ball_fraction(spec, x0, delta, m, seed):
     """Monte Carlo |Omega cap B(x0, delta)| / |B(x0, delta)| with stderr."""
     x0 = np.asarray(x0, dtype=float).reshape(-1)
-    if float(np.linalg.norm(x0)) > spec.radius:
+    if not spec.contains(x0)[0]:
         raise OutOfDomain("ball center must lie in the closed domain")
     if not 0.0 < delta <= 2.0 * spec.radius:
         raise OutOfDomain(
@@ -380,7 +386,6 @@ def domain_ball_fraction(spec, x0, delta, m, seed):
         )
     rng = np.random.default_rng(np.random.SeedSequence(seed))
     pts = _uniform_ball(rng, int(m), spec.d, delta, center=x0)
-    inside = np.linalg.norm(pts, axis=1) <= spec.radius
-    frac = float(np.mean(inside))
+    frac = float(np.mean(spec.contains(pts)))
     stderr = math.sqrt(max(frac * (1.0 - frac), 0.0) / m)
     return frac, stderr

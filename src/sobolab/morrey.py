@@ -245,7 +245,7 @@ def _local_sobolev_norm_p(u, x0, delta, params, indices):
     total = 0.0
     for alpha in indices:
         def f(pts, alpha=alpha):
-            inside = np.linalg.norm(pts - x0, axis=1) <= 2.0 * delta
+            inside = np.sqrt(_sq_norm(pts - x0)) <= 2.0 * delta
             return np.abs(u.partial(alpha, pts)) ** params.p * inside
         total += quadrature.integrate_box(f, bounds, panels=24,
                                           order=10) ** (1.0 / params.p)
@@ -294,7 +294,8 @@ def morrey_check(params, trials, seed):
         for i, delta in enumerate(deltas):
             x0 = rng.uniform(-1.0, 1.0, size=params.d)
             step = rng.uniform(-1.0, 1.0, size=params.d)
-            step *= float(rng.uniform(0, delta)) / max(np.linalg.norm(step), 1e-12)
+            length = math.sqrt(float(_sq_norm(step)))
+            step *= float(rng.uniform(0, delta)) / max(length, 1e-12)
             x1 = x0 + step
             osc = abs(u(x1[None, :]) - u(x0[None, :]))[0] ** params.p
             local = _local_sobolev_norm_p(u, x0, float(delta), params, indices)

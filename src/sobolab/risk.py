@@ -41,8 +41,9 @@ class RiskEstimate:
 def _mc_moments(value_fn, spec, m, seed, threads=1):
     """Chunked Monte Carlo first/second moments with fixed reduction order.
 
-    Every chunk draws from its own substream keyed by (seed, chunk index),
-    so the result is independent of the thread count.
+    Every chunk draws its points from its own substream keyed by (seed,
+    chunk index), so the result is independent of the thread count;
+    ``value_fn`` maps a chunk's points to their values.
     """
     if m < 100:
         raise UnsupportedSpec(f"need at least 100 Monte Carlo samples, got {m}")
@@ -54,7 +55,7 @@ def _mc_moments(value_fn, spec, m, seed, threads=1):
         size = min(_CHUNK, m - start)
         rng = np.random.default_rng(np.random.SeedSequence([seed, index]))
         xs = sample_points(spec, size, rng)
-        vals = value_fn(xs, rng)
+        vals = value_fn(xs)
         return float(np.sum(vals)), float(np.sum(vals * vals)), size
 
     jobs = list(enumerate(starts))
@@ -80,7 +81,7 @@ def _mc_moments(value_fn, spec, m, seed, threads=1):
 
 def excess_risk_mc(predictor, spec, m, seed, threads=1):
     """(1/m) sum_j (predictor(X_j) - g(X_j))^2 over X_j ~ mu_x."""
-    def values(xs, _rng):
+    def values(xs):
         return (np.asarray(predictor(xs)) - spec.g_values(xs)) ** 2
 
     mean, stderr, count = _mc_moments(values, spec, m, seed, threads=threads)
@@ -90,7 +91,7 @@ def excess_risk_mc(predictor, spec, m, seed, threads=1):
 
 def bayes_risk_mc(spec, m, seed, threads=1):
     """Monte Carlo estimate of the Bayes risk E[sigma(X)^2]."""
-    def values(xs, _rng):
+    def values(xs):
         return np.asarray(spec.sigma_sq_values(xs), dtype=float)
 
     mean, stderr, count = _mc_moments(values, spec, m, seed, threads=threads)
@@ -115,8 +116,7 @@ def excess_risk_semianalytic(f, spec):
     if spec.density != "uniform":
         raise UnsupportedSpec("semi-analytic risk requires the uniform density")
     d = f.dim
-    reach = np.linalg.norm(f.centers, axis=1) + f.radii
-    crossing = reach > spec.radius
+    crossing = spec.crossing(f)
     if np.any(crossing) and d != 1:
         raise UnsupportedSpec(
             "supports crossing the boundary are only handled in d = 1"

@@ -12,14 +12,20 @@ import numpy as np
 from sobolab.risk import RiskEstimate, _mc_moments
 
 
-def excess_risk_loss_gap_mc(predictor, spec, m, seed, threads=1):
-    """Joint estimate of E[loss(predictor)] - E[loss(g)], labels sampled."""
-    def values(xs, rng):
+def excess_risk_loss_gap_mc(predictor, spec, m, seed):
+    """Joint estimate of E[loss(predictor)] - E[loss(g)], labels sampled.
+
+    The label noise comes from one generator of its own, chunk after chunk,
+    so the chunks run on one thread.
+    """
+    rng = np.random.default_rng(np.random.SeedSequence([seed, 0x1abe1]))
+
+    def values(xs):
         g = spec.g_values(xs)
         y = g + rng.standard_normal(len(xs)) * np.sqrt(spec.sigma_sq_values(xs))
         pred = np.asarray(predictor(xs))
         return (pred - y) ** 2 - (g - y) ** 2
 
-    mean, stderr, count = _mc_moments(values, spec, m, seed, threads=threads)
+    mean, stderr, count = _mc_moments(values, spec, m, seed)
     return RiskEstimate(mean=mean, stderr=stderr, samples=count,
                         method="monte-carlo-loss-gap")

@@ -1,6 +1,7 @@
 import argparse
 import re
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -8,6 +9,9 @@ import pytest
 from sobolab import cli, geometry, interpolant, model, risk
 from sobolab.cli import main
 from sobolab.errors import QuadratureNotConverged, UnsupportedSpec
+
+NORM_D3_INI = (Path(__file__).parents[1] / "bench" / "workloads"
+               / "norm_d3.ini")
 
 BASE_INI = """
 [params]
@@ -361,6 +365,26 @@ class TestSweepCommand:
         assert ("[FAIL] norm_vs_n.norm_bound_violations: observed 20.0 "
                 "(target == 0)\n") in out
         assert err == ""
+
+    def test_zero_medians_fail_the_slope_contract(self, tmp_path, capsys):
+        # at sigma_a = 1e-100 every norm^p underflows to 0, whose log is
+        # -inf: the fit is NaN and the curve file holds no point
+        ini = tmp_path / "zero.ini"
+        ini.write_text(NORM_D3_INI.read_text()
+                       .replace("sigma_a = 1.0", "sigma_a = 1e-100")
+                       .replace("n_grid = 256 512 1024 2048 4096",
+                                "n_grid = 64 128 256 512"))
+        out_dir = tmp_path / "out"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["sweep", "--config", str(ini), "--seed", "5",
+                         "--out", str(out_dir), "--threads", "1"]) == 1
+        out, err = capsys.readouterr()
+        assert "[FAIL] norm_vs_n.slope: observed nan " in out
+        assert "[pass] norm_vs_n.norm_bound_violations" in out
+        assert err == ""
+        assert (out_dir / "norm_d3_norm_p.dat").read_text() == (
+            "# log_n log_median_norm_p\n")
 
     def test_beta_boundary_config_error(self, tmp_path):
         bad = tmp_path / "bad.ini"

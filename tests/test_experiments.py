@@ -58,6 +58,18 @@ class TestFit:
         assert fit.slope_stderr == pytest.approx(0.0, abs=1e-10)
         assert fit.intercept == pytest.approx(math.log(3.0), abs=1e-10)
 
+    @pytest.mark.parametrize("ns, vals", [
+        ([10, 100, 1000], [1.0, 0.0, 2.0]),
+        ([10, 100, 1000], [1.0, -3.0, 2.0]),
+        ([0, 100, 1000], [1.0, 2.0, 3.0]),
+        ([10, 100, 1000], [1.0, math.nan, 2.0]),
+    ], ids=["zero", "negative", "zero-n", "nan"])
+    def test_nonpositive_value_gives_nan_fit(self, ns, vals):
+        # the suite turns a RuntimeWarning of np.log into an error
+        fit = fit_loglog(ns, vals)
+        assert math.isnan(fit.slope) and math.isnan(fit.slope_stderr)
+        assert math.isnan(fit.intercept) and fit.points == 3
+
 
 class TestValidation:
     def test_config_annotations_resolve(self):

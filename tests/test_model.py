@@ -44,6 +44,34 @@ class TestSpecValidation:
         with pytest.raises(UnsupportedSpec):
             DistributionSpec(params=params_d1, ground_truth=g)
 
+    def test_ground_truth_touching_the_sphere(self, params_d2):
+        # |c| + r == R exactly: the closed support stays in the closed ball
+        g = bump.BumpSum(centers=[[0.5, 0.0]], radii=[0.5], weights=[1.0])
+        spec = DistributionSpec(params=params_d2, ground_truth=g)
+        # the rule is |c| + r > R in rounded arithmetic: 0.5 plus the next
+        # double after 0.5 rounds back to 1, so the first radius past is
+        # the one whose sum is the next double after 1
+        near = bump.BumpSum(centers=[[0.5, 0.0]],
+                            radii=[np.nextafter(0.5, 1.0)], weights=[1.0])
+        assert not spec.crossing(g).any() and not spec.crossing(near).any()
+        past = bump.BumpSum(centers=[[0.5, 0.0]],
+                            radii=[np.nextafter(1.0, 2.0) - 0.5],
+                            weights=[1.0])
+        assert spec.crossing(past).all()
+        with pytest.raises(UnsupportedSpec, match="inside the domain"):
+            DistributionSpec(params=params_d2, ground_truth=past)
+
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_contains_the_closed_sphere(self, d):
+        spec = DistributionSpec(params=bump.SobolevParams(**CANONICAL[d]),
+                                radius=1.5)
+        x = np.zeros((4, d))
+        x[0, 0] = 1.5
+        x[1, 0] = -1.5
+        x[2, 0] = np.nextafter(1.5, 2.0)
+        x[3, 0] = np.nan
+        assert spec.contains(x).tolist() == [True, True, False, False]
+
     def test_unknown_density(self, params_d1):
         with pytest.raises(UnsupportedSpec):
             DistributionSpec(params=params_d1, density="gaussian")
@@ -355,6 +383,15 @@ class TestDomainBallFraction:
         spec = DistributionSpec(params=params_d1)
         with pytest.raises(OutOfDomain):
             model.domain_ball_fraction(spec, np.array([1.1]), 0.5, 1000, 0)
+
+    @pytest.mark.parametrize("x0", [
+        [math.nan, 0.0], [0.0, math.nan], [math.inf, 0.0], [0.0, -math.inf],
+        [1e200, 0.0]], ids=["nan", "nan-last", "inf", "minus-inf", "1e200"])
+    def test_nonfinite_center_rejected(self, params_d2, x0):
+        # a NaN centre is in no ball; a squared norm that overflows is inf
+        spec = DistributionSpec(params=params_d2)
+        with pytest.raises(OutOfDomain, match="ball center"):
+            model.domain_ball_fraction(spec, x0, 0.3, 1000, 1)
 
     def test_radius_beyond_diameter_rejected(self, params_d1):
         spec = DistributionSpec(params=params_d1)

@@ -142,6 +142,22 @@ class TestSemianalytic:
                                  r"converged"):
             risk.excess_risk_semianalytic(f, pure_noise_d1)
 
+    def test_support_touching_the_sphere_is_interior(self, params_d2):
+        # |c| + r == R exactly: the scaled modulus r^d M_2 / |Omega|
+        spec = DistributionSpec(params=params_d2)
+        f = bump.BumpSum(centers=[[0.5, 0.0]], radii=[0.5], weights=[2.0])
+        est = risk.excess_risk_semianalytic(f, spec)
+        assert est.mean == 4.0 * 0.5 ** 2 * bump.l2_modulus(2) / math.pi
+
+    def test_support_one_ulp_past_the_sphere(self, params_d2):
+        # |c| + r is the next double after R (see test_model's
+        # test_ground_truth_touching_the_sphere)
+        spec = DistributionSpec(params=params_d2)
+        f = bump.BumpSum(centers=[[0.5, 0.0]],
+                         radii=[np.nextafter(1.0, 2.0) - 0.5], weights=[2.0])
+        with pytest.raises(UnsupportedSpec, match="crossing the boundary"):
+            risk.excess_risk_semianalytic(f, spec)
+
     def test_requires_pure_noise(self, params_d1):
         g = bump.BumpSum(centers=[[0.0]], radii=[0.2], weights=[1.0])
         spec = DistributionSpec(params=params_d1, ground_truth=g)
